@@ -54,7 +54,7 @@ from .residuals import (
     plot_data,
     residual_analysis,
 )
-from .series import Observation, SummaryStats, TimeSeries, reindex, summarize
+from .series import SummaryStats, TimeSeries, reindex, summarize
 from .trend import MKResult, TrendLine, detrend, fit_trend, mann_kendall
 
 __version__ = "0.1.0"
@@ -71,7 +71,6 @@ __all__ = [
     "LaggedDesign",
     "MKResult",
     "NumericalError",
-    "Observation",
     "OrderSelectionStep",
     "OrderSelectionTrace",
     "Provenance",

@@ -18,6 +18,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from . import linreg
 from .dist import normal_quantile
 from .errors import NumericalError, UsageError
@@ -35,11 +37,11 @@ RAW = "raw"
 DETRENDED = "detrended"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LaggedDesign:
     p: int
-    y: tuple[float, ...]
-    lag_columns: tuple[tuple[float, ...], ...]  # column i-1 holds y_{t-i}
+    y: np.ndarray
+    lag_columns: tuple[np.ndarray, ...]  # column i-1 holds y_{t-i}
 
 
 @dataclass(frozen=True)
@@ -77,7 +79,7 @@ def build_lagged_design(values: Sequence[float], p: int) -> LaggedDesign:
     """Shifted-copy design: y = values[p:], lag i = values shifted by i."""
     if isinstance(p, bool) or not isinstance(p, int) or p < 1:
         raise UsageError(f"lag order must be a positive integer, got {p!r}")
-    values = tuple(float(v) for v in values)
+    values = np.asarray(values, dtype=np.float64)
     n = len(values)
     if n < minimum_length(p):
         raise UsageError(
@@ -108,11 +110,12 @@ def predictions(model: ARModel, series: TimeSeries) -> tuple[tuple[float, ...], 
         raise UsageError(
             f"model was fitted on {model.report.n} rows, series yields {len(design.y)}"
         )
+    lag_columns = [column.tolist() for column in design.lag_columns]
     fitted = tuple(
-        model.b0 + math.fsum(model.b[i] * design.lag_columns[i][row] for i in range(model.p))
+        model.b0 + math.fsum(model.b[i] * lag_columns[i][row] for i in range(model.p))
         for row in range(len(design.y))
     )
-    return design.y, fitted
+    return tuple(design.y.tolist()), fitted
 
 
 def z_alpha_threshold(alpha: float) -> float:
@@ -175,7 +178,7 @@ def lag_correlation(series: TimeSeries, lag: int) -> float:
     """
     if isinstance(lag, bool) or not isinstance(lag, int) or lag < 0:
         raise UsageError(f"lag must be a non-negative integer, got {lag!r}")
-    values = series.values
+    values = series.values.tolist()
     n = len(values)
     if n - lag < 3:
         raise UsageError(

@@ -112,7 +112,7 @@ def parse_csv(path: str, decimal: str = DECIMAL_POINT) -> TimeSeries:
         raise DataError(f"{path}: line {header_no}: expected header 'month,value'")
     if len(rows) == 1:
         raise DataError(f"{path}: no data rows")
-    pairs = []
+    months, values = [], []
     for lineno, line in rows[1:]:
         cells = _split_row(line, decimal)
         if decimal == DECIMAL_COMMA and len(cells) == 3:
@@ -134,9 +134,10 @@ def parse_csv(path: str, decimal: str = DECIMAL_POINT) -> TimeSeries:
             raise DataError(
                 f"{path}: line {lineno}: cannot parse value {value_text!r}"
             ) from None
-        pairs.append((month, value))
+        months.append(month)
+        values.append(value)
     try:
-        return TimeSeries.from_pairs(pairs)
+        return TimeSeries(months, values)
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
 
@@ -409,7 +410,7 @@ def event_series_to_dict(events: peaks.EventSeries) -> dict:
             "zero_filled": provenance.zero_filled,
         },
         "n": len(events),
-        "observations": [[obs.index, obs.value] for obs in events.observations],
+        "observations": [list(pair) for pair in zip(events.indices.tolist(), events.values.tolist())],
     }
 
 

@@ -135,10 +135,13 @@ def fit_ols(y: Sequence[float], regressors: Sequence[Sequence[float]]) -> Regres
     fitted = x @ coef
     residuals = y_vec - fitted
 
-    y_mean = math.fsum(y_vec) / n
-    residual_ss = math.fsum(e * e for e in residuals)
-    total_ss = math.fsum((v - y_mean) ** 2 for v in y_vec)
-    regression_ss = math.fsum((f - y_mean) ** 2 for f in fitted)
+    # Python floats: the same operations as on numpy scalars, without the
+    # per-element boxing.
+    y_list = y_vec.tolist()
+    y_mean = math.fsum(y_list) / n
+    residual_ss = math.fsum(e * e for e in residuals.tolist())
+    total_ss = math.fsum((v - y_mean) ** 2 for v in y_list)
+    regression_ss = math.fsum((f - y_mean) ** 2 for f in fitted.tolist())
 
     df_residual = n - k
     df_regression = k - 1

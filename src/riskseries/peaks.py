@@ -11,8 +11,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DataError, UsageError
-from .series import Observation, TimeSeries, reindex
+from .series import TimeSeries
 
 STRICTLY_ABOVE = "strictly-above"
 AT_OR_ABOVE = "at-or-above"
@@ -33,10 +35,10 @@ class ThresholdSpec:
                 f"comparison must be one of {_COMPARISONS}, got {self.comparison!r}"
             )
 
-    def passes(self, value: float) -> bool:
+    def passes(self, values: np.ndarray) -> np.ndarray:  # a mask over values
         if self.comparison == STRICTLY_ABOVE:
-            return value > self.threshold
-        return value >= self.threshold
+            return values > self.threshold
+        return values >= self.threshold
 
 
 @dataclass(frozen=True)
@@ -50,7 +52,7 @@ class Provenance:
     zero_filled: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EventSeries(TimeSeries):
     provenance: Provenance = Provenance(method="pot")
 
@@ -65,16 +67,14 @@ def block_maxima(series: TimeSeries, block_size: int) -> EventSeries:
         raise UsageError(f"block_size must be a positive integer, got {block_size!r}")
     if len(series) == 0:
         raise DataError("cannot extract block maxima from an empty series")
-    positional = reindex(series)
-    picked = []
-    for start in range(0, len(positional), block_size):
-        block = positional.observations[start:start + block_size]
-        best = block[0]
-        for obs in block[1:]:
-            if obs.value > best.value:
-                best = obs
-        picked.append(best)
-    return EventSeries(tuple(picked), Provenance(method="block-maxima", block_size=block_size))
+    # One row per block: the short last block is padded with -inf, which
+    # never wins, and argmax keeps the first of tied maxima.
+    n = len(series)
+    width = min(block_size, n)
+    blocks = np.pad(series.values, (0, -n % width), constant_values=-np.inf).reshape(-1, width)
+    positions = np.arange(0, n, width) + blocks.argmax(axis=1)
+    provenance = Provenance(method="block-maxima", block_size=block_size)
+    return EventSeries(positions + 1, series.values[positions], provenance)
 
 
 def pot_compact(series: TimeSeries, spec: ThresholdSpec) -> EventSeries:
@@ -82,11 +82,9 @@ def pot_compact(series: TimeSeries, spec: ThresholdSpec) -> EventSeries:
 
     An empty result is legal (threshold above every value).
     """
-    kept = tuple(obs for obs in series.observations if spec.passes(obs.value))
-    return EventSeries(
-        kept,
-        Provenance(method="pot", threshold=spec.threshold, comparison=spec.comparison),
-    )
+    kept = spec.passes(series.values)
+    provenance = Provenance(method="pot", threshold=spec.threshold, comparison=spec.comparison)
+    return EventSeries(series.indices[kept], series.values[kept], provenance)
 
 
 def pot_zerofill(series: TimeSeries, spec: ThresholdSpec) -> EventSeries:
@@ -96,20 +94,16 @@ def pot_zerofill(series: TimeSeries, spec: ThresholdSpec) -> EventSeries:
     present, so a gapped series must be reindexed (or filled) first.
     """
     indices = series.indices
-    first = indices[0] if indices else 1
-    for position, index in enumerate(indices):
-        if index != first + position:
-            raise UsageError(
-                "zero-fill needs contiguous indices; "
-                f"found index {index} where {first + position} was expected"
-            )
-    filled = tuple(
-        obs if spec.passes(obs.value)
-        else Observation(obs.index, 0.0, source_index=obs.source_index)
-        for obs in series.observations
-    )
+    # Indices strictly increase, so they are contiguous iff they span n slots.
+    if len(indices) and indices[-1] - indices[0] != len(indices) - 1:
+        k = int(np.argmax(np.diff(indices) != 1)) + 1
+        raise UsageError(
+            "zero-fill needs contiguous indices; "
+            f"found index {indices[k].item()} where {indices[0].item() + k} was expected"
+        )
     return EventSeries(
-        filled,
+        indices,
+        np.where(spec.passes(series.values), series.values, 0.0),
         Provenance(
             method="pot",
             threshold=spec.threshold,

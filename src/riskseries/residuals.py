@@ -11,9 +11,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .autoreg import ARModel, predictions
 from .errors import UsageError
-from .series import TimeSeries, reindex
+from .series import TimeSeries
 from .trend import TrendLine
 
 DEFAULT_OUTLIER_THRESHOLD = 3.0
@@ -55,12 +57,9 @@ def _observed_and_predicted(model, series: TimeSeries):
                 f"trend line was fitted on {model.source_n} observations, "
                 f"series has {len(series)}"
             )
-        positional = reindex(series)
-        observed = positional.values
-        predicted = tuple(
-            model.intercept + model.slope * t for t in range(1, len(observed) + 1)
-        )
-        return observed, predicted, 2
+        t = np.arange(1.0, len(series) + 1)
+        predicted = model.intercept + model.slope * t
+        return series.values.tolist(), predicted.tolist(), 2
     raise UsageError(f"unsupported model type {type(model).__name__}")
 
 

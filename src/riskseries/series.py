@@ -1,9 +1,10 @@
 """Core time-series data model, descriptive statistics and reindexing.
 
-A series is an ordered run of (index, value) observations. Indices are
-integer event times and may jump (an event record keeps the time slot it
-occurred in); values are finite magnitudes such as precipitation in mm.
-Everything here is immutable and safe to share between threads.
+A series is two aligned columns: integer event times (``indices``) and
+finite magnitudes such as precipitation in mm (``values``). Indices may
+jump (an event record keeps the time slot it occurred in). Both columns
+are read-only numpy arrays owned by the series and validated once, so a
+series is immutable and safe to share between threads.
 """
 from __future__ import annotations
 
@@ -11,65 +12,72 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import DataError
 
 
-@dataclass(frozen=True)
-class Observation:
-    """One event: integer time index (>= 1) and its magnitude."""
-
-    index: int
-    value: float
-    source_index: int | None = None
-
-    def __post_init__(self):
-        if isinstance(self.index, bool) or not isinstance(self.index, int):
-            raise DataError(f"observation index must be an integer, got {self.index!r}")
-        if self.index < 1:
-            raise DataError(f"observation index must be >= 1, got {self.index}")
-        value = float(self.value)
-        if not math.isfinite(value):
-            raise DataError(f"observation value must be finite, got {self.value!r}")
-        object.__setattr__(self, "value", value)
+def _column(data, dtype, name: str) -> np.ndarray:
+    column = np.asarray(data)
+    if column.ndim != 1:
+        raise DataError(f"{name} must be a one-dimensional column, got shape {column.shape}")
+    if dtype is np.int64 and column.size and column.dtype.kind not in "iu":
+        # Checked before the cast, which would silently truncate 1.5 or True.
+        bad = 0
+        if column.dtype.kind == "f":
+            bad = int(np.argmax(column != np.trunc(column)))
+        raise DataError(f"observation index must be an integer, got {column.tolist()[bad]!r}")
+    # A copy, so no caller can reach the series' own (read-only) arrays.
+    column = np.array(column, dtype=dtype)
+    column.flags.writeable = False
+    return column
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TimeSeries:
-    """Ordered observations with strictly increasing indices (gaps allowed)."""
+    """Strictly increasing integer indices (>= 1, gaps allowed) and finite values."""
 
-    observations: tuple[Observation, ...]
+    indices: np.ndarray
+    values: np.ndarray
 
     def __post_init__(self):
-        observations = tuple(self.observations)
-        object.__setattr__(self, "observations", observations)
-        previous = 0
-        for obs in observations:
-            if obs.index <= previous:
-                raise DataError(
-                    f"indices must be strictly increasing without duplicates; "
-                    f"index {obs.index} follows {previous}"
-                )
-            previous = obs.index
+        indices = _column(self.indices, np.int64, "indices")
+        values = _column(self.values, np.float64, "values")
+        if len(indices) != len(values):
+            raise DataError(
+                f"indices and values must have equal length, got {len(indices)} and {len(values)}"
+            )
+        # Checked by reductions; a mask is built only to name the culprit,
+        # since masks of every series length would pile up in numpy's cache
+        # of small freed blocks.
+        n = len(indices)
+        if n and indices.min() < 1:
+            low = indices[np.argmax(indices < 1)].item()
+            raise DataError(f"observation index must be >= 1, got {low}")
+        if n > 1 and np.diff(indices).min() <= 0:
+            k = int(np.argmax(np.diff(indices) <= 0))
+            raise DataError(
+                f"indices must be strictly increasing without duplicates; "
+                f"index {indices[k + 1].item()} follows {indices[k].item()}"
+            )
+        if n and not (math.isfinite(values.min()) and math.isfinite(values.max())):
+            value = values[np.argmax(~np.isfinite(values))].item()
+            raise DataError(f"observation value must be finite, got {value!r}")
+        object.__setattr__(self, "indices", indices)
+        object.__setattr__(self, "values", values)
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, float]]) -> "TimeSeries":
-        return cls(tuple(Observation(index, value) for index, value in pairs))
+        pairs = list(pairs)
+        return cls([index for index, _ in pairs], [value for _, value in pairs])
 
     @classmethod
     def from_values(cls, values: Sequence[float]) -> "TimeSeries":
         """Build a series indexed 1..n from bare values."""
-        return cls(tuple(Observation(i + 1, float(v)) for i, v in enumerate(values)))
+        return cls(np.arange(1, len(values) + 1), values)
 
     def __len__(self) -> int:
-        return len(self.observations)
-
-    @property
-    def indices(self) -> tuple[int, ...]:
-        return tuple(obs.index for obs in self.observations)
-
-    @property
-    def values(self) -> tuple[float, ...]:
-        return tuple(obs.value for obs in self.observations)
+        return len(self.values)
 
 
 @dataclass(frozen=True)
@@ -90,7 +98,7 @@ def summarize(series: TimeSeries) -> SummaryStats:
     """
     if len(series) == 0:
         raise DataError("cannot summarize an empty series")
-    values = series.values
+    values = series.values.tolist()
     n = len(values)
     mean = math.fsum(values) / n
     if n > 1:
@@ -108,19 +116,7 @@ def summarize(series: TimeSeries) -> SummaryStats:
 
 
 def reindex(series: TimeSeries) -> TimeSeries:
-    """Renumber observations 1..n in order, keeping values.
-
-    The original index survives as ``source_index`` so reports can still
-    show the raw event time.
-    """
+    """Renumber observations 1..n in order, keeping values."""
     if len(series) == 0:
         raise DataError("cannot reindex an empty series")
-    renumbered = tuple(
-        Observation(
-            index=position,
-            value=obs.value,
-            source_index=obs.source_index if obs.source_index is not None else obs.index,
-        )
-        for position, obs in enumerate(series.observations, start=1)
-    )
-    return TimeSeries(renumbered)
+    return TimeSeries(np.arange(1, len(series) + 1), series.values)

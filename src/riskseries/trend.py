@@ -13,9 +13,11 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import linreg
 from .errors import UsageError
-from .series import Observation, TimeSeries, reindex
+from .series import TimeSeries
 
 INCREASING = "increasing"
 DECREASING = "decreasing"
@@ -44,9 +46,8 @@ class MKResult:
 def fit_trend(series: TimeSeries) -> TrendLine:
     if len(series) < 3:
         raise UsageError(f"trend fit needs at least 3 observations, got {len(series)}")
-    positional = reindex(series)
-    numbers = [float(t) for t in range(1, len(positional) + 1)]
-    report = linreg.fit_ols(positional.values, [numbers])
+    numbers = np.arange(1.0, len(series) + 1)
+    report = linreg.fit_ols(series.values, [numbers])
     return TrendLine(
         intercept=report.coefficients[0].estimate,
         slope=report.coefficients[1].estimate,
@@ -60,18 +61,11 @@ def detrend(series: TimeSeries, line: TrendLine) -> TimeSeries:
         raise UsageError(
             f"trend line was fitted on {line.source_n} observations, series has {len(series)}"
         )
-    detrended = tuple(
-        Observation(
-            index=obs.index,
-            value=obs.value - (line.intercept + line.slope * t),
-            source_index=obs.source_index,
-        )
-        for t, obs in enumerate(series.observations, start=1)
-    )
-    return TimeSeries(detrended)
+    t = np.arange(1.0, len(series) + 1)
+    return TimeSeries(series.indices, series.values - (line.intercept + line.slope * t))
 
 
-def _mk_statistic(values: tuple[float, ...]) -> int:
+def _mk_statistic(values: list[float]) -> int:
     s = 0
     n = len(values)
     for i in range(n - 1):
@@ -84,7 +78,7 @@ def _mk_statistic(values: tuple[float, ...]) -> int:
     return s
 
 
-def _mk_variance(values: tuple[float, ...]) -> float:
+def _mk_variance(values: list[float]) -> float:
     n = len(values)
     var = n * (n - 1) * (2 * n + 5)
     for t in Counter(values).values():
@@ -98,7 +92,7 @@ def mann_kendall(series: TimeSeries, alpha: float = 0.05) -> MKResult:
         raise UsageError(f"Mann-Kendall needs at least 4 observations, got {len(series)}")
     if not 0.0 < alpha < 1.0:
         raise UsageError(f"alpha must be in (0, 1), got {alpha!r}")
-    values = series.values
+    values = series.values.tolist()
     s = _mk_statistic(values)
     var_s = _mk_variance(values)
     if s == 0 or var_s <= 0.0:

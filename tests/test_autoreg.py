@@ -22,8 +22,8 @@ from riskseries.series import TimeSeries
 
 def test_build_lagged_design_ramp():
     design = build_lagged_design([1.0, 2.0, 3.0, 4.0], 1)
-    assert design.y == (2.0, 3.0, 4.0)
-    assert design.lag_columns == ((1.0, 2.0, 3.0),)
+    assert design.y.tolist() == [2.0, 3.0, 4.0]
+    assert [column.tolist() for column in design.lag_columns] == [[1.0, 2.0, 3.0]]
 
 
 def test_build_lagged_design_first_row_of_detrended_fixture(detrended_series):

@@ -23,9 +23,8 @@ from riskseries.peaks import ThresholdSpec
 def test_parse_csv_fixture(fixture_path):
     series = parse_csv(fixture_path)
     assert len(series) == 31
-    last = series.observations[-1]
-    assert (last.index, last.value) == (142, 1355.0)
-    assert series.observations[10].value == 195.2
+    assert (series.indices[-1], series.values[-1]) == (142, 1355.0)
+    assert series.values[10] == 195.2
 
 
 def test_parse_csv_errors(tmp_path):
@@ -58,18 +57,18 @@ def test_parse_csv_decimal_comma(tmp_path):
     semicolon = tmp_path / "comma.csv"
     semicolon.write_text("month;value\n1;195,2\n2;225\n")
     series = parse_csv(str(semicolon), decimal="comma")
-    assert series.values == (195.2, 225.0)
+    assert series.values.tolist() == [195.2, 225.0]
 
     comma_separated = tmp_path / "comma2.csv"
     comma_separated.write_text("month,value\n1,195,2\n2,225\n")
     series = parse_csv(str(comma_separated), decimal="comma")
-    assert series.values == (195.2, 225.0)
+    assert series.values.tolist() == [195.2, 225.0]
 
 
 def test_parse_csv_crlf(tmp_path):
     crlf = tmp_path / "crlf.csv"
     crlf.write_bytes(b"month,value\r\n1,10\r\n2,20\r\n")
-    assert parse_csv(str(crlf)).values == (10.0, 20.0)
+    assert parse_csv(str(crlf)).values.tolist() == [10.0, 20.0]
 
 
 # ------------------------------------------------------------- exit codes

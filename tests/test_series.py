@@ -1,10 +1,11 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from riskseries.errors import DataError
-from riskseries.series import Observation, TimeSeries, reindex, summarize
+from riskseries.series import TimeSeries, reindex, summarize
 from riskseries.trend import detrend, fit_trend
 
 
@@ -34,18 +35,16 @@ def test_summary_of_detrended_fixture(detrended_series):
 def test_reindex_compacts_jumping_indices():
     series = TimeSeries.from_pairs([(1, 200.0), (8, 396.0), (9, 280.0)])
     compact = reindex(series)
-    assert compact.indices == (1, 2, 3)
-    assert compact.values == (200.0, 396.0, 280.0)
-    assert tuple(o.source_index for o in compact.observations) == (1, 8, 9)
+    assert compact.indices.tolist() == [1, 2, 3]
+    assert compact.values.tolist() == [200.0, 396.0, 280.0]
 
 
 def test_reindex_identity_and_singleton():
     already = TimeSeries.from_values([1.0, 2.0, 3.0])
-    assert reindex(already).indices == (1, 2, 3)
+    assert reindex(already).indices.tolist() == [1, 2, 3]
     single = TimeSeries.from_pairs([(42, 7.0)])
-    assert reindex(single).observations[0].index == 1
-    assert reindex(single).observations[0].value == 7.0
-    assert reindex(single).observations[0].source_index == 42
+    assert reindex(single).indices[0] == 1
+    assert reindex(single).values[0] == 7.0
 
 
 def test_summarize_matches_brute_force_variance():
@@ -85,14 +84,50 @@ def test_detrend_roundtrip_keeps_summary_shape(event_series):
 
 def test_construction_errors():
     with pytest.raises(DataError):
-        summarize(TimeSeries(()))
+        summarize(TimeSeries((), ()))
     with pytest.raises(DataError):
         TimeSeries.from_pairs([(1, 1.0), (1, 2.0)])  # duplicate index
     with pytest.raises(DataError):
         TimeSeries.from_pairs([(5, 1.0), (3, 2.0)])  # decreasing index
     with pytest.raises(DataError):
-        Observation(0, 1.0)
+        TimeSeries.from_pairs([(0, 1.0)])
     with pytest.raises(DataError):
-        Observation(1, float("nan"))
+        TimeSeries.from_pairs([(1, float("nan"))])
     with pytest.raises(DataError):
-        Observation(1, float("inf"))
+        TimeSeries.from_pairs([(1, float("inf"))])
+    with pytest.raises(DataError):
+        TimeSeries.from_pairs([(1.5, 1.0)])  # would truncate to 1 if cast
+    with pytest.raises(DataError):
+        TimeSeries.from_pairs([(True, 1.0)])  # a bool is not an index
+
+
+def test_validation_messages_show_python_scalars():
+    cases = [
+        ([(0, 1.0)], "observation index must be >= 1, got 0"),
+        ([(1, float("nan"))], "observation value must be finite, got nan"),
+        ([(1, 2.0), (2, float("-inf"))], "observation value must be finite, got -inf"),
+        ([(1.5, 1.0)], "observation index must be an integer, got 1.5"),
+        ([(True, 1.0)], "observation index must be an integer, got True"),
+        ([(5, 1.0), (3, 2.0)], "index 3 follows 5"),
+        ([(1, 1.0), (1, 2.0)], "index 1 follows 1"),
+    ]
+    for pairs, message in cases:
+        with pytest.raises(DataError) as excinfo:
+            TimeSeries.from_pairs(pairs)
+        assert str(excinfo.value).endswith(message)
+        assert "np." not in str(excinfo.value)
+    with pytest.raises(DataError, match="equal length"):
+        TimeSeries([1, 2, 3], [1.0, 2.0])
+
+
+def test_columns_are_read_only_copies():
+    indices = np.array([1, 4, 9])
+    values = np.array([3.0, 1.0, 2.0])
+    series = TimeSeries(indices, values)
+    assert series.indices.dtype == np.int64 and series.values.dtype == np.float64
+    values[0] = 99.0  # the caller's array is not the series' column
+    assert series.values.tolist() == [3.0, 1.0, 2.0]
+    with pytest.raises(ValueError):
+        series.values[0] = 5.0
+    with pytest.raises(ValueError):
+        series.indices[0] = 2

@@ -56,7 +56,7 @@ def test_detrend_first_observation_of_fixture(event_series):
     line = fit_trend(event_series)
     detrended = detrend(event_series, line)
     assert detrended.values[0] == pytest.approx(-3.924596774193617, rel=1e-10)
-    assert detrended.indices == event_series.indices
+    assert detrended.indices.tolist() == event_series.indices.tolist()
 
 
 def test_detrend_then_refit_has_zero_slope(event_series):
