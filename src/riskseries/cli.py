@@ -8,13 +8,15 @@ the raw and detrended series, lag-1 correlations, order selection, and
 residual analysis of the raw AR(1).
 
 Exit codes are stable: 0 success, 1 usage error, 2 data error,
-3 numerical error. Text output is rendered from the same dictionary the
+3 numerical error, 141 when the reader closed stdout early. Text output is rendered from the same dictionary the
 JSON mode emits, so the two never disagree.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import math
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -30,6 +32,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERICAL = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a reader that hung up
 
 DECIMAL_POINT = "point"
 DECIMAL_COMMA = "comma"
@@ -76,14 +79,48 @@ class PipelineReport:
 
 # ----------------------------------------------------------------- parsing
 
-def _read_lines(path: str) -> list[str]:
+def _read_rows(path: str) -> list[tuple[int, str]]:
+    """The non-blank lines of a file, each with its 1-based line number."""
     try:
         text = Path(path).read_text(encoding="utf-8-sig")
     except FileNotFoundError:
         raise DataError(f"input file not found: {path}") from None
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
-    return text.splitlines()
+    return [(i, line) for i, line in enumerate(text.splitlines(), start=1) if line.strip()]
+
+
+def _finite_row(path: str, lineno: int, cells: list[str], what: str) -> tuple[float, ...]:
+    """The floats of one CSV row; a bad or non-finite cell is a data error."""
+    try:
+        values = tuple(float(cell) for cell in cells)
+    except ValueError:
+        raise DataError(f"{path}: line {lineno}: cannot parse {what}") from None
+    if not all(map(math.isfinite, values)):
+        raise DataError(f"{path}: line {lineno}: {what} must be finite, got {','.join(cells)}")
+    return values
+
+
+def _finite_list(text: str, what: str) -> tuple[float, ...]:
+    """Comma-separated finite floats from a flag; a bad one is a usage error."""
+    try:
+        values = tuple(float(cell) for cell in text.split(","))
+    except ValueError:
+        raise UsageError(f"cannot parse {what} {text!r}") from None
+    if not all(map(math.isfinite, values)):
+        raise UsageError(f"{what} must be finite, got {text!r}")
+    return values
+
+
+def _finite_float(text: str) -> float:
+    """argparse type for a single finite float flag."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
 
 
 def _split_row(line: str, decimal: str) -> list[str]:
@@ -102,8 +139,7 @@ def parse_csv(path: str, decimal: str = DECIMAL_POINT) -> TimeSeries:
     """
     if decimal not in (DECIMAL_POINT, DECIMAL_COMMA):
         raise UsageError(f"decimal must be 'point' or 'comma', got {decimal!r}")
-    lines = _read_lines(path)
-    rows = [(i, line) for i, line in enumerate(lines, start=1) if line.strip()]
+    rows = _read_rows(path)
     if not rows:
         raise DataError(f"{path}: file is empty")
     header_no, header = rows[0]
@@ -143,37 +179,31 @@ def parse_csv(path: str, decimal: str = DECIMAL_POINT) -> TimeSeries:
 
 
 def parse_hazard_csv(path: str) -> evt_risk.HazardCurve:
-    lines = [line for line in _read_lines(path) if line.strip()]
-    if not lines or [c.strip().lower() for c in lines[0].split(",")] != ["s", "g"]:
+    rows = _read_rows(path)
+    if not rows or [c.strip().lower() for c in rows[0][1].split(",")] != ["s", "g"]:
         raise DataError(f"{path}: expected header 's,G'")
     points = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in rows[1:]:
         cells = [c.strip() for c in line.split(",")]
         if len(cells) != 2:
             raise DataError(f"{path}: line {lineno}: expected 2 fields")
-        try:
-            points.append((float(cells[0]), float(cells[1])))
-        except ValueError:
-            raise DataError(f"{path}: line {lineno}: cannot parse hazard point") from None
+        points.append(_finite_row(path, lineno, cells, "hazard point"))
     if not points:
         raise DataError(f"{path}: no data rows")
     return evt_risk.HazardCurve(tuple(points))
 
 
 def parse_vulnerability_csv(path: str) -> tuple[evt_risk.VulnerabilityPoint, ...]:
-    lines = [line for line in _read_lines(path) if line.strip()]
+    rows = _read_rows(path)
     expected = ["s", "mean_loss", "cov"]
-    if not lines or [c.strip().lower() for c in lines[0].split(",")] != expected:
+    if not rows or [c.strip().lower() for c in rows[0][1].split(",")] != expected:
         raise DataError(f"{path}: expected header 's,mean_loss,cov'")
     points = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in rows[1:]:
         cells = [c.strip() for c in line.split(",")]
         if len(cells) != 3:
             raise DataError(f"{path}: line {lineno}: expected 3 fields")
-        try:
-            s, mean_loss, cov = (float(c) for c in cells)
-        except ValueError:
-            raise DataError(f"{path}: line {lineno}: cannot parse vulnerability point") from None
+        s, mean_loss, cov = _finite_row(path, lineno, cells, "vulnerability point")
         points.append(evt_risk.VulnerabilityPoint(s=s, mean_loss=mean_loss, cov=cov))
     if not points:
         raise DataError(f"{path}: no data rows")
@@ -184,17 +214,13 @@ def _parse_loss_grid(flag_value: str | None, csv_path: str | None) -> tuple[floa
     if (flag_value is None) == (csv_path is None):
         raise UsageError("provide exactly one of --losses or --loss-csv")
     if flag_value is not None:
-        try:
-            return tuple(float(cell) for cell in flag_value.split(","))
-        except ValueError:
-            raise UsageError(f"cannot parse loss grid {flag_value!r}") from None
-    lines = [line for line in _read_lines(csv_path) if line.strip()]
-    if not lines or lines[0].strip().lower() != "x":
+        return _finite_list(flag_value, "loss grid")
+    rows = _read_rows(csv_path)
+    if not rows or rows[0][1].strip().lower() != "x":
         raise DataError(f"{csv_path}: expected header 'x'")
-    try:
-        return tuple(float(line.strip()) for line in lines[1:])
-    except ValueError:
-        raise DataError(f"{csv_path}: cannot parse loss grid") from None
+    return tuple(
+        _finite_row(csv_path, lineno, [line.strip()], "loss grid")[0] for lineno, line in rows[1:]
+    )
 
 
 # ---------------------------------------------------------------- pipeline
@@ -699,7 +725,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("peaks", help="extract extreme events")
     p.add_argument("input")
-    p.add_argument("--threshold", type=float, help="POT threshold")
+    p.add_argument("--threshold", type=_finite_float, help="POT threshold")
     p.add_argument("--comparison", choices=(peaks.STRICTLY_ABOVE, peaks.AT_OR_ABOVE),
                    default=peaks.STRICTLY_ABOVE)
     p.add_argument("--zero-fill", action="store_true",
@@ -710,13 +736,13 @@ def build_parser() -> _Parser:
     p = sub.add_parser("trend", help="fit a linear trend, optionally Mann-Kendall")
     p.add_argument("input")
     p.add_argument("--mann-kendall", action="store_true")
-    p.add_argument("--alpha", type=float, default=0.05)
+    p.add_argument("--alpha", type=_finite_float, default=0.05)
     _add_io_flags(p)
 
     p = sub.add_parser("ar", help="autoregressive fits and order selection")
     p.add_argument("input")
     p.add_argument("--max-lag", type=int, default=3)
-    p.add_argument("--alpha", type=float, default=0.05)
+    p.add_argument("--alpha", type=_finite_float, default=0.05)
     p.add_argument("--detrend", action="store_true",
                    help="fit on the detrended series instead of the raw one")
     _add_io_flags(p)
@@ -725,13 +751,13 @@ def build_parser() -> _Parser:
     p.add_argument("input")
     p.add_argument("--lag", type=int, default=1)
     p.add_argument("--detrend", action="store_true")
-    p.add_argument("--outlier-threshold", type=float, default=3.0)
+    p.add_argument("--outlier-threshold", type=_finite_float, default=3.0)
     _add_io_flags(p, plot_data=True)
 
     p = sub.add_parser("gev-pdf", help="generalized extreme value density")
-    p.add_argument("--mu", type=float, required=True)
-    p.add_argument("--sigma", type=float, required=True)
-    p.add_argument("--xi", type=float, required=True)
+    p.add_argument("--mu", type=_finite_float, required=True)
+    p.add_argument("--sigma", type=_finite_float, required=True)
+    p.add_argument("--xi", type=_finite_float, required=True)
     p.add_argument("--x", required=True, help="comma-separated evaluation points")
     p.add_argument("--format", choices=("text", "json"), default="text")
 
@@ -744,12 +770,12 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("analyze", help="full pipeline")
     p.add_argument("input")
-    p.add_argument("--threshold", type=float, help="apply POT extraction first")
+    p.add_argument("--threshold", type=_finite_float, help="apply POT extraction first")
     p.add_argument("--comparison", choices=(peaks.STRICTLY_ABOVE, peaks.AT_OR_ABOVE),
                    default=peaks.STRICTLY_ABOVE)
     p.add_argument("--max-lag", type=int, default=3)
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--outlier-threshold", type=float, default=3.0)
+    p.add_argument("--alpha", type=_finite_float, default=0.05)
+    p.add_argument("--outlier-threshold", type=_finite_float, default=3.0)
     p.add_argument("--no-detrend", action="store_true",
                    help="skip the detrended branch of the pipeline")
     _add_io_flags(p, plot_data=True)
@@ -873,10 +899,7 @@ def _cmd_residuals(args) -> str:
 
 def _cmd_gev_pdf(args) -> str:
     params = evt_risk.GevParams(mu=args.mu, sigma=args.sigma, xi=args.xi)
-    try:
-        xs = [float(cell) for cell in args.x.split(",")]
-    except ValueError:
-        raise UsageError(f"cannot parse evaluation points {args.x!r}") from None
+    xs = _finite_list(args.x, "evaluation points")
     payload = {
         "mu": args.mu, "sigma": args.sigma, "xi": args.xi,
         "points": [[x, evt_risk.gev_pdf(x, params)] for x in xs],
@@ -956,9 +979,20 @@ def main(argv: Sequence[str] | None = None) -> int:
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    sys.stdout.write(output)
+    try:
+        sys.stdout.write(output)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader hung up. Point stdout at devnull so the interpreter's
+        # final flush cannot fail again, and exit quietly as a shell would.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     return EXIT_OK
 
 
 def run():  # console entry point
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    run()

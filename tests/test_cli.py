@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from riskseries.cli import (
+    EXIT_BROKEN_PIPE,
     EXIT_DATA,
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -349,3 +354,89 @@ def test_run_pipeline_threshold_removing_everything(event_series):
     )
     with pytest.raises(DataError):
         run_pipeline(event_series, config)
+
+
+# ------------------------------------------------- non-finite input
+
+def _risk_files(tmp_path, vulnerability_rows="1.0,0.2,0.5\n2.0,0.5,0.5\n",
+                hazard_rows="1.0,2.0\n2.0,1.0\n"):
+    hazard = tmp_path / "hazard.csv"
+    hazard.write_text("s,G\n" + hazard_rows)
+    vulnerability = tmp_path / "vulnerability.csv"
+    vulnerability.write_text("s,mean_loss,cov\n" + vulnerability_rows)
+    return ["risk-curve", "--hazard", str(hazard), "--vulnerability", str(vulnerability)]
+
+
+@pytest.mark.parametrize("row", [
+    "1.0,inf,0.5",   # was a ValueError traceback
+    "1.0,0.2,inf",   # was a ZeroDivisionError traceback
+    "1.0,0.2,nan",   # printed NaN frequencies
+])
+def test_non_finite_vulnerability_cell_is_a_data_error_naming_its_line(tmp_path, capsys, row):
+    argv = _risk_files(tmp_path, vulnerability_rows=f"{row}\n2.0,0.5,0.5\n") + ["--losses", "0.5"]
+    assert main(argv) == EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "line 2: vulnerability point must be finite" in captured.err
+
+
+def test_non_finite_hazard_and_loss_csv_cells_name_their_line(tmp_path, capsys):
+    argv = _risk_files(tmp_path, hazard_rows="1.0,2.0\n\n2.0,inf\n") + ["--losses", "0.5"]
+    assert main(argv) == EXIT_DATA
+    assert "line 4: hazard point must be finite" in capsys.readouterr().err
+
+    losses = tmp_path / "losses.csv"
+    losses.write_text("x\n0.5\nnan\n")
+    argv = _risk_files(tmp_path) + ["--loss-csv", str(losses)]
+    assert main(argv) == EXIT_DATA
+    assert "line 3: loss grid must be finite" in capsys.readouterr().err
+
+
+def test_non_finite_loss_flag_is_a_usage_error(tmp_path, capsys):
+    assert main(_risk_files(tmp_path) + ["--losses", "nan,inf"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "loss grid must be finite" in captured.err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--mu", "nan", "--sigma", "1", "--xi", "0", "--x", "1"],
+    ["--mu", "0", "--sigma", "1", "--xi", "0", "--x", "nan,inf,1"],
+])
+def test_non_finite_gev_pdf_flag_is_a_usage_error(capsys, flags):
+    assert main(["gev-pdf", *flags]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be finite" in captured.err
+
+
+# ------------------------------------------------------ process level
+
+def _python(*args, **kwargs):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run([sys.executable, *args], env=env, **kwargs)
+
+
+def test_closed_stdout_exits_141_quietly(fixture_path):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before anything is written
+    try:
+        done = _python("-m", "riskseries", "analyze", fixture_path, "--format", "json",
+                       stdout=write_end, stderr=subprocess.PIPE, timeout=120)
+    finally:
+        os.close(write_end)
+    assert done.returncode == EXIT_BROKEN_PIPE
+    assert done.stderr == b""
+
+
+def test_module_entry_points(fixture_path, capsys):
+    assert main(["summarize", fixture_path, "--format", "json"]) == EXIT_OK
+    expected = capsys.readouterr().out
+    done = _python("-m", "riskseries", "summarize", fixture_path, "--format", "json",
+                   capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (EXIT_OK, expected, "")
+
+    done = _python("-m", "riskseries.cli", capture_output=True, text=True, timeout=120)
+    assert done.returncode == EXIT_USAGE
+    assert "usage error" in done.stderr
