@@ -1,6 +1,8 @@
+import importlib
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -440,3 +442,13 @@ def test_module_entry_points(fixture_path, capsys):
     done = _python("-m", "riskseries.cli", capture_output=True, text=True, timeout=120)
     assert done.returncode == EXIT_USAGE
     assert "usage error" in done.stderr
+
+
+def test_importing_every_module_runs_no_command(capsys):
+    # Tools that walk the package (tracers, doc generators) import
+    # riskseries.__main__ too; only python -m may start the CLI.
+    import riskseries
+
+    for info in pkgutil.iter_modules(riskseries.__path__):
+        importlib.import_module(f"riskseries.{info.name}")
+    assert capsys.readouterr() == ("", "")
