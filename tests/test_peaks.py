@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -111,3 +112,37 @@ def test_pot_idempotence_and_counts(simple_series):
 def test_empty_series_rejected():
     with pytest.raises(DataError):
         block_maxima(TimeSeries((), ()), 2)
+
+
+def _loop_block_maxima(values, size):
+    """Reference: scan each block, keep the first strictly larger value."""
+    picked = []
+    for start in range(0, len(values), size):
+        best = start
+        for position in range(start + 1, min(start + size, len(values))):
+            if values[position] > values[best]:
+                best = position
+        picked.append((best + 1, values[best]))
+    return picked
+
+
+def test_array_extractors_match_loop_references():
+    rng = random.Random(3)
+    for _ in range(200):
+        n = rng.randint(1, 40)
+        values = [float(rng.randint(-3, 3)) for _ in range(n)]  # many ties
+        series = TimeSeries.from_values(values)
+        for size in (1, 2, 3, rng.randint(1, n + 3), n, n + 5):
+            events = block_maxima(series, size)
+            assert list(zip(events.indices.tolist(), events.values.tolist())) == \
+                _loop_block_maxima(values, size)
+        spec = ThresholdSpec(float(rng.randint(-3, 3)), rng.choice((STRICTLY_ABOVE, AT_OR_ABOVE)))
+        passes = [v > spec.threshold if spec.comparison == STRICTLY_ABOVE else v >= spec.threshold
+                  for v in values]
+        compact = pot_compact(series, spec)
+        assert list(zip(compact.indices.tolist(), compact.values.tolist())) == [
+            (i, v) for i, v, ok in zip(range(1, n + 1), values, passes) if ok
+        ]
+        assert pot_zerofill(series, spec).values.tolist() == [
+            v if ok else 0.0 for v, ok in zip(values, passes)
+        ]

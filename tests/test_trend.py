@@ -182,3 +182,13 @@ def test_mann_kendall_rank_and_affine_invariance():
         assert scaled.S == base.S
         assert scaled.decision == base.decision
         assert math.isclose(scaled.Z, base.Z, rel_tol=1e-12, abs_tol=1e-12)
+
+
+def test_detrend_matches_the_scalar_expression_exactly():
+    rng = np.random.default_rng(17)
+    values = rng.normal(scale=40.0, size=57).cumsum()
+    series = TimeSeries.from_pairs([(3 * i + 2, v) for i, v in enumerate(values.tolist())])
+    line = fit_trend(series)
+    expected = [v - (line.intercept + line.slope * t)
+                for t, v in enumerate(values.tolist(), start=1)]
+    assert detrend(series, line).values.tolist() == expected
