@@ -8,8 +8,9 @@ the raw and detrended series, lag-1 correlations, order selection, and
 residual analysis of the raw AR(1).
 
 Exit codes are stable: 0 success, 1 usage error, 2 data error,
-3 numerical error, 141 when the reader closed stdout early. Text output is rendered from the same dictionary the
-JSON mode emits, so the two never disagree.
+3 numerical error, 141 when the reader closed stdout early. Text output
+is rendered from the same dictionary the JSON mode emits, so the two
+never disagree.
 """
 from __future__ import annotations
 
@@ -436,7 +437,7 @@ def event_series_to_dict(events: peaks.EventSeries) -> dict:
             "zero_filled": provenance.zero_filled,
         },
         "n": len(events),
-        "observations": [list(pair) for pair in zip(events.indices.tolist(), events.values.tolist())],
+        "observations": [list(p) for p in zip(events.indices.tolist(), events.values.tolist())],
     }
 
 
