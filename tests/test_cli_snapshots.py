@@ -27,12 +27,17 @@ PLACEHOLDER = "<INPUT>"
 COMMANDS = [
     ("analyze", ["analyze"], EXIT_OK),
     ("analyze_threshold150", ["analyze", "--threshold", "150"], EXIT_OK),
+    # Raw selection keeps p=1 after two drops; detrended keeps p=3 at once.
+    ("analyze_alpha03", ["analyze", "--alpha", "0.3"], EXIT_OK),
+    ("analyze_no_detrend", ["analyze", "--no-detrend"], EXIT_OK),
     ("peaks_threshold150", ["peaks", "--threshold", "150"], EXIT_OK),
     # The record's months jump, so zero-filling it is refused.
     ("peaks_threshold150_zerofill", ["peaks", "--threshold", "150", "--zero-fill"], EXIT_USAGE),
     ("peaks_block4", ["peaks", "--block-size", "4"], EXIT_OK),
     ("trend_mann_kendall", ["trend", "--mann-kendall"], EXIT_OK),
     ("ar_maxlag4", ["ar", "--max-lag", "4"], EXIT_OK),
+    ("ar_maxlag4_detrend_alpha01",
+     ["ar", "--max-lag", "4", "--detrend", "--alpha", "0.1"], EXIT_OK),
     ("residuals_lag2", ["residuals", "--lag", "2"], EXIT_OK),
 ]
 CASES = [
