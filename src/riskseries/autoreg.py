@@ -7,10 +7,10 @@ values that would run past the end of the table are never used. Lags are
 positional over the event series, not calendar slots; run a zero-filled
 POT extraction first if calendar lags are wanted.
 
-Order selection follows the top-down rule: fit the largest candidate
-order, test Z = b_p / S(b_p) against the two-sided normal threshold
-Z_alpha, drop the highest lag while -Z_alpha <= Z <= Z_alpha, and stop
-at the first rejection.
+Order selection follows the top-down rule over the fits AR(1)..AR(max_p):
+start at the largest order, test Z = b_p / S(b_p) against the two-sided
+normal threshold Z_alpha, drop the highest lag while
+-Z_alpha <= Z <= Z_alpha, and stop at the first rejection.
 """
 from __future__ import annotations
 
@@ -127,36 +127,31 @@ def z_alpha_threshold(alpha: float) -> float:
     return normal_quantile(1.0 - alpha / 2.0)
 
 
-def select_order(
-    series: TimeSeries,
-    max_p: int,
-    alpha: float = 0.05,
-    fitted_on: str = RAW,
-) -> OrderSelectionTrace:
+def select_order(models: Sequence[ARModel], alpha: float = 0.05) -> OrderSelectionTrace:
     """Drop the highest lag while its Z statistic is inside [-Z_alpha, Z_alpha].
 
-    A tie |Z| == Z_alpha does not reject, so the lag is dropped. The trace
-    records one step per fitted order, highest first; only the final step
-    can be a keep.
+    ``models`` are the AR(1)..AR(max_p) fits of one series, in order; the
+    selection only reads them. A tie |Z| == Z_alpha does not reject, so
+    the lag is dropped. The trace records one step per examined order,
+    highest first; only the final step can be a keep.
     """
-    if isinstance(max_p, bool) or not isinstance(max_p, int) or max_p < 1:
-        raise UsageError(f"max_p must be a positive integer, got {max_p!r}")
+    if not models:
+        raise UsageError("order selection needs at least the AR(1) fit")
+    for i, model in enumerate(models, start=1):
+        if model.p != i:
+            raise UsageError(
+                f"order selection needs AR(1)..AR(p) in order, got AR({model.p}) at position {i}"
+            )
     threshold = z_alpha_threshold(alpha)
-    if len(series) < minimum_length(max_p):
-        raise UsageError(
-            f"order selection from max_p={max_p} needs at least "
-            f"{minimum_length(max_p)} observations, got {len(series)}"
-        )
     steps = []
     selected = 0
-    for p in range(max_p, 0, -1):
-        model = fit_ar(series, p, fitted_on=fitted_on)
+    for model in reversed(models):
         highest = model.report.coefficients[-1]
         z = highest.t_stat
         decision = KEEP if abs(z) > threshold else DROP
         steps.append(
             OrderSelectionStep(
-                p=p,
+                p=model.p,
                 coefficient=highest.estimate,
                 std_error=highest.std_error,
                 z=z,
@@ -165,7 +160,7 @@ def select_order(
             )
         )
         if decision == KEEP:
-            selected = p
+            selected = model.p
             break
     return OrderSelectionTrace(steps=tuple(steps), selected_order=selected, alpha=alpha)
 

@@ -38,6 +38,8 @@ EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a reader that hung u
 DECIMAL_POINT = "point"
 DECIMAL_COMMA = "comma"
 
+DETREND_DISABLED = "detrending disabled by configuration"
+
 
 @dataclass(frozen=True)
 class AnalysisConfig:
@@ -248,7 +250,7 @@ def run_pipeline(series: TimeSeries, config: AnalysisConfig) -> PipelineReport:
         summary_detrended: SummaryStats | str = summarize(detrended)
     else:
         detrended = None
-        summary_detrended = "detrending disabled by configuration"
+        summary_detrended = DETREND_DISABLED
 
     try:
         mk_result: trend.MKResult | str = trend.mann_kendall(working, config.alpha)
@@ -269,29 +271,26 @@ def run_pipeline(series: TimeSeries, config: AnalysisConfig) -> PipelineReport:
     if detrended is not None:
         ar_detrended = fit_all(detrended, autoreg.DETRENDED)
     else:
-        ar_detrended = "detrending disabled by configuration"
+        ar_detrended = DETREND_DISABLED
 
-    def lag1(source: TimeSeries | None, disabled_reason: str | None) -> float | str:
+    def lag1(source: TimeSeries | None) -> float | str:
         if source is None:
-            return disabled_reason or "unavailable"
+            return DETREND_DISABLED
         try:
             return autoreg.lag_correlation(source, 1)
         except (UsageError, NumericalError) as exc:
             return str(exc)
 
-    lag1_raw = lag1(working, None)
-    lag1_detrended = lag1(detrended, "detrending disabled by configuration")
+    def order(models: tuple[autoreg.ARModel | str, ...] | str):
+        if isinstance(models, str):
+            return models
+        failed = [model for model in models if isinstance(model, str)]
+        return failed[-1] if failed else autoreg.select_order(models, config.alpha)
 
-    def order(source: TimeSeries | None, label: str, disabled_reason: str | None):
-        if source is None:
-            return disabled_reason or "unavailable"
-        try:
-            return autoreg.select_order(source, config.max_lag, config.alpha, fitted_on=label)
-        except (UsageError, NumericalError) as exc:
-            return str(exc)
-
-    order_raw = order(working, autoreg.RAW, None)
-    order_detrended = order(detrended, autoreg.DETRENDED, "detrending disabled by configuration")
+    lag1_raw = lag1(working)
+    lag1_detrended = lag1(detrended)
+    order_raw = order(ar_raw)
+    order_detrended = order(ar_detrended)
 
     first_raw = ar_raw[0]
     if isinstance(first_raw, autoreg.ARModel):
@@ -866,12 +865,14 @@ def _prepare_ar_series(args) -> tuple[TimeSeries, str]:
 
 def _cmd_ar(args) -> str:
     source, label = _prepare_ar_series(args)
-    reports = {}
-    for p in range(1, args.max_lag + 1):
-        model = autoreg.fit_ar(source, p, fitted_on=label)
-        reports[f"p{p}"] = regression_to_dict(model)
-    trace = autoreg.select_order(source, args.max_lag, args.alpha, fitted_on=label)
-    payload = {"fitted_on": label, "ar": reports, "order_selection": trace_to_dict(trace)}
+    if args.max_lag < 1:
+        raise UsageError(f"max lag must be >= 1, got {args.max_lag!r}")
+    models = [autoreg.fit_ar(source, p, fitted_on=label) for p in range(1, args.max_lag + 1)]
+    payload = {
+        "fitted_on": label,
+        "ar": {f"p{model.p}": regression_to_dict(model) for model in models},
+        "order_selection": trace_to_dict(autoreg.select_order(models, args.alpha)),
+    }
 
     def text(d):
         lines = []

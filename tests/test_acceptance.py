@@ -192,12 +192,12 @@ def test_c6_residual_golden(event_series):
 
 def test_c7_order_selection(event_series):
     with criterion("C7 order selection (0 at alpha 0.05; 1 at alpha 0.10)"):
-        at_05 = select_order(event_series, max_p=3, alpha=0.05)
+        at_05 = select_order([fit_ar(event_series, p) for p in range(1, 4)], alpha=0.05)
         assert at_05.selected_order == 0
         printed_t = {3: -0.5705011, 2: 0.29227157, 1: 1.83750007}
         for step in at_05.steps:
             assert abs(step.z - printed_t[step.p]) <= 1e-2
-        at_10 = select_order(event_series, max_p=1, alpha=0.1)
+        at_10 = select_order([fit_ar(event_series, 1)], alpha=0.1)
         assert at_10.selected_order == 1
 
 

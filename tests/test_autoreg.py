@@ -143,7 +143,7 @@ def test_fit_ar_on_constant_series_is_rank_deficient():
 # ------------------------------------------------------------ order selection
 
 def test_select_order_raw_alpha_005(event_series):
-    trace = select_order(event_series, max_p=3, alpha=0.05)
+    trace = select_order([fit_ar(event_series, p) for p in range(1, 4)], alpha=0.05)
     assert trace.selected_order == 0
     assert [step.p for step in trace.steps] == [3, 2, 1]
     zs = [step.z for step in trace.steps]
@@ -155,7 +155,7 @@ def test_select_order_raw_alpha_005(event_series):
 
 
 def test_select_order_raw_alpha_010_keeps_lag_one(event_series):
-    trace = select_order(event_series, max_p=1, alpha=0.1)
+    trace = select_order([fit_ar(event_series, 1)], alpha=0.1)
     assert trace.selected_order == 1
     assert trace.steps[-1].decision == KEEP
     assert abs(trace.steps[-1].z) > 1.645
@@ -166,13 +166,15 @@ def test_select_order_synthetic_ar1():
     values = [0.0]
     for _ in range(199):
         values.append(0.9 * values[-1] + rng.normal(scale=0.1))
-    trace = select_order(TimeSeries.from_values(values), max_p=3, alpha=0.05)
+    series = TimeSeries.from_values(values)
+    trace = select_order([fit_ar(series, p) for p in range(1, 4)], alpha=0.05)
     assert trace.selected_order >= 1
 
 
 def test_select_order_trace_invariants(event_series):
+    models = [fit_ar(event_series, p) for p in range(1, 4)]
     for alpha in (0.05, 0.1, 0.3):
-        trace = select_order(event_series, max_p=3, alpha=alpha)
+        trace = select_order(models, alpha=alpha)
         threshold = z_alpha_threshold(alpha)
         for step in trace.steps:
             if step.decision == KEEP:
@@ -186,9 +188,9 @@ def test_select_order_trace_invariants(event_series):
 
 
 def test_select_order_affine_invariance(event_series):
-    base = select_order(event_series, max_p=3, alpha=0.05)
+    base = select_order([fit_ar(event_series, p) for p in range(1, 4)], alpha=0.05)
     shifted = TimeSeries.from_values([3.0 * v + 100.0 for v in event_series.values])
-    transformed = select_order(shifted, max_p=3, alpha=0.05)
+    transformed = select_order([fit_ar(shifted, p) for p in range(1, 4)], alpha=0.05)
     assert transformed.selected_order == base.selected_order
     for a, b in zip(base.steps, transformed.steps):
         assert a.decision == b.decision
