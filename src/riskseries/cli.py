@@ -196,20 +196,36 @@ def parse_hazard_csv(path: str) -> evt_risk.HazardCurve:
     return evt_risk.HazardCurve(tuple(points))
 
 
-def parse_vulnerability_csv(path: str) -> tuple[evt_risk.VulnerabilityPoint, ...]:
+def parse_vulnerability_csv(
+    path: str, hazard: evt_risk.HazardCurve
+) -> tuple[evt_risk.VulnerabilityPoint, ...]:
+    """Read one ``s,mean_loss,cov`` row per intensity of the hazard grid."""
     rows = _read_rows(path)
     expected = ["s", "mean_loss", "cov"]
     if not rows or [c.strip().lower() for c in rows[0][1].split(",")] != expected:
         raise DataError(f"{path}: expected header 's,mean_loss,cov'")
+    grid = hazard.s
     points = []
-    for lineno, line in rows[1:]:
+    for i, (lineno, line) in enumerate(rows[1:]):
         cells = [c.strip() for c in line.split(",")]
         if len(cells) != 3:
             raise DataError(f"{path}: line {lineno}: expected 3 fields")
         s, mean_loss, cov = _finite_row(path, lineno, cells, "vulnerability point")
-        points.append(evt_risk.VulnerabilityPoint(s=s, mean_loss=mean_loss, cov=cov))
+        try:
+            points.append(evt_risk.VulnerabilityPoint(s=s, mean_loss=mean_loss, cov=cov))
+        except UsageError as exc:
+            raise DataError(f"{path}: line {lineno}: {exc}") from None
+        if i == len(grid):
+            raise DataError(f"{path}: line {lineno}: row beyond the {len(grid)}-point hazard grid")
+        if s != grid[i]:
+            raise DataError(
+                f"{path}: line {lineno}: vulnerability grid is misaligned: "
+                f"s={s} vs hazard s={grid[i]}"
+            )
     if not points:
         raise DataError(f"{path}: no data rows")
+    if len(points) != len(grid):
+        raise DataError(f"{path}: vulnerability has {len(points)} points, hazard has {len(grid)}")
     return tuple(points)
 
 
@@ -221,9 +237,13 @@ def _parse_loss_grid(flag_value: str | None, csv_path: str | None) -> tuple[floa
     rows = _read_rows(csv_path)
     if not rows or rows[0][1].strip().lower() != "x":
         raise DataError(f"{csv_path}: expected header 'x'")
-    return tuple(
-        _finite_row(csv_path, lineno, [line.strip()], "loss grid")[0] for lineno, line in rows[1:]
-    )
+    losses = []
+    for lineno, line in rows[1:]:
+        (x,) = _finite_row(csv_path, lineno, [line.strip()], "loss grid")
+        if x < 0.0:
+            raise DataError(f"{csv_path}: line {lineno}: loss must be non-negative, got {x!r}")
+        losses.append(x)
+    return tuple(losses)
 
 
 # ---------------------------------------------------------------- pipeline
@@ -916,7 +936,7 @@ def _cmd_gev_pdf(args) -> str:
 
 def _cmd_risk_curve(args) -> str:
     hazard = parse_hazard_csv(args.hazard)
-    vulnerability = parse_vulnerability_csv(args.vulnerability)
+    vulnerability = parse_vulnerability_csv(args.vulnerability, hazard)
     losses = _parse_loss_grid(args.losses, args.loss_csv)
     curve = evt_risk.risk_curve(losses, hazard, vulnerability)
     payload = {

@@ -13,6 +13,7 @@ from riskseries.autoreg import (
     select_order,
     z_alpha_threshold,
 )
+from riskseries import linreg
 from riskseries.errors import NumericalError, UsageError
 from riskseries.linreg import fit_ols
 from riskseries.series import TimeSeries
@@ -195,6 +196,26 @@ def test_select_order_affine_invariance(event_series):
     for a, b in zip(base.steps, transformed.steps):
         assert a.decision == b.decision
         assert a.z == pytest.approx(b.z, abs=1e-9)
+
+
+def test_select_order_only_reads_the_fits(event_series, monkeypatch):
+    models = [fit_ar(event_series, p) for p in range(1, 4)]
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("select_order must not fit")
+
+    monkeypatch.setattr(linreg, "fit_ols", no_fit)
+    trace = select_order(models, alpha=0.3)
+    assert [step.p for step in trace.steps] == [3, 2, 1]
+    assert trace.selected_order == 1
+    assert trace.steps[-1].coefficient == models[0].b[0]
+
+
+def test_select_order_rejects_empty_or_misaligned_models(event_series):
+    ar1, ar2, ar3 = (fit_ar(event_series, p) for p in range(1, 4))
+    for models in ([], [ar2], [ar1, ar3], [ar2, ar1], [ar1, ar2, ar2]):
+        with pytest.raises(UsageError):
+            select_order(models)
 
 
 def test_z_alpha_table_and_fallback():

@@ -21,6 +21,7 @@ from riskseries.cli import (
     pipeline_to_dict,
     run_pipeline,
 )
+from riskseries import linreg
 from riskseries.errors import DataError, UsageError
 from riskseries.peaks import ThresholdSpec
 
@@ -358,6 +359,69 @@ def test_run_pipeline_threshold_removing_everything(event_series):
         run_pipeline(event_series, config)
 
 
+# ------------------------------------------------- AR fits and order selection
+
+def _count_fits(monkeypatch) -> list:
+    calls = []
+    fit_ols = linreg.fit_ols
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return fit_ols(*args, **kwargs)
+
+    monkeypatch.setattr(linreg, "fit_ols", counting)
+    return calls
+
+
+def test_run_pipeline_fits_each_order_once(event_series, monkeypatch):
+    calls = _count_fits(monkeypatch)
+    report = run_pipeline(event_series, AnalysisConfig(input_path="fixture", max_lag=3))
+    # one trend line, then AR(1)..AR(3) on the raw and on the detrended series
+    assert len(calls) == 7
+    assert report.order_raw.selected_order == 0
+
+
+def test_ar_fits_each_order_once(fixture_path, monkeypatch, capsys):
+    calls = _count_fits(monkeypatch)
+    assert main(["ar", fixture_path, "--max-lag", "4", "--format", "json"]) == EXIT_OK
+    assert len(calls) == 4
+    assert len(json.loads(capsys.readouterr().out)["order_selection"]["steps"]) == 4
+
+
+@pytest.mark.parametrize("max_lag", ["0", "-1"])
+def test_ar_max_lag_below_one_is_a_usage_error(fixture_path, capsys, max_lag):
+    assert main(["ar", fixture_path, f"--max-lag={max_lag}"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"usage error: max lag must be >= 1, got {max_lag}\n"
+
+
+def _analyze_json(tmp_path, capsys, values) -> dict:
+    csv = tmp_path / "series.csv"
+    csv.write_text("month,value\n" + "".join(f"{m},{v}\n" for m, v in enumerate(values, 1)))
+    assert main(["analyze", str(csv), "--format", "json"]) == EXIT_OK
+    return json.loads(capsys.readouterr().out)
+
+
+def test_analyze_short_series_skips_order_selection_with_top_order_reason(tmp_path, capsys):
+    payload = _analyze_json(tmp_path, capsys, [3, 1, 4, 1, 5])
+    reason = "lag order 3 needs at least 8 values, got 5"
+    assert payload["ar"]["raw"]["p3"] == {"skipped": reason}
+    assert payload["order_selection"] == {"raw": {"skipped": reason},
+                                          "detrended": {"skipped": reason}}
+
+
+def test_analyze_constant_series_skips_order_selection_as_ar3_does(tmp_path, capsys):
+    payload = _analyze_json(tmp_path, capsys, [10] * 12)
+    selection = payload["order_selection"]
+    assert selection["raw"] == {
+        "skipped": "design matrix is rank-deficient near column 'intercept' "
+                   "(smallest singular value 0.000e+00 vs largest 5.205e+01)"
+    }
+    assert selection["raw"] == payload["ar"]["raw"]["p3"]
+    assert selection["detrended"] == payload["ar"]["detrended"]["p3"]
+
+
 # ------------------------------------------------- non-finite input
 
 def _risk_files(tmp_path, vulnerability_rows="1.0,0.2,0.5\n2.0,0.5,0.5\n",
@@ -392,6 +456,43 @@ def test_non_finite_hazard_and_loss_csv_cells_name_their_line(tmp_path, capsys):
     argv = _risk_files(tmp_path) + ["--loss-csv", str(losses)]
     assert main(argv) == EXIT_DATA
     assert "line 3: loss grid must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rows, line, message", [
+    ("1.0,0,0.5\n2.0,0.5,0.5\n", 2, "mean loss must be positive, got 0.0"),
+    ("1.0,0.2,-0.3\n2.0,0.5,0.5\n", 2, "coefficient of variation must be >= 0, got -0.3"),
+    ("1.0,0.2,0.5\n2.5,0.5,0.5\n", 3, "vulnerability grid is misaligned: s=2.5 vs hazard s=2.0"),
+    ("1.0,0.2,0.5\n2.0,0.5,0.5\n3.0,0.9,0.5\n", 4, "row beyond the 2-point hazard grid"),
+], ids=["zero-mean-loss", "negative-cov", "misaligned-s", "extra-row"])
+def test_bad_vulnerability_row_is_a_data_error_naming_its_line(
+    tmp_path, capsys, rows, line, message
+):
+    argv = _risk_files(tmp_path, vulnerability_rows=rows) + ["--losses", "0.5"]
+    assert main(argv) == EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    vulnerability = tmp_path / "vulnerability.csv"
+    assert captured.err == f"data error: {vulnerability}: line {line}: {message}\n"
+
+
+def test_short_vulnerability_file_is_a_data_error_naming_it(tmp_path, capsys):
+    argv = _risk_files(tmp_path, vulnerability_rows="1.0,0.2,0.5\n") + ["--losses", "0.5"]
+    assert main(argv) == EXIT_DATA
+    vulnerability = tmp_path / "vulnerability.csv"
+    assert capsys.readouterr().err == (
+        f"data error: {vulnerability}: vulnerability has 1 points, hazard has 2\n"
+    )
+
+
+def test_negative_loss_is_a_data_error_in_a_file_and_a_usage_error_in_a_flag(tmp_path, capsys):
+    losses = tmp_path / "losses.csv"
+    losses.write_text("x\n0.5\n-1\n")
+    assert main(_risk_files(tmp_path) + ["--loss-csv", str(losses)]) == EXIT_DATA
+    assert capsys.readouterr().err == (
+        f"data error: {losses}: line 3: loss must be non-negative, got -1.0\n"
+    )
+    assert main(_risk_files(tmp_path) + ["--losses=0.5,-1"]) == EXIT_USAGE
+    assert "loss must be non-negative" in capsys.readouterr().err
 
 
 def test_non_finite_loss_flag_is_a_usage_error(tmp_path, capsys):
