@@ -131,18 +131,43 @@ def test_mann_kendall_requirements():
 
 
 def test_mann_kendall_s_matches_brute_force_and_tie_correction():
+    # Lengths around powers of two exercise every merge level, including a
+    # last pair whose right half is short or missing.
     rng = np.random.default_rng(5)
-    for _ in range(30):
-        n = int(rng.integers(4, 15))
-        values = rng.integers(0, 6, size=n).astype(float)
-        result = mann_kendall(TimeSeries.from_values(values), 0.05)
-        assert result.S == s_statistic(values)
-        _, counts = np.unique(values, return_counts=True)
-        expected_var = (
-            n * (n - 1) * (2 * n + 5)
-            - sum(int(t) * (int(t) - 1) * (2 * int(t) + 5) for t in counts)
-        ) / 18.0
-        assert result.var_S == pytest.approx(expected_var, rel=1e-12)
+    lengths = [int(n) for n in rng.integers(4, 15, size=12)]
+    lengths += [2 ** k + d for k in range(2, 10) for d in (-1, 0, 1) if 2 ** k + d >= 4]
+    lengths.append(700)
+    for n in lengths:
+        rain = np.round(rng.gamma(0.6, 8.0, size=n), 1)
+        rain[rng.random(n) < 0.6] = 0.0
+        for values in (
+            rng.normal(size=n),                      # untied
+            rng.integers(0, 6, size=n).astype(float),  # small-integer ties
+            rain,                                    # dry days and 0.1 ties
+            rng.choice([0.0, -0.0, 1.0], size=n),    # signed zeros tie
+        ):
+            result = mann_kendall(TimeSeries.from_values(values), 0.05)
+            assert result.S == s_statistic(values)
+            _, counts = np.unique(values, return_counts=True)
+            expected_var = (
+                n * (n - 1) * (2 * n + 5)
+                - sum(int(t) * (int(t) - 1) * (2 * int(t) + 5) for t in counts)
+            ) / 18.0
+            assert result.var_S == pytest.approx(expected_var, rel=1e-12)
+
+
+def test_mann_kendall_closed_forms_at_n_100000():
+    n = 100_000
+    pairs = n * (n - 1) // 2
+    ramp = np.arange(n, dtype=float)
+    assert mann_kendall(TimeSeries.from_values(ramp), 0.05).S == pairs
+    assert mann_kendall(TimeSeries.from_values(ramp[::-1]), 0.05).S == -pairs
+    constant = mann_kendall(TimeSeries.from_values(np.full(n, 3.5)), 0.05)
+    assert constant.S == 0
+    assert constant.var_S == 0.0
+    m = n // 2
+    step = mann_kendall(TimeSeries.from_values([0.0] * m + [1.0] * m), 0.05)
+    assert step.S == m * m
 
 
 def test_mann_kendall_against_exact_permutation_distribution():
