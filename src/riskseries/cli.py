@@ -186,13 +186,22 @@ def parse_hazard_csv(path: str) -> evt_risk.HazardCurve:
     if not rows or [c.strip().lower() for c in rows[0][1].split(",")] != ["s", "g"]:
         raise DataError(f"{path}: expected header 's,G'")
     points = []
+    previous = (-math.inf, math.inf)
     for lineno, line in rows[1:]:
         cells = [c.strip() for c in line.split(",")]
         if len(cells) != 2:
             raise DataError(f"{path}: line {lineno}: expected 2 fields")
-        points.append(_finite_row(path, lineno, cells, "hazard point"))
+        point = _finite_row(path, lineno, cells, "hazard point")
+        try:
+            evt_risk.check_hazard_point(previous, point)
+        except DataError as exc:
+            raise DataError(f"{path}: line {lineno}: {exc}") from None
+        points.append(point)
+        previous = point
     if not points:
         raise DataError(f"{path}: no data rows")
+    if len(points) < 2:
+        raise DataError(f"{path}: need at least 2 hazard points, got {len(points)}")
     return evt_risk.HazardCurve(tuple(points))
 
 

@@ -98,6 +98,22 @@ def conditional_nonexceedance(x: float, point: VulnerabilityPoint) -> float:
     return normal_cdf(math.log(x / point.theta) / point.beta)
 
 
+def check_hazard_point(previous: tuple[float, float], point: tuple[float, float]) -> None:
+    """Raise DataError unless ``point`` may follow ``previous`` on a hazard curve.
+
+    The first point follows ``(-inf, inf)``.
+    """
+    s, g = point
+    if not (math.isfinite(s) and math.isfinite(g)):
+        raise DataError("hazard points must be finite")
+    if s <= previous[0]:
+        raise DataError(f"hazard intensities must be strictly increasing at s={s}")
+    if g <= 0.0:
+        raise DataError(f"hazard frequencies must be positive, got {g} at s={s}")
+    if g > previous[1]:
+        raise DataError(f"hazard frequencies must be non-increasing at s={s}")
+
+
 @dataclass(frozen=True)
 class HazardCurve:
     """Intensity grid with mean annual exceedance frequencies."""
@@ -107,18 +123,10 @@ class HazardCurve:
     def __post_init__(self):
         points = tuple((float(s), float(g)) for s, g in self.points)
         object.__setattr__(self, "points", points)
-        previous_s = -math.inf
-        previous_g = math.inf
-        for s, g in points:
-            if not (math.isfinite(s) and math.isfinite(g)):
-                raise DataError("hazard points must be finite")
-            if s <= previous_s:
-                raise DataError(f"hazard intensities must be strictly increasing at s={s}")
-            if g <= 0.0:
-                raise DataError(f"hazard frequencies must be positive, got {g} at s={s}")
-            if g > previous_g:
-                raise DataError(f"hazard frequencies must be non-increasing at s={s}")
-            previous_s, previous_g = s, g
+        previous = (-math.inf, math.inf)
+        for point in points:
+            check_hazard_point(previous, point)
+            previous = point
 
     @property
     def s(self) -> tuple[float, ...]:

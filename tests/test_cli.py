@@ -475,6 +475,32 @@ def test_bad_vulnerability_row_is_a_data_error_naming_its_line(
     assert captured.err == f"data error: {vulnerability}: line {line}: {message}\n"
 
 
+@pytest.mark.parametrize("rows, line, message", [
+    ("1.0,0.0\n2.0,0.0\n", 2, "hazard frequencies must be positive, got 0.0 at s=1.0"),
+    ("1.0,2.0\n2.0,-1.0\n", 3, "hazard frequencies must be positive, got -1.0 at s=2.0"),
+    ("1.0,2.0\n2.0,1.0\n3.0,1.5\n", 4, "hazard frequencies must be non-increasing at s=3.0"),
+    ("1.0,2.0\n\n2.0,1.0\n2.0,0.5\n", 5, "hazard intensities must be strictly increasing at s=2.0"),
+    ("2.0,2.0\n1.0,1.0\n", 3, "hazard intensities must be strictly increasing at s=1.0"),
+], ids=["zero-G", "negative-G", "rising-G", "repeated-s", "falling-s"])
+def test_bad_hazard_row_is_a_data_error_naming_its_line(tmp_path, capsys, rows, line, message):
+    argv = _risk_files(tmp_path, hazard_rows=rows) + ["--losses", "0.5"]
+    assert main(argv) == EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    hazard = tmp_path / "hazard.csv"
+    assert captured.err == f"data error: {hazard}: line {line}: {message}\n"
+
+
+def test_one_row_hazard_file_is_a_data_error_naming_it(tmp_path, capsys):
+    argv = _risk_files(tmp_path, hazard_rows="1.0,2.0\n",
+                       vulnerability_rows="1.0,0.2,0.5\n") + ["--losses", "0.5"]
+    assert main(argv) == EXIT_DATA
+    hazard = tmp_path / "hazard.csv"
+    assert capsys.readouterr().err == (
+        f"data error: {hazard}: need at least 2 hazard points, got 1\n"
+    )
+
+
 def test_short_vulnerability_file_is_a_data_error_naming_it(tmp_path, capsys):
     argv = _risk_files(tmp_path, vulnerability_rows="1.0,0.2,0.5\n") + ["--losses", "0.5"]
     assert main(argv) == EXIT_DATA
