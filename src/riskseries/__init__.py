@@ -49,7 +49,6 @@ from .peaks import (
 )
 from .residuals import (
     ResidualReport,
-    ResidualRow,
     percentile_column,
     plot_data,
     residual_analysis,
@@ -76,7 +75,6 @@ __all__ = [
     "Provenance",
     "RegressionReport",
     "ResidualReport",
-    "ResidualRow",
     "RiskCurve",
     "RiskSegment",
     "RiskSeriesError",

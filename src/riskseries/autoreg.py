@@ -75,6 +75,11 @@ def minimum_length(p: int) -> int:
     return 2 * p + 2
 
 
+def max_order(n: int) -> int:
+    """The highest AR order a series of n values can fit (minimum_length inverted)."""
+    return (n - 2) // 2
+
+
 def build_lagged_design(values: Sequence[float], p: int) -> LaggedDesign:
     """Shifted-copy design: y = values[p:], lag i = values shifted by i."""
     if isinstance(p, bool) or not isinstance(p, int) or p < 1:
@@ -103,19 +108,28 @@ def fit_ar(series: TimeSeries, p: int, fitted_on: str = RAW) -> ARModel:
     )
 
 
-def predictions(model: ARModel, series: TimeSeries) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """(observed, predicted) pairs of the model on its own fitting data."""
+def predictions(model: ARModel, series: TimeSeries) -> tuple[np.ndarray, np.ndarray]:
+    """(observed, predicted) columns of the model on its own fitting data."""
     design = build_lagged_design(series.values, model.p)
     if len(design.y) != model.report.n:
         raise UsageError(
             f"model was fitted on {model.report.n} rows, series yields {len(design.y)}"
         )
-    lag_columns = [column.tolist() for column in design.lag_columns]
-    fitted = tuple(
-        model.b0 + math.fsum(model.b[i] * lag_columns[i][row] for i in range(model.p))
-        for row in range(len(design.y))
-    )
-    return tuple(design.y.tolist()), fitted
+    if model.p <= 2:
+        # An fsum of one or two floats is one correctly rounded add, so this
+        # sum has its bits; starting from +0.0 gives fsum's +0.0 for a zero sum.
+        total = np.zeros(len(design.y))
+        for b, column in zip(model.b, design.lag_columns):
+            total += b * column
+    else:
+        # fsum of three or more products rounds once and numpy rounds after
+        # every add, so higher orders keep the per-row fsum and its bits.
+        lag_columns = [column.tolist() for column in design.lag_columns]
+        total = np.array([
+            math.fsum(model.b[i] * lag_columns[i][row] for i in range(model.p))
+            for row in range(len(design.y))
+        ])
+    return design.y, model.b0 + total
 
 
 def z_alpha_threshold(alpha: float) -> float:

@@ -4,8 +4,9 @@ Subcommands cover each analysis (summarize, peaks, trend, ar, residuals,
 gev-pdf, risk-curve) plus ``analyze``, which runs the whole pipeline:
 optional POT extraction, descriptive statistics, trend fit and removal,
 Mann-Kendall, AR fits at every order up to the configured maximum on both
-the raw and detrended series, lag-1 correlations, order selection, and
-residual analysis of the raw AR(1).
+the raw and detrended series (orders the series is too short for share one
+skip entry), lag-1 correlations, order selection, and residual analysis of
+the raw AR(1).
 
 Exit codes are stable: 0 success, 1 usage error, 2 data error,
 3 numerical error, 141 when the reader closed stdout early. Text output
@@ -15,11 +16,12 @@ never disagree.
 from __future__ import annotations
 
 import argparse
-import json
+import functools
 import math
 import os
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Sequence
 
@@ -71,8 +73,8 @@ class PipelineReport:
     summary_detrended: SummaryStats | str
     trend_line: trend.TrendLine
     mk: trend.MKResult | str
-    ar_raw: tuple[autoreg.ARModel | str, ...]
-    ar_detrended: tuple[autoreg.ARModel | str, ...] | str
+    ar_raw: dict[int, autoreg.ARModel | str]  # keyed by order
+    ar_detrended: dict[int, autoreg.ARModel | str] | str
     lag1_raw: float | str
     lag1_detrended: float | str
     order_raw: autoreg.OrderSelectionTrace | str
@@ -286,17 +288,23 @@ def run_pipeline(series: TimeSeries, config: AnalysisConfig) -> PipelineReport:
     except (UsageError, NumericalError) as exc:
         mk_result = str(exc)
 
-    def fit_all(source: TimeSeries, label: str) -> tuple[autoreg.ARModel | str, ...]:
-        models: list[autoreg.ARModel | str] = []
-        for p in range(1, config.max_lag + 1):
+    def fit_all(source: TimeSeries, label: str) -> dict[int, autoreg.ARModel | str]:
+        # Orders above max_order(n) cannot fit. Try those up to it (always
+        # AR(1), whose reason the residual report names), then max_lag
+        # alone: its length error is the one skip entry for every order
+        # above the cap, so the report's size follows n, not the flag.
+        top = min(config.max_lag, max(autoreg.max_order(len(source)), 1))
+        orders = list(range(1, top + 1)) + ([config.max_lag] if config.max_lag > top else [])
+        models: dict[int, autoreg.ARModel | str] = {}
+        for p in orders:
             try:
-                models.append(autoreg.fit_ar(source, p, fitted_on=label))
+                models[p] = autoreg.fit_ar(source, p, fitted_on=label)
             except (UsageError, NumericalError) as exc:
-                models.append(str(exc))
-        return tuple(models)
+                models[p] = str(exc)
+        return models
 
     ar_raw = fit_all(working, autoreg.RAW)
-    ar_detrended: tuple[autoreg.ARModel | str, ...] | str
+    ar_detrended: dict[int, autoreg.ARModel | str] | str
     if detrended is not None:
         ar_detrended = fit_all(detrended, autoreg.DETRENDED)
     else:
@@ -310,18 +318,18 @@ def run_pipeline(series: TimeSeries, config: AnalysisConfig) -> PipelineReport:
         except (UsageError, NumericalError) as exc:
             return str(exc)
 
-    def order(models: tuple[autoreg.ARModel | str, ...] | str):
+    def order(models: dict[int, autoreg.ARModel | str] | str):
         if isinstance(models, str):
             return models
-        failed = [model for model in models if isinstance(model, str)]
-        return failed[-1] if failed else autoreg.select_order(models, config.alpha)
+        failed = [model for model in models.values() if isinstance(model, str)]
+        return failed[-1] if failed else autoreg.select_order(list(models.values()), config.alpha)
 
     lag1_raw = lag1(working)
     lag1_detrended = lag1(detrended)
     order_raw = order(ar_raw)
     order_detrended = order(ar_detrended)
 
-    first_raw = ar_raw[0]
+    first_raw = ar_raw[1]
     if isinstance(first_raw, autoreg.ARModel):
         residual_report: residuals.ResidualReport | str = residuals.residual_analysis(
             first_raw, working, config.outlier_threshold
@@ -422,23 +430,28 @@ def trace_to_dict(trace: autoreg.OrderSelectionTrace) -> dict:
 
 
 def residuals_to_dict(report: residuals.ResidualReport) -> dict:
+    columns = zip(
+        report.y.tolist(), report.y_predicted.tolist(), report.residual.tolist(),
+        report.standardized.tolist(), report.percentile.tolist(), report.outlier.tolist(),
+    )
     return {
-        "n": len(report.rows),
+        "n": len(report.y),
         "scale": report.scale,
         "regression_std_error": report.regression_std_error,
         "outlier_threshold": report.outlier_threshold,
-        "outliers": [row.observation_id for row in report.rows if row.outlier],
+        "outliers": (report.outlier.nonzero()[0] + 1).tolist(),
         "rows": [
             {
-                "observation_id": row.observation_id,
-                "y": row.y,
-                "y_predicted": row.y_predicted,
-                "residual": row.residual,
-                "standardized": row.standardized,
-                "percentile": row.percentile,
-                "outlier": row.outlier,
+                "observation_id": observation_id,
+                "y": y,
+                "y_predicted": y_predicted,
+                "residual": residual,
+                "standardized": standardized,
+                "percentile": percentile,
+                "outlier": outlier,
             }
-            for row in report.rows
+            for observation_id, (y, y_predicted, residual, standardized, percentile, outlier)
+            in enumerate(columns, start=1)
         ],
     }
 
@@ -478,15 +491,13 @@ def pipeline_to_dict(report: PipelineReport) -> dict:
     threshold = config.threshold
     ar_block = {}
     ar_block["raw"] = {
-        f"p{p}": _maybe(model, regression_to_dict)
-        for p, model in enumerate(report.ar_raw, start=1)
+        f"p{p}": _maybe(model, regression_to_dict) for p, model in report.ar_raw.items()
     }
     if isinstance(report.ar_detrended, str):
         ar_block["detrended"] = _skip(report.ar_detrended)
     else:
         ar_block["detrended"] = {
-            f"p{p}": _maybe(model, regression_to_dict)
-            for p, model in enumerate(report.ar_detrended, start=1)
+            f"p{p}": _maybe(model, regression_to_dict) for p, model in report.ar_detrended.items()
         }
     return {
         "schema_version": SCHEMA_VERSION,
@@ -720,9 +731,64 @@ def render_pipeline_text(d: dict) -> str:
     return "\n".join(lines).rstrip() + "\n"
 
 
+_FLOAT_SPECIAL = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _write_json(value, parts: list[str], newline: str):
+    """Append the text of ``json.dumps(value, indent=2, allow_nan=True)`` to parts.
+
+    Types are tested in the order of the standard library's pure-Python
+    encoder, which ``json.dumps`` uses whenever ``indent`` is set, so the
+    bytes are the same; writing them here skips that encoder's generator
+    chain. ``newline`` is the line break plus the current indentation.
+    """
+    if isinstance(value, str):
+        parts.append(encode_basestring_ascii(value))
+    elif value is None:
+        parts.append("null")
+    elif value is True:
+        parts.append("true")
+    elif value is False:
+        parts.append("false")
+    elif isinstance(value, int):
+        parts.append(int.__repr__(value))
+    elif isinstance(value, float):
+        text = float.__repr__(value)
+        parts.append(_FLOAT_SPECIAL.get(text, text))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        separator = "[" + inner
+        for item in value:
+            parts.append(separator)
+            _write_json(item, parts, inner)
+            separator = "," + inner
+        parts.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        separator = "{" + inner
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            parts.append(separator + encode_basestring_ascii(key) + ": ")
+            _write_json(item, parts, inner)
+            separator = "," + inner
+        parts.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def render(report_dict: dict, output_format: str, text_renderer) -> str:
     if output_format == "json":
-        return json.dumps(report_dict, indent=2, allow_nan=True) + "\n"
+        parts: list[str] = []
+        _write_json(report_dict, parts, "\n")
+        parts.append("\n")
+        return "".join(parts)
     return text_renderer(report_dict)
 
 
@@ -743,7 +809,9 @@ def _add_io_flags(parser: argparse.ArgumentParser, plot_data: bool = False):
                             help="write residual_plot.csv and probability_plot.csv here")
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> _Parser:
+    """The command-line parser, built once per process; parsing leaves it unchanged."""
     parser = _Parser(prog="riskseries",
                      description="Extreme-event time-series and risk-curve analysis")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -21,30 +21,35 @@ from .trend import TrendLine
 DEFAULT_OUTLIER_THRESHOLD = 3.0
 
 
-@dataclass(frozen=True)
-class ResidualRow:
-    observation_id: int
-    y: float
-    y_predicted: float
-    residual: float
-    standardized: float
-    percentile: float
-    outlier: bool
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResidualReport:
-    rows: tuple[ResidualRow, ...]
+    """Residual columns of one fit; entry k is observation k + 1 of the fit.
+
+    Every column is a read-only numpy array: float64 except the bool
+    ``outlier``.
+    """
+
+    y: np.ndarray
+    y_predicted: np.ndarray
+    residual: np.ndarray
+    standardized: np.ndarray
+    percentile: np.ndarray
+    outlier: np.ndarray
     scale: float                  # sqrt(RSS / (n-1)), standardization divisor
     regression_std_error: float   # sqrt(RSS / (n-k))
     outlier_threshold: float
+
+
+def _percentiles(n: int) -> np.ndarray:
+    k = np.arange(1, n + 1)
+    return 100.0 * (2 * k - 1) / (2 * n)
 
 
 def percentile_column(n: int) -> tuple[float, ...]:
     """Probability-plot percentiles: entry k is 100*(2k-1)/(2n)."""
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise UsageError(f"n must be a positive integer, got {n!r}")
-    return tuple(100.0 * (2 * k - 1) / (2 * n) for k in range(1, n + 1))
+    return tuple(_percentiles(n).tolist())
 
 
 def _observed_and_predicted(model, series: TimeSeries):
@@ -58,9 +63,13 @@ def _observed_and_predicted(model, series: TimeSeries):
                 f"series has {len(series)}"
             )
         t = np.arange(1.0, len(series) + 1)
-        predicted = model.intercept + model.slope * t
-        return series.values.tolist(), predicted.tolist(), 2
+        return series.values, model.intercept + model.slope * t, 2
     raise UsageError(f"unsupported model type {type(model).__name__}")
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 def residual_analysis(
@@ -73,39 +82,30 @@ def residual_analysis(
         raise UsageError(f"outlier threshold must be positive, got {outlier_threshold!r}")
     observed, predicted, n_params = _observed_and_predicted(model, series)
     n = len(observed)
-    residuals = tuple(y - y_hat for y, y_hat in zip(observed, predicted))
-    rss = math.fsum(e * e for e in residuals)
+    residual = observed - predicted
+    rss = math.fsum((residual * residual).tolist())
     scale = math.sqrt(rss / (n - 1)) if n > 1 else 0.0
     regression_std_error = math.sqrt(rss / (n - n_params)) if n > n_params else 0.0
     # An exact fit leaves only float noise in the residuals; standardizing
     # against that noise would be meaningless, so such fits degenerate.
-    value_scale = max((abs(y) for y in observed), default=0.0)
+    value_scale = float(np.abs(observed).max()) if n else 0.0
     if scale <= 1e-12 * max(value_scale, 1.0):
         scale = 0.0
         regression_std_error = 0.0
-    percentiles = percentile_column(n)
-    rows = []
-    for k in range(n):
-        if scale > 0.0:
-            standardized = residuals[k] / scale
-            outlier = abs(standardized) > outlier_threshold
-        else:
-            # Perfect fit: no spread to standardize against, nothing flagged.
-            standardized = 0.0
-            outlier = False
-        rows.append(
-            ResidualRow(
-                observation_id=k + 1,
-                y=observed[k],
-                y_predicted=predicted[k],
-                residual=residuals[k],
-                standardized=standardized,
-                percentile=percentiles[k],
-                outlier=outlier,
-            )
-        )
+    if scale > 0.0:
+        standardized = residual / scale
+        outlier = np.abs(standardized) > outlier_threshold
+    else:
+        # Perfect fit: no spread to standardize against, nothing flagged.
+        standardized = np.zeros(n)
+        outlier = np.zeros(n, dtype=bool)
     return ResidualReport(
-        rows=tuple(rows),
+        y=_read_only(observed),
+        y_predicted=_read_only(predicted),
+        residual=_read_only(residual),
+        standardized=_read_only(standardized),
+        percentile=_read_only(_percentiles(n)),
+        outlier=_read_only(outlier),
         scale=scale,
         regression_std_error=regression_std_error,
         outlier_threshold=outlier_threshold,
@@ -118,11 +118,8 @@ def plot_data(report: ResidualReport):
     Returns (residual_points, probability_points): predicted vs residual
     in fit order, and percentile vs sorted observed value.
     """
-    if len(report.rows) == 0:
+    if len(report.y) == 0:
         raise UsageError("cannot build plot data from an empty report")
-    residual_points = tuple((row.y_predicted, row.residual) for row in report.rows)
-    sorted_y = sorted(row.y for row in report.rows)
-    probability_points = tuple(
-        (row.percentile, y) for row, y in zip(report.rows, sorted_y)
-    )
+    residual_points = tuple(zip(report.y_predicted.tolist(), report.residual.tolist()))
+    probability_points = tuple(zip(report.percentile.tolist(), sorted(report.y.tolist())))
     return residual_points, probability_points

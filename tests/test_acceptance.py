@@ -174,18 +174,18 @@ def test_c6_residual_golden(event_series):
     with criterion("C6 residual golden rows + single outlier (rel 5e-3)"):
         model = fit_ar(event_series, 1)
         report = residual_analysis(model, event_series, outlier_threshold=3.0)
-        first, last = report.rows[0], report.rows[29]
-        rel_close(first.y_predicted, 351.4924, 5e-3)
-        rel_close(first.residual, 44.50760128, 5e-3)
-        rel_close(first.standardized, 0.17255926, 5e-3)
-        rel_close(first.percentile, 1.666666667, 5e-3)
-        rel_close(last.y_predicted, 477.34239, 5e-3)
-        rel_close(last.residual, 877.6576147, 5e-3)
-        rel_close(last.standardized, 3.402743454, 5e-3)
-        rel_close(last.percentile, 98.333333333, 5e-3)
-        outliers = [row for row in report.rows if row.outlier]
-        assert [row.observation_id for row in outliers] == [30]
-        assert outliers[0].standardized > 3.0
+        first, last = 0, 29
+        rel_close(report.y_predicted[first], 351.4924, 5e-3)
+        rel_close(report.residual[first], 44.50760128, 5e-3)
+        rel_close(report.standardized[first], 0.17255926, 5e-3)
+        rel_close(report.percentile[first], 1.666666667, 5e-3)
+        rel_close(report.y_predicted[last], 477.34239, 5e-3)
+        rel_close(report.residual[last], 877.6576147, 5e-3)
+        rel_close(report.standardized[last], 3.402743454, 5e-3)
+        rel_close(report.percentile[last], 98.333333333, 5e-3)
+        outliers = report.outlier.nonzero()[0]
+        assert (outliers + 1).tolist() == [30]  # observation ids count from 1
+        assert report.standardized[outliers[0]] > 3.0
 
 
 # 7 ---------------------------------------------------------------------

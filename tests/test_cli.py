@@ -411,6 +411,38 @@ def test_analyze_short_series_skips_order_selection_with_top_order_reason(tmp_pa
                                           "detrended": {"skipped": reason}}
 
 
+def _analyze_max_lag(fixture_path, capsys, max_lag: int, fmt: str) -> str:
+    assert main(["analyze", fixture_path, "--max-lag", str(max_lag), "--format", fmt]) == EXIT_OK
+    return capsys.readouterr().out
+
+
+def test_analyze_output_size_follows_the_data_not_max_lag(fixture_path, capsys):
+    # 31 rows fit AR orders up to (31 - 2) // 2 = 14; every higher order
+    # shares the one skip entry of --max-lag itself.
+    small = _analyze_max_lag(fixture_path, capsys, 20, "json")
+    large = _analyze_max_lag(fixture_path, capsys, 20000, "json")
+    reason = "lag order 20000 needs at least 40002 values, got 31"
+    payload = json.loads(large)
+    for branch in ("raw", "detrended"):
+        assert list(payload["ar"][branch]) == [f"p{p}" for p in range(1, 15)] + ["p20000"]
+        assert payload["ar"][branch]["p20000"] == {"skipped": reason}
+        assert payload["order_selection"][branch] == {"skipped": reason}
+    # Only the flag's own digits differ: in the config, two keys and four reasons.
+    assert large.count("\n") == small.count("\n")
+    assert len(large) - len(small) == 3 + 2 * 3 + 4 * 6
+    small_text = _analyze_max_lag(fixture_path, capsys, 20, "text")
+    large_text = _analyze_max_lag(fixture_path, capsys, 20000, "text")
+    assert large_text.count("\n") == small_text.count("\n")
+    assert len(large_text) - len(small_text) == 2 * 3 + 4 * 6
+
+
+def test_analyze_max_lag_one_above_the_cap_keeps_every_entry(fixture_path, capsys):
+    payload = json.loads(_analyze_max_lag(fixture_path, capsys, 15, "json"))
+    assert list(payload["ar"]["raw"]) == [f"p{p}" for p in range(1, 16)]
+    assert payload["ar"]["raw"]["p15"] == {"skipped": "lag order 15 needs at least 32 values, got 31"}
+    assert "skipped" not in payload["ar"]["raw"]["p14"]
+
+
 def test_analyze_constant_series_skips_order_selection_as_ar3_does(tmp_path, capsys):
     payload = _analyze_json(tmp_path, capsys, [10] * 12)
     selection = payload["order_selection"]
@@ -579,3 +611,25 @@ def test_importing_every_module_runs_no_command(capsys):
     for info in pkgutil.iter_modules(riskseries.__path__):
         importlib.import_module(f"riskseries.{info.name}")
     assert capsys.readouterr() == ("", "")
+
+
+def test_successive_main_calls_match_fresh_processes(fixture_path, capsys):
+    # The parser is built once per process; a flag given in one call must
+    # not leak into the next.
+    from riskseries.cli import build_parser
+
+    assert build_parser() is build_parser()
+    runs = [
+        ["analyze", fixture_path, "--threshold", "150", "--format", "json"],
+        ["analyze", fixture_path, "--format", "text"],
+        ["ar", fixture_path, "--max-lag", "2", "--detrend", "--format", "json"],
+        ["ar", fixture_path, "--format", "text"],
+        ["residuals", fixture_path, "--lag", "2", "--outlier-threshold", "1.5"],
+        ["residuals", fixture_path, "--format", "json"],
+        ["peaks", fixture_path, "--block-size", "4", "--format", "json"],
+    ]
+    for argv in runs:
+        code = main(argv)
+        captured = capsys.readouterr()
+        done = _python("-m", "riskseries", *argv, capture_output=True, text=True, timeout=120)
+        assert (code, captured.out, captured.err) == (done.returncode, done.stdout, done.stderr)

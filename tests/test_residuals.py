@@ -1,9 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 
-from riskseries.autoreg import fit_ar
-from riskseries.errors import UsageError
+from riskseries.autoreg import ARModel, fit_ar, predictions
+from riskseries.errors import NumericalError, UsageError
 from riskseries.residuals import percentile_column, plot_data, residual_analysis
 from riskseries.series import TimeSeries
 from riskseries.trend import fit_trend
@@ -16,27 +17,26 @@ def raw_ar1_report(event_series):
 
 
 def test_published_rows(raw_ar1_report):
-    first = raw_ar1_report.rows[0]
-    assert first.y == pytest.approx(396.0)
-    assert first.y_predicted == pytest.approx(351.4924, rel=1e-6)
-    assert first.residual == pytest.approx(44.50760128, rel=1e-7)
-    assert first.standardized == pytest.approx(0.17255926, rel=1e-6)
-    assert first.percentile == pytest.approx(1.666666667, rel=1e-9)
-    assert not first.outlier
+    report = raw_ar1_report
+    assert report.y[0] == pytest.approx(396.0)
+    assert report.y_predicted[0] == pytest.approx(351.4924, rel=1e-6)
+    assert report.residual[0] == pytest.approx(44.50760128, rel=1e-7)
+    assert report.standardized[0] == pytest.approx(0.17255926, rel=1e-6)
+    assert report.percentile[0] == pytest.approx(1.666666667, rel=1e-9)
+    assert not report.outlier[0]
 
-    last = raw_ar1_report.rows[29]
-    assert last.y == pytest.approx(1355.0)
-    assert last.y_predicted == pytest.approx(477.34239, rel=1e-7)
-    assert last.residual == pytest.approx(877.6576147, rel=1e-8)
-    assert last.standardized == pytest.approx(3.402743454, rel=1e-8)
-    assert last.percentile == pytest.approx(98.333333333, rel=1e-9)
-    assert last.outlier
+    assert report.y[29] == pytest.approx(1355.0)
+    assert report.y_predicted[29] == pytest.approx(477.34239, rel=1e-7)
+    assert report.residual[29] == pytest.approx(877.6576147, rel=1e-8)
+    assert report.standardized[29] == pytest.approx(3.402743454, rel=1e-8)
+    assert report.percentile[29] == pytest.approx(98.333333333, rel=1e-9)
+    assert report.outlier[29]
 
 
 def test_exactly_one_outlier(raw_ar1_report):
-    outliers = [row for row in raw_ar1_report.rows if row.outlier]
+    outliers = raw_ar1_report.outlier.nonzero()[0]
     assert len(outliers) == 1
-    assert outliers[0].observation_id == 30
+    assert outliers[0] + 1 == 30  # observation ids count from 1
 
 
 def test_scales(raw_ar1_report):
@@ -46,19 +46,19 @@ def test_scales(raw_ar1_report):
     )
     assert raw_ar1_report.regression_std_error == pytest.approx(262.491897, rel=1e-7)
     ratios = {
-        row.residual / row.standardized
-        for row in raw_ar1_report.rows
-        if row.standardized != 0.0
+        residual / standardized
+        for residual, standardized in zip(raw_ar1_report.residual, raw_ar1_report.standardized)
+        if standardized != 0.0
     }
     for ratio in ratios:
         assert ratio == pytest.approx(raw_ar1_report.scale, rel=1e-9)
 
 
 def test_residual_identities(raw_ar1_report):
-    rows = raw_ar1_report.rows
-    n = len(rows)
-    assert math.fsum(r.residual for r in rows) == pytest.approx(0.0, abs=1e-6)
-    assert math.fsum(r.standardized ** 2 for r in rows) == pytest.approx(n - 1, rel=1e-10)
+    report = raw_ar1_report
+    n = len(report.residual)
+    assert math.fsum(report.residual) == pytest.approx(0.0, abs=1e-6)
+    assert math.fsum(report.standardized ** 2) == pytest.approx(n - 1, rel=1e-10)
 
 
 def test_perfect_fit_degenerates_cleanly():
@@ -66,18 +66,18 @@ def test_perfect_fit_degenerates_cleanly():
     model = fit_trend(series)
     report = residual_analysis(model, series)
     assert report.scale == 0.0
-    assert all(row.residual == pytest.approx(0.0, abs=1e-9) for row in report.rows)
-    assert all(row.standardized == 0.0 for row in report.rows)
-    assert not any(row.outlier for row in report.rows)
+    assert all(residual == pytest.approx(0.0, abs=1e-9) for residual in report.residual)
+    assert all(standardized == 0.0 for standardized in report.standardized)
+    assert not any(report.outlier)
 
 
 def test_trend_line_residuals_path():
     series = TimeSeries.from_values([1.0, 3.0, 2.0, 5.0, 4.0, 7.0])
     line = fit_trend(series)
     report = residual_analysis(line, series)
-    assert len(report.rows) == 6
-    for row in report.rows:
-        assert row.residual == row.y - row.y_predicted
+    assert len(report.y) == 6
+    for y, y_predicted, residual in zip(report.y, report.y_predicted, report.residual):
+        assert residual == y - y_predicted
 
 
 def test_percentile_column_goldens_and_properties():
@@ -96,13 +96,13 @@ def test_percentile_column_goldens_and_properties():
 
 def test_plot_data(raw_ar1_report):
     residual_points, probability_points = plot_data(raw_ar1_report)
-    assert len(residual_points) == len(raw_ar1_report.rows) == 30
+    assert len(residual_points) == len(raw_ar1_report.y) == 30
     assert len(probability_points) == 30
     biggest = max(residual_points, key=lambda point: abs(point[1]))
     assert biggest[0] == pytest.approx(477.342, rel=1e-5)
     assert biggest[1] == pytest.approx(877.658, rel=1e-5)
     # probability plot pairs percentiles with the sorted observed values
-    assert [y for _, y in probability_points] == sorted(r.y for r in raw_ar1_report.rows)
+    assert [y for _, y in probability_points] == sorted(raw_ar1_report.y)
     assert probability_points[0][1] == pytest.approx(130.0)
 
 
@@ -126,6 +126,75 @@ def test_mismatched_model_and_series(event_series):
 def test_custom_outlier_threshold(event_series):
     model = fit_ar(event_series, 1)
     strict = residual_analysis(model, event_series, outlier_threshold=1.0)
-    flagged = [row for row in strict.rows if row.outlier]
-    assert all(abs(row.standardized) > 1.0 for row in flagged)
+    flagged = strict.standardized[strict.outlier]
+    assert all(abs(standardized) > 1.0 for standardized in flagged)
     assert len(flagged) > 1
+
+
+def _per_row_predictions(model, values):
+    """The per-row sum ``b0 + fsum(b_i * y_{t-i})`` over the lagged design."""
+    values = values.tolist()
+    return [
+        model.b0 + math.fsum(model.b[i - 1] * values[t - i] for i in range(1, model.p + 1))
+        for t in range(model.p, len(values))
+    ]
+
+
+def _random_design_series(rng, p):
+    n = int(rng.integers(2 * p + 2, 40))
+    kind = rng.integers(3)
+    if kind == 0:
+        values = rng.normal(0.0, 10.0 ** rng.integers(-3, 4), n)
+    elif kind == 1:
+        values = np.round(rng.gamma(0.7, 9.0, n), 1) * (rng.random(n) < 0.5)
+    else:
+        values = rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.integers(-200, 200)
+    return TimeSeries.from_values(values)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_predictions_are_bit_equal_to_the_per_row_fsum(p):
+    rng = np.random.default_rng([2016, p])
+    checked = 0
+    while checked < (2000 if p <= 2 else 300):
+        series = _random_design_series(rng, p)
+        try:
+            model = fit_ar(series, p)
+        except (UsageError, NumericalError):
+            continue
+        observed, predicted = predictions(model, series)
+        assert observed.tolist() == series.values[p:].tolist()
+        expected = _per_row_predictions(model, series.values)
+        assert [x.hex() for x in predicted.tolist()] == [x.hex() for x in expected]
+        checked += 1
+
+
+@pytest.mark.parametrize("b, x", [(-2.0, 0.0), (2.0, -0.0), (0.0, -3.0), (-0.0, 3.0)])
+def test_predictions_keep_fsum_sign_of_a_zero_sum(b, x):
+    # Row 1's product b * x is a signed zero; fsum returns +0.0 for it, so
+    # b0 = -0.0 plus it is +0.0.
+    p = 1
+    series = TimeSeries.from_values([1.0, x, 2.0, 3.0, 5.0])
+    report = fit_ar(series, p).report
+    model = ARModel(p=p, b0=-0.0, b=(b,), report=report)
+    _, predicted = predictions(model, series)
+    expected = _per_row_predictions(model, series.values)
+    assert [v.hex() for v in predicted.tolist()] == [v.hex() for v in expected]
+    assert math.copysign(1.0, predicted[1]) == 1.0
+
+
+def test_report_columns_are_read_only(raw_ar1_report):
+    for name in ("y", "y_predicted", "residual", "standardized", "percentile", "outlier"):
+        column = getattr(raw_ar1_report, name)
+        assert len(column) == 30
+        assert not column.flags.writeable
+        with pytest.raises(ValueError):
+            column[0] = 0
+    assert raw_ar1_report.outlier.dtype == bool
+    assert raw_ar1_report.percentile.dtype == np.float64
+
+
+def test_percentile_column_matches_the_scalar_rule():
+    for n in (1, 2, 3, 30, 9_999, 100_000):
+        expected = [100.0 * (2 * k - 1) / (2 * n) for k in range(1, n + 1)]
+        assert list(percentile_column(n)) == expected
