@@ -8,7 +8,15 @@ from contextlib import redirect_stdout
 import numpy as np
 import pytest
 
-from riskseries.cli import AnalysisConfig, parse_csv, pipeline_to_dict, render, run_pipeline
+from riskseries.cli import (
+    EXIT_OK,
+    AnalysisConfig,
+    main,
+    parse_csv,
+    pipeline_to_dict,
+    render,
+    run_pipeline,
+)
 
 STRINGS = ["", "a", "month,value", "é", "雨量", "\U0001F327", "\x00\x01\x1f", "\n\t\r\b\f",
            '"quoted"', "back\\slash", "\x7f  ", "mixed é\x05\"\\"]
@@ -104,13 +112,11 @@ def test_long_record_analyze_payload_matches_json_dumps(tmp_path):
 
 
 def test_exact_fit_ar_payload_with_infinity_matches_json_dumps(tmp_path):
-    from riskseries.cli import main
-
     path = tmp_path / "doubling.csv"
     path.write_text("month,value\n" + "".join(f"{m},{2 ** m}\n" for m in range(1, 11)))
     out = io.StringIO()
     with redirect_stdout(out):
-        assert main(["ar", str(path), "--max-lag", "1", "--format", "json"]) == 0
+        assert main(["ar", str(path), "--max-lag", "1", "--format", "json"]) == EXIT_OK
     text = out.getvalue()
     assert '"t_stat": Infinity' in text
     assert text == _expected(json.loads(text))
@@ -118,6 +124,7 @@ def test_exact_fit_ar_payload_with_infinity_matches_json_dumps(tmp_path):
 
 @pytest.mark.parametrize("value", [{1.0, 2.0}, np.array([1.0, 2.0]), np.int64(3), np.bool_(True),
                                    {"nested": [frozenset()]}, {1: "int key"}])
-def test_values_json_cannot_encode_raise_type_error(value):
+def test_values_outside_the_report_types_raise_type_error(value):
+    # json.dumps would coerce the int key; reports only use str keys.
     with pytest.raises(TypeError):
         render(value, "json", None)
