@@ -15,6 +15,19 @@ is interpolated exponentially (log-linear) and the conditional
 non-exceedance probability linearly; each segment then integrates in
 closed form, with the log-slope terms replaced by their series limits
 when a segment is nearly flat.
+
+risk_curve evaluates in blocks of losses, each a (losses x points)
+matrix of at most _BLOCK_CELLS cells, so each conditional CDF is taken
+once per (point, loss) and memory stays bounded on large grids. The
+ratios, quotients and segment contributions are numpy arrays, but the
+log and erfc of each cell go through math.log and math.erfc: numpy's
+vectorised log does not always round as the C library's log does, and
+numpy has no erfc. Cells reach them through a memoryview, so no block
+is copied into a Python list. Every cell then sees the same IEEE
+operations as the scalar conditional_nonexceedance, and each loss is
+summed with math.fsum, which is exact in any order. So the frequencies
+equal, bit for bit, the fsum of RiskSegment.contribution over the
+segments.
 """
 from __future__ import annotations
 
@@ -22,11 +35,16 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .dist import normal_cdf
+import numpy as np
+
+from .dist import _SQRT2, normal_cdf
 from .errors import DataError, UsageError
 
 # Below this, exp(m*ds) terms lose all precision against 1; use series limits.
 _FLAT_SEGMENT_EPS = 1e-8
+
+# Cells (losses x hazard points) in one block of risk_curve.
+_BLOCK_CELLS = 4096
 
 
 @dataclass(frozen=True)
@@ -95,7 +113,10 @@ def conditional_nonexceedance(x: float, point: VulnerabilityPoint) -> float:
         return 0.0
     if point.beta == 0.0:
         return 1.0 if x >= point.theta else 0.0  # deterministic loss
-    return normal_cdf(math.log(x / point.theta) / point.beta)
+    ratio = x / point.theta
+    if ratio == 0.0:
+        return 0.0  # x / theta underflowed; P -> 0 as x -> 0
+    return normal_cdf(math.log(ratio) / point.beta)
 
 
 def check_hazard_point(previous: tuple[float, float], point: tuple[float, float]) -> None:
@@ -205,6 +226,11 @@ def build_segments(
     return tuple(segments)
 
 
+def _cellwise(fn, cells: np.ndarray) -> np.ndarray:
+    """``fn`` of every cell of a C-contiguous float array, one Python float at a time."""
+    return np.fromiter(map(fn, memoryview(cells.ravel())), float, cells.size).reshape(cells.shape)
+
+
 @dataclass(frozen=True)
 class RiskCurve:
     losses: tuple[float, ...]
@@ -223,8 +249,28 @@ def risk_curve(
     """
     segments = build_segments(hazard, vulnerability)
     loss_grid = tuple(float(x) for x in losses)
-    frequencies = []
     for x in loss_grid:
-        total = math.fsum(segment.contribution(x) for segment in segments)
-        frequencies.append(max(total, 0.0))
+        if x < 0.0:
+            raise UsageError(f"loss must be non-negative, got {x!r}")
+    a = np.array([segment.a for segment in segments])
+    b = np.array([segment.b for segment in segments])
+    theta = np.array([point.theta for point in vulnerability])
+    beta = np.array([point.beta for point in vulnerability])
+    step = beta == 0.0
+    beta[step] = 1.0  # those columns are replaced by the step below
+    x_all = np.array(loss_grid, dtype=float)
+    rows = max(1, _BLOCK_CELLS // len(theta))
+    frequencies = []
+    for start in range(0, len(loss_grid), rows):
+        x = x_all[start:start + rows, None]
+        with np.errstate(over="ignore"):
+            q = x / theta
+        zero = q == 0.0  # x == 0, or x / theta underflowed
+        q[zero] = 1.0
+        p = 0.5 * _cellwise(math.erfc, -(_cellwise(math.log, q) / beta) / _SQRT2)
+        if step.any():
+            p[:, step] = x >= theta[step]
+        p[zero] = 0.0
+        c = (1.0 - p[:, :-1]) * a - (p[:, 1:] - p[:, :-1]) * b
+        frequencies.extend(max(math.fsum(memoryview(row)), 0.0) for row in c)
     return RiskCurve(losses=loss_grid, frequencies=tuple(frequencies))

@@ -257,6 +257,35 @@ def test_risk_curve_subcommand(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_risk_curve_subnormal_loss_prints_the_zero_loss_frequency(tmp_path, capsys):
+    argv = _risk_files(tmp_path, vulnerability_rows="1.0,10,0.5\n2.0,12,0.5\n")
+    # theta is about 8.9, so 5e-324 / theta underflows to 0 (was a traceback)
+    assert main(argv + ["--losses", "0,5e-324", "--format", "json"]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    frequencies = json.loads(captured.out)["frequencies"]
+    assert frequencies[1] == frequencies[0] == 1.0
+
+
+def test_risk_curve_overflowing_loss_ratio_prints_no_warning(tmp_path):
+    argv = _risk_files(
+        tmp_path,
+        vulnerability_rows="1.0,0.2,0.5\n2.0,0.5,0.5\n3.0,0.9,0\n",  # every theta < 1
+        hazard_rows="1.0,2.0\n2.0,1.0\n3.0,0.5\n",
+    )
+    done = _python("-m", "riskseries", *argv, "--losses", "0,5e-324,0.5,0.9,1.7e308",
+                   capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stderr) == (EXIT_OK, "")
+    assert done.stdout == (
+        "loss             exceedance frequency\n"
+        "0                1.5\n"
+        "4.94065646e-324  1.5\n"
+        "0.5              0.522915385\n"
+        "0.9              0.0502144269\n"
+        "1.7e+308         0\n"
+    )
+
+
 # --------------------------------------------------------------- pipeline
 
 def test_analyze_json_golden_and_determinism(fixture_path, capsys):

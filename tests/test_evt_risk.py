@@ -1,9 +1,12 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from scipy import integrate
 
+from riskseries import evt_risk
 from riskseries.errors import DataError, UsageError
 from riskseries.evt_risk import (
     GevParams,
@@ -116,6 +119,15 @@ def test_deterministic_vulnerability_is_step():
     assert point.beta == 0.0 and point.theta == 0.5
     assert conditional_nonexceedance(0.49, point) == 0.0
     assert conditional_nonexceedance(0.5, point) == 1.0
+
+
+def test_conditional_nonexceedance_of_an_underflowing_ratio_is_zero():
+    point = VulnerabilityPoint(s=1.0, mean_loss=10.0, cov=0.5)
+    assert 5e-324 / point.theta == 0.0  # math.log of it used to raise
+    assert conditional_nonexceedance(5e-324, point) == 0.0
+    hazard = HazardCurve(((1.0, 2.0), (2.0, 1.0)))
+    vulnerability = (point, VulnerabilityPoint(s=2.0, mean_loss=12.0, cov=0.5))
+    assert risk_curve([0.0, 5e-324], hazard, vulnerability).frequencies == (1.0, 1.0)
 
 
 # ------------------------------------------------------------- risk curve
@@ -240,3 +252,124 @@ def test_validation_errors():
         HazardCurve(((2.0, 2.0), (1.0, 1.0)))  # s not increasing
     with pytest.raises(UsageError):
         risk_curve([-1.0], HazardCurve(good), vulnerability)  # negative loss
+
+
+# ------------------------------------------- blocked kernel vs the loop
+
+EDGE_LOSSES = [0.0, -0.0, 1e-300, 5e-324, 1.7e308]
+
+
+def per_segment_risk_curve(losses, hazard, vulnerability):
+    """The per-segment loop risk_curve was before it evaluated in blocks."""
+    segments = build_segments(hazard, vulnerability)
+    frequencies = []
+    for x in losses:
+        total = math.fsum(
+            (1.0 - conditional_nonexceedance(x, seg.lower)) * seg.a
+            - (conditional_nonexceedance(x, seg.upper)
+               - conditional_nonexceedance(x, seg.lower)) * seg.b
+            for seg in segments
+        )
+        frequencies.append(max(total, 0.0))
+    return frequencies
+
+
+def bench_shaped_instance(seed, points, losses):
+    """Hazard, vulnerability and loss grid shaped like the risk-grid benchmark."""
+    rng = np.random.default_rng(seed)
+    s = np.linspace(0.5, 10.0, points) + rng.uniform(0.0, 0.4, points) * (9.5 / points)
+    g = rng.uniform(0.5, 5.0) * np.exp(-rng.uniform(0.2, 1.2) * (s - s[0]))
+    g *= rng.uniform(0.995, 1.0, points).cumprod()
+    mean = np.sort(rng.uniform(0.05, 2.0, points))
+    cov = rng.uniform(0.1, 1.5, points)
+    hazard = HazardCurve(tuple(zip(s.tolist(), g.tolist())))
+    vulnerability = tuple(
+        VulnerabilityPoint(s=a, mean_loss=b, cov=c)
+        for a, b, c in zip(s.tolist(), mean.tolist(), cov.tolist())
+    )
+    grid = np.linspace(0.0, 3.0 * float(mean.max()), losses).tolist()
+    return hazard, vulnerability, grid
+
+
+def assert_bit_identical(losses, hazard, vulnerability):
+    curve = risk_curve(losses, hazard, vulnerability)
+    expected = per_segment_risk_curve(curve.losses, hazard, vulnerability)
+    assert [r.hex() for r in curve.frequencies] == [r.hex() for r in expected]
+
+
+@pytest.mark.parametrize("points, n_losses", [(200, 300), (300, 200)])
+def test_risk_curve_matches_per_segment_loop_on_bench_shapes(points, n_losses):
+    for seed in (1, 2):
+        hazard, vulnerability, grid = bench_shaped_instance(seed, points, n_losses)
+        assert_bit_identical(EDGE_LOSSES + grid, hazard, vulnerability)
+
+
+def test_risk_curve_matches_per_segment_loop_on_a_long_two_point_grid():
+    # One segment per loss, so a cell whose log or erfc is off by one ulp
+    # shows in that loss's frequency instead of vanishing in a long sum.
+    hazard, vulnerability, grid = bench_shaped_instance(6, 2, 20_000)
+    assert_bit_identical(EDGE_LOSSES + grid, hazard, vulnerability)
+
+
+def test_risk_curve_matches_per_segment_loop_across_block_edges():
+    wide = evt_risk._BLOCK_CELLS + 904  # one loss fills more than a block
+    hazard, vulnerability, grid = bench_shaped_instance(3, wide, 7)
+    assert_bit_identical(EDGE_LOSSES + grid, hazard, vulnerability)
+
+    hazard, vulnerability, grid = bench_shaped_instance(4, 300, 204)
+    losses = EDGE_LOSSES + grid
+    assert len(losses) % (evt_risk._BLOCK_CELLS // 300) != 0  # a ragged last block
+    assert_bit_identical(losses, hazard, vulnerability)
+
+
+def test_risk_curve_matches_per_segment_loop_on_steps_and_flat_segments():
+    rng = np.random.default_rng(41)
+    s = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]
+    g = [3.0, 3.0, 2.0, 2.0 * (1.0 - 1e-9), 1.5, 1.5 * (1.0 - 3e-12), 0.4]
+    hazard = HazardCurve(tuple(zip(s, g)))
+    covs = [0.4, 0.0, 0.7, 0.0, 1.1, 0.3, 0.0]  # beta = 0 at three points
+    vulnerability = tuple(
+        VulnerabilityPoint(s=si, mean_loss=0.3 * si, cov=c) for si, c in zip(s, covs)
+    )
+    at_theta = [v.theta for v in vulnerability if v.beta == 0.0]
+    nearby = [math.nextafter(t, 0.0) for t in at_theta] + [math.nextafter(t, 9.0) for t in at_theta]
+    losses = EDGE_LOSSES + at_theta + nearby + rng.uniform(0.0, 3.0, 60).tolist()
+    assert_bit_identical(losses, hazard, vulnerability)
+    for trial in range(6):
+        hazard, vulnerability = make_instance(rng, n_points=6, flat_segment=True)
+        assert_bit_identical(EDGE_LOSSES + np.linspace(0.0, 3.0, 17).tolist(),
+                             hazard, vulnerability)
+
+
+def test_risk_curve_of_an_overflowing_ratio_raises_no_warning():
+    hazard = HazardCurve(((1.0, 2.0), (2.0, 1.0), (3.0, 0.5)))
+    vulnerability = tuple(
+        VulnerabilityPoint(s=s, mean_loss=m, cov=c)
+        for s, m, c in ((1.0, 0.2, 0.5), (2.0, 0.5, 0.5), (3.0, 0.9, 0.0))
+    )
+    assert 1.7e308 / vulnerability[0].theta == math.inf  # theta < 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        curve = risk_curve(EDGE_LOSSES + [0.5, math.inf], hazard, vulnerability)
+    assert curve.frequencies[4] == 0.0 and curve.frequencies[-1] == 0.0
+
+
+def test_risk_curve_memory_stays_within_blocks():
+    hazard, vulnerability, losses = bench_shaped_instance(5, 2000, 2000)
+    tracemalloc.start()
+    try:
+        risk_curve(losses, hazard, vulnerability)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20  # a full 2000 x 2000 float matrix alone is 32 MB
+
+
+def test_risk_curve_rejects_the_first_negative_loss_before_any_work():
+    hazard = HazardCurve(((1.0, 2.0), (2.0, 1.0)))
+    vulnerability = (
+        VulnerabilityPoint(s=1.0, mean_loss=0.5, cov=0.3),
+        VulnerabilityPoint(s=2.0, mean_loss=0.7, cov=0.3),
+    )
+    with pytest.raises(UsageError, match=r"loss must be non-negative, got -2\.0$"):
+        risk_curve([0.5, -2.0, -3.0], hazard, vulnerability)
