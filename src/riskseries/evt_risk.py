@@ -266,10 +266,9 @@ def risk_curve(
         with np.errstate(over="ignore"):
             q = x / theta
         zero = q == 0.0  # x == 0, or x / theta underflowed
-        q[zero] = 1.0
+        q[zero] = 1.0  # keeps math.log in its domain; these cells are set to 0 below
         p = 0.5 * _cellwise(math.erfc, -(_cellwise(math.log, q) / beta) / _SQRT2)
-        if step.any():
-            p[:, step] = x >= theta[step]
+        p[:, step] = x >= theta[step]
         p[zero] = 0.0
         c = (1.0 - p[:, :-1]) * a - (p[:, 1:] - p[:, :-1]) * b
         frequencies.extend(max(math.fsum(memoryview(row)), 0.0) for row in c)
