@@ -252,6 +252,8 @@ def test_validation_errors():
         HazardCurve(((2.0, 2.0), (1.0, 1.0)))  # s not increasing
     with pytest.raises(UsageError):
         risk_curve([-1.0], HazardCurve(good), vulnerability)  # negative loss
+    with pytest.raises(UsageError, match=r"got -2\.0$"):
+        risk_curve([0.5, -2.0, -3.0], HazardCurve(good), vulnerability)  # the first one
 
 
 # ------------------------------------------- blocked kernel vs the loop
@@ -364,12 +366,3 @@ def test_risk_curve_memory_stays_within_blocks():
         tracemalloc.stop()
     assert peak < 4 * 2**20  # a full 2000 x 2000 float matrix alone is 32 MB
 
-
-def test_risk_curve_rejects_the_first_negative_loss_before_any_work():
-    hazard = HazardCurve(((1.0, 2.0), (2.0, 1.0)))
-    vulnerability = (
-        VulnerabilityPoint(s=1.0, mean_loss=0.5, cov=0.3),
-        VulnerabilityPoint(s=2.0, mean_loss=0.7, cov=0.3),
-    )
-    with pytest.raises(UsageError, match=r"loss must be non-negative, got -2\.0$"):
-        risk_curve([0.5, -2.0, -3.0], hazard, vulnerability)
