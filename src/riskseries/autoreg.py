@@ -198,7 +198,10 @@ def lag_correlation(series: TimeSeries, lag: int) -> float:
     m = len(a)
     mean_a = math.fsum(a) / m
     mean_b = math.fsum(b) / m
-    cov = math.fsum((x - mean_a) * (y - mean_b) for x, y in zip(a, b))
+    # Differences and products round alike in numpy and in Python; the
+    # squares below stay in Python, whose ``** 2`` is libm's pow.
+    column = series.values
+    cov = math.fsum(((column[lag:] - mean_a) * (column[:n - lag] - mean_b)).tolist())
     var_a = math.fsum((x - mean_a) ** 2 for x in a)
     var_b = math.fsum((y - mean_b) ** 2 for y in b)
     if var_a <= 0.0 or var_b <= 0.0:

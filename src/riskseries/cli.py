@@ -21,6 +21,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Sequence
@@ -734,6 +735,51 @@ def render_pipeline_text(d: dict) -> str:
 _FLOAT_SPECIAL = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
+def _column_texts(column) -> list[str] | None:
+    """The JSON text of each item, if all are scalars of one exact type; else None."""
+    kinds = set(map(type, column))
+    if len(kinds) != 1:
+        return None
+    kind = kinds.pop()
+    if kind is float:
+        texts = list(map(float.__repr__, column))
+        if not all(map(math.isfinite, column)):
+            texts = [_FLOAT_SPECIAL.get(text, text) for text in texts]
+        return texts
+    if kind is int:
+        return list(map(int.__repr__, column))
+    if kind is bool:
+        return ["true" if item else "false" for item in column]
+    if kind is str:
+        return list(map(encode_basestring_ascii, column))
+    return None
+
+
+def _record_texts(items, inner: str) -> str | None:
+    """The items of a list of flat records, joined column by column, or None.
+
+    Qualifies when every item is a dict with the same str keys in the
+    same order and each key's column passes ``_column_texts``. Each row is
+    then key prefix, value, key prefix, value, ..., closing brace, taken
+    from per-column lists in one join.
+    """
+    keys = tuple(items[0])
+    if (not keys or set(map(type, items)) != {dict} or set(map(tuple, items)) != {keys}
+            or not all(isinstance(key, str) for key in keys)):
+        return None
+    row_inner = inner + "  "
+    fields = []
+    separator = "{"
+    for key, column in zip(keys, zip(*map(dict.values, items))):
+        texts = _column_texts(column)
+        if texts is None:
+            return None
+        fields += (repeat(separator + row_inner + encode_basestring_ascii(key) + ": "), texts)
+        separator = ","
+    closes = chain(repeat(inner + "}," + inner, len(items) - 1), (inner + "}",))
+    return "".join(chain.from_iterable(zip(*fields, closes)))
+
+
 def _write_json(value, parts: list[str], newline: str):
     """Append the text of ``json.dumps(value, indent=2, allow_nan=True)`` to parts.
 
@@ -741,6 +787,17 @@ def _write_json(value, parts: list[str], newline: str):
     encoder, which ``json.dumps`` uses whenever ``indent`` is set, so the
     bytes are the same; writing them here skips that encoder's generator
     chain. ``newline`` is the line break plus the current indentation.
+
+    A list is written one column at a time when it is homogeneous: all
+    scalars of one exact type (``float``, ``int``, ``bool`` or ``str``;
+    a bool is never taken for an int, nor a float subclass for a float),
+    or all flat dicts with the same str keys in the same order whose
+    every column is such a list. Each column is mapped through the same
+    formatter the per-value path applies to that type (``float.__repr__``
+    and the NaN/Infinity names, ``int.__repr__``, ``true``/``false``,
+    ``encode_basestring_ascii``), and the separators and indentation are
+    the per-value path's, so the bytes are the same. Any other list is
+    written item by item.
     """
     if isinstance(value, str):
         parts.append(encode_basestring_ascii(value))
@@ -760,6 +817,14 @@ def _write_json(value, parts: list[str], newline: str):
             parts.append("[]")
             return
         inner = newline + "  "
+        if type(value[0]) is dict:
+            text = _record_texts(value, inner)
+        else:
+            texts = _column_texts(value)
+            text = None if texts is None else ("," + inner).join(texts)
+        if text is not None:
+            parts += ("[" + inner, text, newline + "]")
+            return
         separator = "[" + inner
         for item in value:
             parts.append(separator)
@@ -886,14 +951,19 @@ def _decimal(args) -> str:
 
 def _write_plot_csvs(directory: str, report: residuals.ResidualReport):
     out_dir = Path(directory)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    residual_points, probability_points = residuals.plot_data(report)
-    for name, points in (
-        ("residual_plot.csv", residual_points),
-        ("probability_plot.csv", probability_points),
-    ):
-        lines = ["x,y"] + [f"{x!r},{y!r}" for x, y in points]
-        (out_dir / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        residual_points, probability_points = residuals.plot_data(report)
+        for name, points in (
+            ("residual_plot.csv", residual_points),
+            ("probability_plot.csv", probability_points),
+        ):
+            lines = ["x,y"] + [f"{x!r},{y!r}" for x, y in points]
+            (out_dir / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(
+            f"cannot write plot data to {directory}: {exc.strerror or exc}"
+        ) from None
 
 
 def _cmd_summarize(args) -> str:

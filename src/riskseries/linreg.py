@@ -136,10 +136,11 @@ def fit_ols(y: Sequence[float], regressors: Sequence[Sequence[float]]) -> Regres
     residuals = y_vec - fitted
 
     # Python floats: the same operations as on numpy scalars, without the
-    # per-element boxing.
+    # per-element boxing. A product rounds alike in numpy and in Python, so
+    # e * e is taken in numpy; ``** 2`` stays in Python, whose pow is libm's.
     y_list = y_vec.tolist()
     y_mean = math.fsum(y_list) / n
-    residual_ss = math.fsum(e * e for e in residuals.tolist())
+    residual_ss = math.fsum((residuals * residuals).tolist())
     total_ss = math.fsum((v - y_mean) ** 2 for v in y_list)
     regression_ss = math.fsum((f - y_mean) ** 2 for f in fitted.tolist())
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -250,3 +252,40 @@ def test_lag_correlation_errors():
         lag_correlation(TimeSeries.from_values([5.0] * 8), 1)
     with pytest.raises(UsageError):
         lag_correlation(TimeSeries.from_values([1.0, 2.0, 3.0, 4.0]), -1)
+
+
+def _seeded_series(seed: int) -> list[float]:
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(20, 400))
+    kind = seed % 4
+    if kind == 0:
+        values = rng.normal(0.0, 1.0, n)
+    elif kind == 1:  # rain-like: dry days and 0.1 mm ties
+        values = np.where(rng.random(n) < 0.4, np.round(rng.gamma(0.7, 9.0, n), 1), 0.0)
+    elif kind == 2:  # large offset, small spread: heavy cancellation
+        values = 1e6 + rng.normal(0.0, 1e-3, n)
+    else:
+        values = rng.lognormal(0.0, 3.0, n) * rng.choice([-1.0, 1.0], n)
+    return values.tolist()
+
+
+def _lag_correlation_generators(values: list[float], lag: int) -> float:
+    """The correlation as written with per-pair Python generators."""
+    a, b = values[lag:], values[:len(values) - lag]
+    mean_a = math.fsum(a) / len(a)
+    mean_b = math.fsum(b) / len(b)
+    cov = math.fsum((x - mean_a) * (y - mean_b) for x, y in zip(a, b))
+    var_a = math.fsum((x - mean_a) ** 2 for x in a)
+    var_b = math.fsum((y - mean_b) ** 2 for y in b)
+    return cov / math.sqrt(var_a * var_b)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_lag_correlation_bits_match_the_generator_form(seed):
+    values = _seeded_series(seed)
+    if max(values) == min(values):
+        pytest.skip("constant series")
+    series = TimeSeries.from_values(values)
+    for lag in range(min(4, len(values) - 3)):
+        assert lag_correlation(series, lag).hex() == \
+            _lag_correlation_generators(values, lag).hex()

@@ -368,6 +368,21 @@ def test_analyze_plot_data(fixture_path, tmp_path, capsys):
     assert len(residual_lines) == 31  # header + 30 points
 
 
+@pytest.mark.parametrize("command", ["analyze", "residuals"])
+def test_plot_data_that_cannot_be_written_is_a_usage_error(fixture_path, tmp_path, capsys,
+                                                          command):
+    existing_file = tmp_path / "taken"
+    existing_file.write_text("")
+    for target, reason in ((existing_file, "File exists"),
+                           (existing_file / "plots", "Not a directory")):
+        assert main([command, fixture_path, "--plot-data", str(target),
+                     "--format", "json"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"usage error: cannot write plot data to {target}: {reason}\n"
+    assert existing_file.read_text() == ""
+
+
 def test_run_pipeline_direct(event_series):
     config = AnalysisConfig(input_path="fixture", max_lag=3, alpha=0.05)
     report = run_pipeline(event_series, config)

@@ -128,3 +128,140 @@ def test_values_outside_the_report_types_raise_type_error(value):
     # json.dumps would coerce the int key; reports only use str keys.
     with pytest.raises(TypeError):
         render(value, "json", None)
+
+
+# Lists of one exact scalar type, and lists of flat records with the same
+# keys in the same order, are written column by column; the rest item by item.
+
+TEXTS = ["", "plain", "é", "雨量", "\U0001F327", "\x00\x01\x1f", "\n\t", "100%", "%s %(k)s",
+         "{0}", "{", '"', '\\"{%}\\"', "\x7f", "mixed é\x05\"\\"]
+SPECIAL_FLOATS = [float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 5e-324, -5e-324,
+                  2.2250738585072009e-308, 1e16, -1e16, 1e22, 1.7976931348623157e308]
+
+
+def _scalar_column(rng: random.Random, kind: str, n: int) -> list:
+    if kind == "float":
+        return [_random_float(rng) for _ in range(n)]
+    if kind == "special":
+        return [rng.choice(SPECIAL_FLOATS) if rng.random() < 0.5 else _random_float(rng)
+                for _ in range(n)]
+    if kind == "int01":
+        return [rng.choice([0, 1]) for _ in range(n)]
+    if kind == "bool":
+        return [rng.choice([True, False]) for _ in range(n)]
+    if kind == "bigint":
+        return [rng.choice(INTS) if rng.random() < 0.3 else rng.randint(-10**40, 10**40)
+                for _ in range(n)]
+    return [rng.choice(TEXTS) + rng.choice(STRINGS) for _ in range(n)]
+
+
+COLUMN_KINDS = ["float", "special", "int01", "bool", "bigint", "str"]
+
+
+@pytest.mark.parametrize("kind", COLUMN_KINDS)
+def test_scalar_lists_of_one_type_match_json_dumps(kind):
+    rng = random.Random(f"scalars-{kind}")
+    for n in (1, 2, 3, 17, 400):
+        items = _scalar_column(rng, kind, n)
+        for payload in (items, tuple(items), {"values": items}, [[items], {"k": items}]):
+            assert render(payload, "json", None) == _expected(payload)
+
+
+def test_float_lists_with_every_special_value_match_json_dumps():
+    for payload in (SPECIAL_FLOATS, [float("nan")] * 3, [float("inf"), 1.0], [-0.0, 0.0]):
+        assert render(payload, "json", None) == _expected(payload)
+
+
+def test_records_of_every_column_kind_match_json_dumps():
+    rng = random.Random(20162)
+    for trial in range(200):
+        n = rng.choice([1, 2, 3, 10, 250])
+        keys = [rng.choice(TEXTS) + str(j) for j in range(rng.randint(1, 8))]
+        columns = {key: _scalar_column(rng, rng.choice(COLUMN_KINDS), n) for key in keys}
+        rows = [{key: columns[key][i] for key in keys} for i in range(n)]
+        if trial % 4 == 3:  # one row lists the same keys in another order
+            row = rng.randrange(n)
+            rows[row] = dict(rng.sample(list(rows[row].items()), len(keys)))
+        payload = {"rows": rows, "n": n} if trial % 2 else rows
+        assert render(payload, "json", None) == _expected(payload)
+
+
+def test_residual_shaped_records_with_non_finite_floats_match_json_dumps():
+    rng = random.Random(20163)
+    rows = [
+        {
+            "observation_id": i,
+            "y": rng.choice(SPECIAL_FLOATS),
+            "y_predicted": _random_float(rng),
+            "residual": rng.choice(SPECIAL_FLOATS),
+            "standardized": rng.choice([float("nan"), -0.0, 1e16]),
+            "percentile": rng.random(),
+            "outlier": rng.choice([True, False]),
+            "flag": rng.choice([0, 1]),
+        }
+        for i in range(1, 300)
+    ]
+    assert render({"rows": rows}, "json", None) == _expected({"rows": rows})
+
+
+@pytest.mark.parametrize("payload", [
+    [True, 1, False, 0],  # bool and int mixed: each keeps its own spelling
+    [0, 1, True],
+    [1.0, np.float64(2.0), 3.0],
+    [np.float64(1.5), np.float64(float("nan"))],
+    [1.0, 2, 3.0],
+    ["a", None, "b"],
+    [{"a": 1, "b": 2.0}, {"b": 2.5, "a": 3}],  # reordered keys
+    [{"a": 1.0, "b": 2.0}, {"b": 3.0, "a": 4.0}],  # reordered keys, one type
+    [{"a": "x", "b": "y", "c": "z"}, {"a": "u", "c": "w", "b": "v"}],
+    [{"a": 1.0, "b": 2.0}, {"a": 3.0}],  # missing key
+    [{"a": 1.0}, {"a": 2.0, "b": 3.0}],  # extra key
+    [{}, {}],
+    [{}, {"a": 1}],
+    [{"a": 1}, {}],
+    [{"a": 1.0, "b": [1.0, 2.0]}, {"a": 2.0, "b": [3.0]}],  # nested container
+    [{"a": {"x": 1}}, {"a": {"x": 2}}],
+    [{"a": True, "b": 1}, {"a": 1, "b": True}],
+    [{"a": 1.0, "b": np.float64(2.0)}, {"a": 3.0, "b": 4.0}],
+    [{"a": None}, {"a": None}],
+    [{"a": 1.0}, [1.0]],
+    [[1.0, 2.0], [3.0]],
+    [{"a": 1.0}],  # one row
+    [{"a": float("nan"), "b": "é%{"}],
+    [True],
+    [float("-inf")],
+    ["{%s}"],
+])
+def test_lists_that_fall_back_or_are_single_match_json_dumps(payload):
+    assert render(payload, "json", None) == _expected(payload)
+    assert render({"k": [payload]}, "json", None) == _expected({"k": [payload]})
+
+
+@pytest.mark.parametrize("rows", [
+    [{1: 1.0}, {1: 2.0}],
+    [{"a": 1.0, 2: 3.0}, {"a": 1.0, 2: 3.0}],
+    [{"a": 1.0}, {2: 3.0}],
+])
+def test_records_with_an_int_key_raise_the_same_type_error(rows):
+    with pytest.raises(TypeError, match="^keys must be str, not int$"):
+        render({"rows": rows}, "json", None)
+
+
+def test_long_record_residual_rows_are_written_column_by_column(tmp_path, monkeypatch):
+    from riskseries import cli
+
+    path = _long_record_csv(tmp_path)
+    report = run_pipeline(parse_csv(str(path)), AnalysisConfig(input_path=str(path)))
+    payload = pipeline_to_dict(report)
+    calls = 0
+    write_json = cli._write_json
+
+    def counting(value, parts, newline):
+        nonlocal calls
+        calls += 1
+        write_json(value, parts, newline)
+
+    monkeypatch.setattr(cli, "_write_json", counting)
+    assert render(payload, "json", None) == _expected(payload)
+    # One call per value would be about 80,000 for the 9,999 residual rows.
+    assert calls < 2_000

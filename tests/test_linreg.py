@@ -197,3 +197,20 @@ def test_normal_helpers():
         student_t_two_sided_p(1.0, 0)
     with pytest.raises(UsageError):
         f_upper_tail(-0.5, 1, 1)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_residual_ss_bits_match_the_generator_form(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(5, 400))
+    k = int(rng.integers(1, 4))
+    scale = 10.0 ** rng.integers(-3, 7)
+    regressors = [rng.normal(0.0, scale, n).tolist() for _ in range(k)]
+    y = (rng.normal(0.0, 1.0, n) * scale + 1e3 * scale).tolist()
+    # The residuals fit_ols takes its sum of squares from.
+    x = DesignMatrix.from_regressors(n, regressors).entries
+    q, r = np.linalg.qr(x)
+    y_vec = np.asarray(y)
+    residuals = y_vec - x @ np.linalg.solve(r, q.T @ y_vec)
+    expected = math.fsum(e * e for e in residuals.tolist())
+    assert fit_ols(y, regressors).anova.residual_ss.hex() == expected.hex()
