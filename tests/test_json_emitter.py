@@ -8,6 +8,7 @@ from contextlib import redirect_stdout
 import numpy as np
 import pytest
 
+from riskseries import cli
 from riskseries.cli import (
     EXIT_OK,
     AnalysisConfig,
@@ -248,8 +249,6 @@ def test_records_with_an_int_key_raise_the_same_type_error(rows):
 
 
 def test_long_record_residual_rows_are_written_column_by_column(tmp_path, monkeypatch):
-    from riskseries import cli
-
     path = _long_record_csv(tmp_path)
     report = run_pipeline(parse_csv(str(path)), AnalysisConfig(input_path=str(path)))
     payload = pipeline_to_dict(report)
