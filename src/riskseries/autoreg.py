@@ -23,7 +23,7 @@ import numpy as np
 from . import linreg
 from .dist import normal_quantile
 from .errors import NumericalError, UsageError
-from .series import TimeSeries
+from .series import TimeSeries, _sum_of_squares
 
 # Conventional two-sided thresholds; other levels fall back to the
 # normal quantile. The 0.02 entry follows the published convention this
@@ -187,23 +187,24 @@ def lag_correlation(series: TimeSeries, lag: int) -> float:
     """
     if isinstance(lag, bool) or not isinstance(lag, int) or lag < 0:
         raise UsageError(f"lag must be a non-negative integer, got {lag!r}")
-    values = series.values.tolist()
-    n = len(values)
+    n = len(series)
     if n - lag < 3:
         raise UsageError(
             f"lag {lag} leaves {max(n - lag, 0)} overlapping pairs, need at least 3"
         )
-    a = values[lag:]
-    b = values[:n - lag]
+    a = series.values[lag:]
+    b = series.values[:n - lag]
     m = len(a)
-    mean_a = math.fsum(a) / m
-    mean_b = math.fsum(b) / m
-    # Differences and products round alike in numpy and in Python; the
-    # squares below stay in Python, whose ``** 2`` is libm's pow.
-    column = series.values
-    cov = math.fsum(((column[lag:] - mean_a) * (column[:n - lag] - mean_b)).tolist())
-    var_a = math.fsum((x - mean_a) ** 2 for x in a)
-    var_b = math.fsum((y - mean_b) ** 2 for y in b)
+    mean_a = math.fsum(memoryview(a)) / m
+    mean_b = math.fsum(memoryview(b)) / m
+    # Differences and products round alike in numpy and in Python, and
+    # _sum_of_squares squares through libm's pow, as ``** 2`` does. Finite
+    # variances bound every product, so the covariance cannot overflow.
+    deviation_a = a - mean_a
+    deviation_b = b - mean_b
+    var_a = _sum_of_squares(deviation_a)
+    var_b = _sum_of_squares(deviation_b)
+    cov = math.fsum(memoryview(deviation_a * deviation_b))
     if var_a <= 0.0 or var_b <= 0.0:
         raise NumericalError("lag correlation is undefined for a constant segment")
     return cov / math.sqrt(var_a * var_b)

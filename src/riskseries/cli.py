@@ -1145,7 +1145,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except NumericalError as exc:
+    except (NumericalError, OverflowError) as exc:
+        # OverflowError: finite input whose squares or sums leave the doubles.
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     try:

@@ -5,8 +5,8 @@ beta function, computed with the classic continued-fraction expansion
 (modified Lentz iteration) converged to 1e-12. That is enough to
 reproduce spreadsheet regression p-values to every printed digit. The
 normal CDF rides on the C library's erfc, which is good to machine
-precision; quantiles are obtained by bisection, which is slow in theory
-and entirely fast enough here.
+precision; quantiles are obtained by bisection, which stops once the
+midpoint of its bracket is one of the bracket's ends.
 """
 from __future__ import annotations
 
@@ -33,6 +33,10 @@ def normal_quantile(p: float) -> float:
     lo, hi = -40.0, 40.0
     for _ in range(120):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            # lo only ever holds points with CDF < p and hi points with
+            # CDF >= p, so every further step would leave both unchanged.
+            break
         if normal_cdf(mid) < p:
             lo = mid
         else:
@@ -142,6 +146,10 @@ def student_t_critical(alpha: float, df: int) -> float:
             raise NumericalError(f"t critical value out of range for alpha={alpha}, df={df}")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            # lo only ever holds points with p > alpha and hi points with
+            # p <= alpha, so every further step would leave both unchanged.
+            break
         if student_t_two_sided_p(mid, df) > alpha:
             lo = mid
         else:

@@ -16,6 +16,7 @@ import numpy as np
 
 from .dist import f_upper_tail, student_t_critical, student_t_two_sided_p
 from .errors import DataError, NumericalError, UsageError
+from .series import _sum_of_squares
 
 RANK_TOLERANCE = 1e-10
 CI_ALPHA = 0.05
@@ -129,20 +130,22 @@ def fit_ols(y: Sequence[float], regressors: Sequence[Sequence[float]]) -> Regres
     singular_values = np.linalg.svd(x, compute_uv=False)
     if singular_values[-1] <= RANK_TOLERANCE * singular_values[0]:
         _raise_rank_deficient(x, singular_values)
+    # Before the solve, so a response whose sum overflows raises here
+    # instead of after numpy's overflow warnings.
+    y_mean = math.fsum(memoryview(y_vec)) / n
 
     q, r = np.linalg.qr(x)
     coef = np.linalg.solve(r, q.T @ y_vec)
     fitted = x @ coef
     residuals = y_vec - fitted
 
-    # Python floats: the same operations as on numpy scalars, without the
-    # per-element boxing. A product rounds alike in numpy and in Python, so
-    # e * e is taken in numpy; ``** 2`` stays in Python, whose pow is libm's.
-    y_list = y_vec.tolist()
-    y_mean = math.fsum(y_list) / n
-    residual_ss = math.fsum((residuals * residuals).tolist())
-    total_ss = math.fsum((v - y_mean) ** 2 for v in y_list)
-    regression_ss = math.fsum((f - y_mean) ** 2 for f in fitted.tolist())
+    # The same IEEE operations as Python floats would take: differences and
+    # products round alike in numpy, and _sum_of_squares squares through
+    # libm's pow, as ``** 2`` does. The squared deviations come first, so
+    # finite input whose squares overflow raises OverflowError there.
+    total_ss = _sum_of_squares(y_vec - y_mean)
+    regression_ss = _sum_of_squares(fitted - y_mean)
+    residual_ss = math.fsum(memoryview(residuals * residuals))
 
     df_residual = n - k
     df_regression = k - 1

@@ -83,7 +83,7 @@ def residual_analysis(
     observed, predicted, n_params = _observed_and_predicted(model, series)
     n = len(observed)
     residual = observed - predicted
-    rss = math.fsum((residual * residual).tolist())
+    rss = math.fsum(memoryview(residual * residual))
     scale = math.sqrt(rss / (n - 1)) if n > 1 else 0.0
     regression_std_error = math.sqrt(rss / (n - n_params)) if n > n_params else 0.0
     # An exact fit leaves only float noise in the residuals; standardizing

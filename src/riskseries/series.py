@@ -80,6 +80,22 @@ class TimeSeries:
         return len(self.values)
 
 
+def _sum_of_squares(deviations: np.ndarray) -> float:
+    """``math.fsum`` of the squares, each with the bits of Python's ``v ** 2``.
+
+    ``np.float_power`` runs numpy's generic double loop over the C library's
+    ``pow``, the function CPython's ``**`` calls; numpy's ``x * x`` rounds
+    differently on some doubles. A square that overflows raises
+    OverflowError, as ``**`` does, instead of warning and giving inf.
+    """
+    with np.errstate(over="raise"):
+        try:
+            squares = np.float_power(deviations, 2.0)
+        except FloatingPointError:
+            raise OverflowError("a squared deviation is out of range") from None
+    return math.fsum(memoryview(squares))
+
+
 @dataclass(frozen=True)
 class SummaryStats:
     n: int
@@ -98,11 +114,11 @@ def summarize(series: TimeSeries) -> SummaryStats:
     """
     if len(series) == 0:
         raise DataError("cannot summarize an empty series")
-    values = series.values.tolist()
+    values = memoryview(series.values)
     n = len(values)
     mean = math.fsum(values) / n
     if n > 1:
-        variance = math.fsum((v - mean) ** 2 for v in values) / (n - 1)
+        variance = _sum_of_squares(series.values - mean) / (n - 1)
     else:
         variance = 0.0
     return SummaryStats(

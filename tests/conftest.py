@@ -1,5 +1,6 @@
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from riskseries.cli import parse_csv
@@ -33,3 +34,17 @@ def simple_series() -> TimeSeries:
 @pytest.fixture(scope="session")
 def fixture_path() -> str:
     return str(FIXTURE_CSV)
+
+
+@pytest.fixture(scope="session")
+def squares_that_differ() -> list[float]:
+    """Doubles whose square numpy's ``x * x`` and Python's ``v ** 2`` round apart.
+
+    Python's ``**`` is the C library's pow, which is not correctly rounded;
+    a bit test fed these values fails if a square is taken as a product.
+    """
+    values = np.random.default_rng(20161).normal(0.0, 1e3, 200_000)
+    products = (values * values).tolist()
+    found = [v for v, product in zip(values.tolist(), products) if v ** 2 != product]
+    assert found, "pow and the product agree on every sample; the bit tests would prove nothing"
+    return found

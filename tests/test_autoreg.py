@@ -289,3 +289,12 @@ def test_lag_correlation_bits_match_the_generator_form(seed):
     for lag in range(min(4, len(values) - 3)):
         assert lag_correlation(series, lag).hex() == \
             _lag_correlation_generators(values, lag).hex()
+
+
+def test_lag_correlation_squares_round_as_python_pow(squares_that_differ):
+    # (-d, 0, d) at lag 0 has both means 0 and both variances exactly twice
+    # the square of d, beside a covariance of twice the product d * d.
+    for d in squares_that_differ:
+        values = [-d, 0.0, d]
+        assert lag_correlation(TimeSeries.from_values(values), 0).hex() == \
+            _lag_correlation_generators(values, 0).hex()

@@ -5,6 +5,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -98,6 +99,25 @@ def test_exit_codes(tmp_path, fixture_path, capsys):
     constant.write_text("month,value\n" + "".join(f"{m},10\n" for m in range(1, 11)))
     assert main(["ar", str(constant)]) == EXIT_NUMERICAL
     assert "numerical error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value, message", [
+    ("1e200", "a squared deviation is out of range"),
+    ("1.7e308", "intermediate overflow in fsum"),
+], ids=["square-1e200", "sum-1.7e308"])
+@pytest.mark.parametrize("command", [["summarize"], ["trend", "--mann-kendall"], ["analyze"]],
+                         ids=["summarize", "trend", "analyze"])
+def test_finite_input_whose_squares_or_sums_overflow_is_a_numerical_error(
+        tmp_path, capsys, command, value, message):
+    path = tmp_path / "huge.csv"
+    path.write_text("month,value\n" + "".join(
+        f"{m},{value if m % 2 else 0}\n" for m in range(1, 13)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy overflow warning fails the test
+        assert main([command[0], str(path), *command[1:], "--format", "json"]) == EXIT_NUMERICAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"numerical error: {message}\n"
 
 
 def test_help_exits_zero(capsys):

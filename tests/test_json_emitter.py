@@ -1,4 +1,5 @@
 """``cli.render``'s JSON writer against ``json.dumps(indent=2, allow_nan=True)``."""
+import hashlib
 import io
 import json
 import random
@@ -104,12 +105,24 @@ def _long_record_csv(tmp_path, seed: int = 7, n: int = 10_000):
     return path
 
 
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _first_difference(a: str, b: str) -> int:
+    return next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+
+
 def test_long_record_analyze_payload_matches_json_dumps(tmp_path):
     path = _long_record_csv(tmp_path)
     report = run_pipeline(parse_csv(str(path)), AnalysisConfig(input_path=str(path)))
     payload = pipeline_to_dict(report)
     assert payload["residuals"]["n"] == 9_999
-    assert render(payload, "json", None) == _expected(payload)
+    text, expected = render(payload, "json", None), _expected(payload)
+    # Comparing the 2.6 MB strings themselves would have pytest diff them
+    # for minutes on a failure; the digest fails as surely, and at once.
+    assert (len(text), _sha256(text)) == (len(expected), _sha256(expected)), \
+        f"first difference at offset {_first_difference(text, expected)}"
 
 
 def test_exact_fit_ar_payload_with_infinity_matches_json_dumps(tmp_path):

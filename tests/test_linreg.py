@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from riskseries import dist
+from riskseries.autoreg import Z_ALPHA_TABLE
 from riskseries.errors import DataError, NumericalError, UsageError
-from riskseries.linreg import DesignMatrix, fit_ols
+from riskseries.linreg import CI_ALPHA, DesignMatrix, fit_ols
 from riskseries.dist import (
     f_upper_tail,
     normal_cdf,
@@ -207,10 +209,89 @@ def test_residual_ss_bits_match_the_generator_form(seed):
     scale = 10.0 ** rng.integers(-3, 7)
     regressors = [rng.normal(0.0, scale, n).tolist() for _ in range(k)]
     y = (rng.normal(0.0, 1.0, n) * scale + 1e3 * scale).tolist()
-    # The residuals fit_ols takes its sum of squares from.
+    # The fitted values and residuals fit_ols takes its sums of squares from.
     x = DesignMatrix.from_regressors(n, regressors).entries
     q, r = np.linalg.qr(x)
     y_vec = np.asarray(y)
-    residuals = y_vec - x @ np.linalg.solve(r, q.T @ y_vec)
-    expected = math.fsum(e * e for e in residuals.tolist())
-    assert fit_ols(y, regressors).anova.residual_ss.hex() == expected.hex()
+    fitted = x @ np.linalg.solve(r, q.T @ y_vec)
+    residuals = y_vec - fitted
+    y_mean = math.fsum(y) / n
+    anova = fit_ols(y, regressors).anova
+    assert anova.residual_ss.hex() == math.fsum(e * e for e in residuals.tolist()).hex()
+    assert anova.total_ss.hex() == math.fsum((v - y_mean) ** 2 for v in y).hex()
+    assert anova.regression_ss.hex() == \
+        math.fsum((f - y_mean) ** 2 for f in fitted.tolist()).hex()
+
+
+def test_total_ss_squares_round_as_python_pow(squares_that_differ):
+    # y = (-d, 0, d) has mean 0, so the total sum of squares is exactly
+    # twice the square of d: the square's bits show through.
+    for d in squares_that_differ:
+        y = [-d, 0.0, d]
+        expected = math.fsum(v ** 2 for v in y)
+        assert fit_ols(y, [[1.0, 5.0, 2.0]]).anova.total_ss.hex() == expected.hex()
+
+
+def _bisection_t_critical(alpha: float, df: int) -> float:
+    """student_t_critical as written with a fixed 200 bisection steps."""
+    lo, hi = 0.0, 1.0
+    while student_t_two_sided_p(hi, df) > alpha:
+        hi *= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if student_t_two_sided_p(mid, df) > alpha:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _bisection_normal_quantile(p: float) -> float:
+    """normal_quantile as written with a fixed 120 bisection steps."""
+    lo, hi = -40.0, 40.0
+    for _ in range(120):
+        mid = 0.5 * (lo + hi)
+        if normal_cdf(mid) < p:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+# The alphas the library and the CLI use: CI_ALPHA, the CLI's default
+# --alpha, the snapshots' 0.3 and the conventional table.
+ALPHAS = sorted({CI_ALPHA, 0.05, 0.3, *Z_ALPHA_TABLE})
+
+
+def test_t_critical_stops_at_the_fixed_point_of_the_200_step_bisection():
+    # CI_ALPHA is the only level fit_ols asks for: every df up to 1000.
+    cases = [(CI_ALPHA, df) for df in range(1, 1001)]
+    cases += [(alpha, df) for alpha in ALPHAS if alpha != CI_ALPHA
+              for df in [*range(1, 11), 12, 15, 20, 28, 40, 60, 100, 200, 500, 1000]]
+    for alpha, df in cases:
+        assert student_t_critical.__wrapped__(alpha, df).hex() == \
+            _bisection_t_critical(alpha, df).hex(), (alpha, df)
+
+
+def test_normal_quantile_stops_at_the_fixed_point_of_the_120_step_bisection():
+    rng = np.random.default_rng(20163)
+    ps = [*(1.0 - alpha / 2.0 for alpha in ALPHAS), *(alpha / 2.0 for alpha in ALPHAS),
+          0.5, 1e-300, 1.0 - 2.0 ** -53, *rng.random(2000).tolist()]
+    for p in ps:
+        assert normal_quantile(p).hex() == _bisection_normal_quantile(p).hex(), p
+
+
+def test_cold_t_critical_takes_fewer_than_70_evaluations(monkeypatch):
+    calls = 0
+
+    def counted(t, df):
+        nonlocal calls
+        calls += 1
+        return student_t_two_sided_p(t, df)
+
+    monkeypatch.setattr(dist, "student_t_two_sided_p", counted)
+    for alpha in ALPHAS:
+        for df in (1, 2, 5, 28, 100, 1000, 9999):
+            calls = 0
+            student_t_critical.__wrapped__(alpha, df)
+            assert calls < 70, (alpha, df, calls)

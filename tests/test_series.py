@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -58,6 +59,72 @@ def test_summarize_matches_brute_force_variance():
         assert stats.variance == pytest.approx(brute, rel=1e-12, abs=1e-12)
         assert stats.std_dev == math.sqrt(stats.variance)
         assert stats.min <= stats.mean <= stats.max
+
+
+def _variance_generator(values: list[float]) -> float:
+    """The sample variance as written with a per-value Python generator."""
+    mean = math.fsum(values) / len(values)
+    return math.fsum((v - mean) ** 2 for v in values) / (len(values) - 1)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_variance_bits_match_the_generator_form(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 2000))
+    scale = 10.0 ** rng.integers(-5, 9)
+    values = (rng.normal(3.0, 1.0, n) * scale).tolist()
+    assert summarize(TimeSeries.from_values(values)).variance.hex() == \
+        _variance_generator(values).hex()
+
+
+def test_variance_squares_round_as_python_pow(squares_that_differ):
+    # [0, 2d] has mean d and deviations -d and d, so the variance is
+    # exactly twice the square of d: the square's bits show through.
+    for d in squares_that_differ:
+        values = [0.0, 2.0 * d]
+        assert summarize(TimeSeries.from_values(values)).variance.hex() == \
+            _variance_generator(values).hex()
+
+
+def test_float_power_squares_have_the_bits_of_python_pow():
+    """The sums of squares rely on np.float_power calling the C library's pow.
+
+    If a numpy release routes float_power through a pow of its own, the
+    squares stop matching Python's ``v ** 2`` and this fails first.
+    """
+    rng = np.random.default_rng(20162)
+    edges = []
+    for edge in (math.sqrt(sys.float_info.max), math.sqrt(sys.float_info.min)):
+        below = above = edge
+        for _ in range(16):
+            below, above = math.nextafter(below, 0.0), math.nextafter(above, math.inf)
+            edges += [below, above, -below, -above]
+        edges += [edge, -edge]
+    values = np.concatenate([
+        np.frombuffer(rng.bytes(8 * 100_000), dtype=np.float64),  # any bit pattern
+        rng.normal(0.0, 1.0, 100_000) * 10.0 ** rng.uniform(-160, 160, 100_000),
+        [0.0, -0.0, 5e-324, -5e-324, sys.float_info.max, math.inf, -math.inf, math.nan],
+        edges,
+    ])
+    with np.errstate(over="ignore", invalid="ignore"):
+        squares = np.float_power(values, 2.0).tolist()
+    mismatches = []
+    for v, square in zip(values.tolist(), squares):
+        try:
+            expected = v ** 2
+        except OverflowError:
+            expected = math.inf
+        if square.hex() != expected.hex():
+            mismatches.append((v.hex(), square.hex(), expected.hex()))
+    assert mismatches == []
+
+
+def test_variance_that_overflows_raises_overflow_error():
+    # As ``** 2`` did: an OverflowError, not a numpy warning and an inf.
+    with pytest.raises(OverflowError, match="squared deviation"):
+        summarize(TimeSeries.from_values([1e200, 0.0, 1e200, 0.0]))
+    with pytest.raises(OverflowError, match="intermediate overflow in fsum"):
+        summarize(TimeSeries.from_values([1.7e308, 0.0, 1.7e308, 0.0]))
 
 
 def test_summarize_is_permutation_invariant_and_reindex_stable():
