@@ -27,6 +27,9 @@ PLACEHOLDER = "<INPUT>"
 COMMANDS = [
     ("analyze", ["analyze"], EXIT_OK),
     ("analyze_threshold150", ["analyze", "--threshold", "150"], EXIT_OK),
+    # Three events: Mann-Kendall, both lag correlations, every AR order,
+    # both order selections and the residuals are skipped.
+    ("analyze_threshold850", ["analyze", "--threshold", "850"], EXIT_OK),
     # Raw selection keeps p=1 after two drops; detrended keeps p=3 at once.
     ("analyze_alpha03", ["analyze", "--alpha", "0.3"], EXIT_OK),
     ("analyze_no_detrend", ["analyze", "--no-detrend"], EXIT_OK),
