@@ -30,7 +30,6 @@ from .evt_risk import (
     GevParams,
     HazardCurve,
     RiskCurve,
-    RiskSegment,
     VulnerabilityPoint,
     build_segments,
     conditional_nonexceedance,
@@ -38,7 +37,7 @@ from .evt_risk import (
     lognormal_params,
     risk_curve,
 )
-from .linreg import AnovaBlock, CoefficientStat, DesignMatrix, RegressionReport, fit_ols
+from .linreg import AnovaBlock, CoefficientStat, RegressionReport, fit_ols
 from .peaks import (
     EventSeries,
     Provenance,
@@ -63,7 +62,6 @@ __all__ = [
     "AnovaBlock",
     "CoefficientStat",
     "DataError",
-    "DesignMatrix",
     "EventSeries",
     "GevParams",
     "HazardCurve",
@@ -76,7 +74,6 @@ __all__ = [
     "RegressionReport",
     "ResidualReport",
     "RiskCurve",
-    "RiskSegment",
     "RiskSeriesError",
     "SummaryStats",
     "ThresholdSpec",

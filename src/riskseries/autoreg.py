@@ -15,6 +15,7 @@ normal threshold Z_alpha, drop the highest lag while
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -65,9 +66,9 @@ class OrderSelectionStep:
 
 @dataclass(frozen=True)
 class OrderSelectionTrace:
-    steps: tuple[OrderSelectionStep, ...]
-    selected_order: int
     alpha: float
+    selected_order: int
+    steps: tuple[OrderSelectionStep, ...]
 
 
 def minimum_length(p: int) -> int:
@@ -176,7 +177,7 @@ def select_order(models: Sequence[ARModel], alpha: float = 0.05) -> OrderSelecti
         if decision == KEEP:
             selected = model.p
             break
-    return OrderSelectionTrace(steps=tuple(steps), selected_order=selected, alpha=alpha)
+    return OrderSelectionTrace(alpha=alpha, selected_order=selected, steps=tuple(steps))
 
 
 def lag_correlation(series: TimeSeries, lag: int) -> float:
@@ -207,4 +208,9 @@ def lag_correlation(series: TimeSeries, lag: int) -> float:
     cov = math.fsum(memoryview(deviation_a * deviation_b))
     if var_a <= 0.0 or var_b <= 0.0:
         raise NumericalError("lag correlation is undefined for a constant segment")
-    return cov / math.sqrt(var_a * var_b)
+    product = var_a * var_b
+    if not sys.float_info.min <= product < math.inf:
+        # The product overflowed or lost its precision to underflow; two
+        # square roots stay in range.
+        return cov / (math.sqrt(var_a) * math.sqrt(var_b))
+    return cov / math.sqrt(product)

@@ -179,7 +179,7 @@ def parse_csv(path: str, decimal: str = DECIMAL_POINT) -> TimeSeries:
         months.append(month)
         values.append(value)
     try:
-        return TimeSeries(months, values)
+        return TimeSeries(indices=months, values=values)
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
 
@@ -205,7 +205,7 @@ def parse_hazard_csv(path: str) -> evt_risk.HazardCurve:
         raise DataError(f"{path}: no data rows")
     if len(points) < 2:
         raise DataError(f"{path}: need at least 2 hazard points, got {len(points)}")
-    return evt_risk.HazardCurve(tuple(points))
+    return evt_risk.HazardCurve(points=tuple(points))
 
 
 def parse_vulnerability_csv(
@@ -358,76 +358,31 @@ def run_pipeline(series: TimeSeries, config: AnalysisConfig) -> PipelineReport:
 
 # ------------------------------------------------------- dict conversion
 
-def _skip(reason: str) -> dict:
-    return {"skipped": reason}
+def _record_to_dict(record) -> dict:
+    """A result dataclass as a dict: its fields in declaration order, which
+    is the JSON schema. Nested records and tuples of records are converted
+    too; every other value is shared, not copied.
+
+    A record is told by the attribute ``dataclasses.is_dataclass`` looks
+    for, read off the value: is_dataclass itself is several times slower
+    on the floats that make up most fields.
+    """
+    fields = dict(vars(record))
+    for key, value in fields.items():
+        if hasattr(value, "__dataclass_fields__"):
+            fields[key] = _record_to_dict(value)
+        elif type(value) is tuple and value and hasattr(value[0], "__dataclass_fields__"):
+            fields[key] = [_record_to_dict(item) for item in value]
+    return fields
 
 
-def summary_to_dict(stats: SummaryStats) -> dict:
-    return {
-        "n": stats.n,
-        "mean": stats.mean,
-        "variance": stats.variance,
-        "std_dev": stats.std_dev,
-        "min": stats.min,
-        "max": stats.max,
-    }
+def _section(value, convert=_record_to_dict):
+    """A report section, or ``{"skipped": reason}`` where the stage was skipped."""
+    return {"skipped": value} if isinstance(value, str) else convert(value)
 
 
 def regression_to_dict(model: autoreg.ARModel) -> dict:
-    report = model.report
-    coefficients = []
-    for j, stat in enumerate(report.coefficients):
-        coefficients.append(
-            {
-                "term": "intercept" if j == 0 else f"x{j}",
-                "estimate": stat.estimate,
-                "std_error": stat.std_error,
-                "t_stat": stat.t_stat,
-                "p_value": stat.p_value,
-                "ci_lower_95": stat.ci_lower_95,
-                "ci_upper_95": stat.ci_upper_95,
-            }
-        )
-    anova = report.anova
-    return {
-        "p": model.p,
-        "fitted_on": model.fitted_on,
-        "n": report.n,
-        "r_multiple": report.r_multiple,
-        "r_squared": report.r_squared,
-        "r_squared_adj": report.r_squared_adj,
-        "std_error_regression": report.std_error_regression,
-        "anova": {
-            "df_regression": anova.df_regression,
-            "df_residual": anova.df_residual,
-            "regression_ss": anova.regression_ss,
-            "residual_ss": anova.residual_ss,
-            "total_ss": anova.total_ss,
-            "regression_ms": anova.regression_ms,
-            "residual_ms": anova.residual_ms,
-            "f_stat": anova.f_stat,
-            "significance_f": anova.significance_f,
-        },
-        "coefficients": coefficients,
-    }
-
-
-def trace_to_dict(trace: autoreg.OrderSelectionTrace) -> dict:
-    return {
-        "alpha": trace.alpha,
-        "selected_order": trace.selected_order,
-        "steps": [
-            {
-                "p": step.p,
-                "coefficient": step.coefficient,
-                "std_error": step.std_error,
-                "z": step.z,
-                "z_alpha": step.z_alpha,
-                "decision": step.decision,
-            }
-            for step in trace.steps
-        ],
-    }
+    return {"p": model.p, "fitted_on": model.fitted_on, **_record_to_dict(model.report)}
 
 
 def residuals_to_dict(report: residuals.ResidualReport) -> dict:
@@ -457,88 +412,52 @@ def residuals_to_dict(report: residuals.ResidualReport) -> dict:
     }
 
 
-def mk_to_dict(result: trend.MKResult) -> dict:
-    return {
-        "S": result.S,
-        "var_S": result.var_S,
-        "Z": result.Z,
-        "p_value": result.p_value,
-        "decision": result.decision,
-        "alpha": result.alpha,
-    }
-
-
 def event_series_to_dict(events: peaks.EventSeries) -> dict:
-    provenance = events.provenance
     return {
-        "provenance": {
-            "method": provenance.method,
-            "block_size": provenance.block_size,
-            "threshold": provenance.threshold,
-            "comparison": provenance.comparison,
-            "zero_filled": provenance.zero_filled,
-        },
+        "provenance": _record_to_dict(events.provenance),
         "n": len(events),
         "observations": [list(p) for p in zip(events.indices.tolist(), events.values.tolist())],
     }
 
 
-def _maybe(value, converter):
-    return converter(value) if not isinstance(value, str) else _skip(value)
+def _ar_models_to_dict(models: dict[int, autoreg.ARModel | str]) -> dict:
+    return {f"p{p}": _section(model, regression_to_dict) for p, model in models.items()}
 
 
 def pipeline_to_dict(report: PipelineReport) -> dict:
     config = report.config
-    threshold = config.threshold
-    ar_block = {}
-    ar_block["raw"] = {
-        f"p{p}": _maybe(model, regression_to_dict) for p, model in report.ar_raw.items()
-    }
-    if isinstance(report.ar_detrended, str):
-        ar_block["detrended"] = _skip(report.ar_detrended)
-    else:
-        ar_block["detrended"] = {
-            f"p{p}": _maybe(model, regression_to_dict) for p, model in report.ar_detrended.items()
-        }
     return {
         "schema_version": SCHEMA_VERSION,
         "config": {
             "input": config.input_path,
             "decimal": config.decimal,
-            "threshold": None if threshold is None else {
-                "threshold": threshold.threshold,
-                "comparison": threshold.comparison,
-            },
+            "threshold": None if config.threshold is None else _record_to_dict(config.threshold),
             "max_lag": config.max_lag,
             "alpha": config.alpha,
             "detrend": config.detrend,
             "outlier_threshold": config.outlier_threshold,
         },
         "series": {"n": report.series_n},
-        "pot": _maybe(report.pot_events, event_series_to_dict),
+        "pot": _section(report.pot_events, event_series_to_dict),
         "summary": {
-            "raw": summary_to_dict(report.summary_raw),
-            "detrended": _maybe(report.summary_detrended, summary_to_dict),
+            "raw": _record_to_dict(report.summary_raw),
+            "detrended": _section(report.summary_detrended),
         },
-        "trend": {
-            "intercept": report.trend_line.intercept,
-            "slope": report.trend_line.slope,
-            "n": report.trend_line.source_n,
-        },
-        "mann_kendall": _maybe(report.mk, mk_to_dict),
+        "trend": _record_to_dict(report.trend_line),
+        "mann_kendall": _section(report.mk),
         "lag_correlation": {
-            "raw": report.lag1_raw if not isinstance(report.lag1_raw, str)
-            else _skip(report.lag1_raw),
-            "detrended": report.lag1_detrended
-            if not isinstance(report.lag1_detrended, str)
-            else _skip(report.lag1_detrended),
+            "raw": _section(report.lag1_raw, float),
+            "detrended": _section(report.lag1_detrended, float),
         },
-        "ar": ar_block,
+        "ar": {
+            "raw": _ar_models_to_dict(report.ar_raw),
+            "detrended": _section(report.ar_detrended, _ar_models_to_dict),
+        },
         "order_selection": {
-            "raw": _maybe(report.order_raw, trace_to_dict),
-            "detrended": _maybe(report.order_detrended, trace_to_dict),
+            "raw": _section(report.order_raw),
+            "detrended": _section(report.order_detrended),
         },
-        "residuals": _maybe(report.residuals_raw_ar1, residuals_to_dict),
+        "residuals": _section(report.residuals_raw_ar1, residuals_to_dict),
     }
 
 
@@ -968,7 +887,7 @@ def _write_plot_csvs(directory: str, report: residuals.ResidualReport):
 
 def _cmd_summarize(args) -> str:
     series = parse_csv(args.input, _decimal(args))
-    payload = summary_to_dict(summarize(series))
+    payload = _record_to_dict(summarize(series))
 
     def text(d):
         return "\n".join(_summary_lines(d, f"summary of {args.input}")).rstrip() + "\n"
@@ -985,7 +904,7 @@ def _cmd_peaks(args) -> str:
     if has_block:
         events = peaks.block_maxima(series, args.block_size)
     else:
-        spec = peaks.ThresholdSpec(args.threshold, args.comparison)
+        spec = peaks.ThresholdSpec(threshold=args.threshold, comparison=args.comparison)
         events = peaks.pot_zerofill(series, spec) if args.zero_fill \
             else peaks.pot_compact(series, spec)
     payload = event_series_to_dict(events)
@@ -999,11 +918,9 @@ def _cmd_peaks(args) -> str:
 def _cmd_trend(args) -> str:
     series = parse_csv(args.input, _decimal(args))
     line = trend.fit_trend(series)
-    payload = {
-        "trend": {"intercept": line.intercept, "slope": line.slope, "n": line.source_n},
-    }
+    payload = {"trend": _record_to_dict(line)}
     if args.mann_kendall:
-        payload["mann_kendall"] = mk_to_dict(trend.mann_kendall(series, args.alpha))
+        payload["mann_kendall"] = _record_to_dict(trend.mann_kendall(series, args.alpha))
 
     def text(d):
         lines = [
@@ -1038,7 +955,7 @@ def _cmd_ar(args) -> str:
     payload = {
         "fitted_on": label,
         "ar": {f"p{model.p}": regression_to_dict(model) for model in models},
-        "order_selection": trace_to_dict(autoreg.select_order(models, args.alpha)),
+        "order_selection": _record_to_dict(autoreg.select_order(models, args.alpha)),
     }
 
     def text(d):
@@ -1103,7 +1020,7 @@ def _cmd_risk_curve(args) -> str:
 def _cmd_analyze(args) -> str:
     threshold = None
     if args.threshold is not None:
-        threshold = peaks.ThresholdSpec(args.threshold, args.comparison)
+        threshold = peaks.ThresholdSpec(threshold=args.threshold, comparison=args.comparison)
     config = AnalysisConfig(
         input_path=args.input,
         decimal=_decimal(args),

@@ -26,8 +26,9 @@ numpy has no erfc. Cells reach them through a memoryview, so no block
 is copied into a Python list. Every cell then sees the same IEEE
 operations as the scalar conditional_nonexceedance, and each loss is
 summed with math.fsum, which is exact in any order. So the frequencies
-equal, bit for bit, the fsum of RiskSegment.contribution over the
-segments.
+equal, bit for bit, the fsum over the segments of the closed-form
+contribution that build_segments documents, with every p taken from
+conditional_nonexceedance.
 """
 from __future__ import annotations
 
@@ -161,34 +162,18 @@ class HazardCurve:
         return len(self.points)
 
 
-@dataclass(frozen=True)
-class RiskSegment:
-    """Closed-form quadrature weights for one hazard segment.
+def build_segments(
+    hazard: HazardCurve, vulnerability: Sequence[VulnerabilityPoint]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form quadrature weights ``(a, b)``, one entry per hazard segment.
 
     With t = m * delta_s = ln(G_i / G_{i-1}), exponential hazard and a
-    linear non-exceedance probability in s give the segment contribution
+    linear non-exceedance probability in s give segment i the contribution
 
         (1 - p_{i-1}(x)) * a - (p_i(x) - p_{i-1}(x)) * b
 
     where a = G_{i-1} - G_i and b = G_{i-1} * ((e^t - 1)/t - e^t).
     """
-
-    delta_s: float
-    m: float
-    a: float
-    b: float
-    lower: VulnerabilityPoint
-    upper: VulnerabilityPoint
-
-    def contribution(self, x: float) -> float:
-        p_lower = conditional_nonexceedance(x, self.lower)
-        p_upper = conditional_nonexceedance(x, self.upper)
-        return (1.0 - p_lower) * self.a - (p_upper - p_lower) * self.b
-
-
-def build_segments(
-    hazard: HazardCurve, vulnerability: Sequence[VulnerabilityPoint]
-) -> tuple[RiskSegment, ...]:
     if len(hazard) < 2:
         raise UsageError(f"need at least 2 hazard points, got {len(hazard)}")
     if len(vulnerability) != len(hazard):
@@ -200,30 +185,17 @@ def build_segments(
             raise UsageError(
                 f"vulnerability grid is misaligned: s={point.s} vs hazard s={s}"
             )
-    segments = []
-    for i in range(1, len(hazard)):
-        s_prev, g_prev = hazard.points[i - 1]
-        s_cur, g_cur = hazard.points[i]
-        delta_s = s_cur - s_prev
+    g = hazard.g
+    a, b = [], []
+    for g_prev, g_cur in zip(g, g[1:]):
         t = math.log(g_cur / g_prev)  # = m * delta_s
-        m = t / delta_s
-        a = g_prev - g_cur
+        a.append(g_prev - g_cur)
         if abs(t) < _FLAT_SEGMENT_EPS:
             # (e^t - 1)/t - e^t = -t/2 - t^2/3 - O(t^3)
-            b = g_prev * (-t / 2.0 - t * t / 3.0)
+            b.append(g_prev * (-t / 2.0 - t * t / 3.0))
         else:
-            b = g_prev * (math.expm1(t) / t - math.exp(t))
-        segments.append(
-            RiskSegment(
-                delta_s=delta_s,
-                m=m,
-                a=a,
-                b=b,
-                lower=vulnerability[i - 1],
-                upper=vulnerability[i],
-            )
-        )
-    return tuple(segments)
+            b.append(g_prev * (math.expm1(t) / t - math.exp(t)))
+    return np.array(a), np.array(b)
 
 
 def _cellwise(fn, cells: np.ndarray) -> np.ndarray:
@@ -247,13 +219,11 @@ def risk_curve(
     Contributions outside [s_1, s_n] are truncated, so a loss of 0 maps
     to the total in-range frequency G_1 - G_n.
     """
-    segments = build_segments(hazard, vulnerability)
+    a, b = build_segments(hazard, vulnerability)
     loss_grid = tuple(float(x) for x in losses)
     for x in loss_grid:
         if x < 0.0:
             raise UsageError(f"loss must be non-negative, got {x!r}")
-    a = np.array([segment.a for segment in segments])
-    b = np.array([segment.b for segment in segments])
     theta = np.array([point.theta for point in vulnerability])
     beta = np.array([point.beta for point in vulnerability])
     step = beta == 0.0

@@ -23,41 +23,8 @@ CI_ALPHA = 0.05
 
 
 @dataclass(frozen=True)
-class DesignMatrix:
-    """Regression design with a leading all-ones intercept column."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=float)
-        if entries.ndim != 2:
-            raise UsageError("design matrix must be two-dimensional")
-        object.__setattr__(self, "entries", entries)
-        n, k = entries.shape
-        if n <= k:
-            raise UsageError(f"need more rows than columns, got n={n}, k={k}")
-        if not np.all(np.isfinite(entries)):
-            raise DataError("design matrix contains non-finite entries")
-        if not np.all(entries[:, 0] == 1.0):
-            raise UsageError("first design column must be all ones (intercept)")
-
-    @classmethod
-    def from_regressors(cls, n: int, regressors: Sequence[Sequence[float]]) -> "DesignMatrix":
-        columns = [np.ones(n)]
-        columns.extend(np.asarray(r, dtype=float) for r in regressors)
-        return cls(np.column_stack(columns))
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def k(self) -> int:
-        return self.entries.shape[1]
-
-
-@dataclass(frozen=True)
 class CoefficientStat:
+    term: str  # "intercept", then x1, x2, ... in caller order
     estimate: float
     std_error: float
     t_stat: float
@@ -68,11 +35,11 @@ class CoefficientStat:
 
 @dataclass(frozen=True)
 class AnovaBlock:
+    df_regression: int
+    df_residual: int
     regression_ss: float
     residual_ss: float
     total_ss: float
-    df_regression: int
-    df_residual: int
     regression_ms: float
     residual_ms: float
     f_stat: float
@@ -81,13 +48,13 @@ class AnovaBlock:
 
 @dataclass(frozen=True)
 class RegressionReport:
-    coefficients: tuple[CoefficientStat, ...]  # intercept first, then caller order
-    anova: AnovaBlock
+    n: int
     r_multiple: float
     r_squared: float
     r_squared_adj: float
     std_error_regression: float
-    n: int
+    anova: AnovaBlock
+    coefficients: tuple[CoefficientStat, ...]  # intercept first, then caller order
 
 
 def _column_label(j: int) -> str:
@@ -123,11 +90,18 @@ def fit_ols(y: Sequence[float], regressors: Sequence[Sequence[float]]) -> Regres
             )
     if not np.all(np.isfinite(y_vec)):
         raise DataError("y contains non-finite entries")
-    design = DesignMatrix.from_regressors(n, regressors)
-    x = design.entries
-    k = design.k
+    x = np.column_stack([np.ones(n), *(np.asarray(r, dtype=float) for r in regressors)])
+    k = x.shape[1]
+    if n <= k:
+        raise UsageError(f"need more rows than columns, got n={n}, k={k}")
+    if not np.all(np.isfinite(x)):
+        raise DataError("design matrix contains non-finite entries")
 
     singular_values = np.linalg.svd(x, compute_uv=False)
+    if not math.isfinite(singular_values[0]):
+        raise NumericalError(
+            "design matrix overflows: its largest singular value is not finite"
+        )
     if singular_values[-1] <= RANK_TOLERANCE * singular_values[0]:
         _raise_rank_deficient(x, singular_values)
     # Before the solve, so a response whose sum overflows raises here
@@ -159,7 +133,7 @@ def fit_ols(y: Sequence[float], regressors: Sequence[Sequence[float]]) -> Regres
 
     t_critical = student_t_critical(CI_ALPHA, df_residual)
     stats = []
-    for estimate, std_error in zip(coef, std_errors):
+    for j, (estimate, std_error) in enumerate(zip(coef, std_errors)):
         estimate = float(estimate)
         std_error = float(std_error)
         if std_error > 0.0:
@@ -172,6 +146,7 @@ def fit_ols(y: Sequence[float], regressors: Sequence[Sequence[float]]) -> Regres
         half_width = t_critical * std_error
         stats.append(
             CoefficientStat(
+                term=_column_label(j),
                 estimate=estimate,
                 std_error=std_error,
                 t_stat=t_stat,
@@ -195,22 +170,22 @@ def fit_ols(y: Sequence[float], regressors: Sequence[Sequence[float]]) -> Regres
         significance_f = 1.0
 
     anova = AnovaBlock(
+        df_regression=df_regression,
+        df_residual=df_residual,
         regression_ss=regression_ss,
         residual_ss=residual_ss,
         total_ss=total_ss,
-        df_regression=df_regression,
-        df_residual=df_residual,
         regression_ms=regression_ms,
         residual_ms=residual_ms,
         f_stat=f_stat,
         significance_f=significance_f,
     )
     return RegressionReport(
-        coefficients=tuple(stats),
-        anova=anova,
+        n=n,
         r_multiple=math.sqrt(max(r_squared, 0.0)),
         r_squared=r_squared,
         r_squared_adj=1.0 - (1.0 - r_squared) * (n - 1) / (n - k),
         std_error_regression=math.sqrt(residual_ms),
-        n=n,
+        anova=anova,
+        coefficients=tuple(stats),
     )

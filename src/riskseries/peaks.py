@@ -74,7 +74,9 @@ def block_maxima(series: TimeSeries, block_size: int) -> EventSeries:
     blocks = np.pad(series.values, (0, -n % width), constant_values=-np.inf).reshape(-1, width)
     positions = np.arange(0, n, width) + blocks.argmax(axis=1)
     provenance = Provenance(method="block-maxima", block_size=block_size)
-    return EventSeries(positions + 1, series.values[positions], provenance)
+    return EventSeries(
+        indices=positions + 1, values=series.values[positions], provenance=provenance
+    )
 
 
 def pot_compact(series: TimeSeries, spec: ThresholdSpec) -> EventSeries:
@@ -84,7 +86,9 @@ def pot_compact(series: TimeSeries, spec: ThresholdSpec) -> EventSeries:
     """
     kept = spec.passes(series.values)
     provenance = Provenance(method="pot", threshold=spec.threshold, comparison=spec.comparison)
-    return EventSeries(series.indices[kept], series.values[kept], provenance)
+    return EventSeries(
+        indices=series.indices[kept], values=series.values[kept], provenance=provenance
+    )
 
 
 def pot_zerofill(series: TimeSeries, spec: ThresholdSpec) -> EventSeries:
@@ -102,9 +106,9 @@ def pot_zerofill(series: TimeSeries, spec: ThresholdSpec) -> EventSeries:
             f"found index {indices[k].item()} where {indices[0].item() + k} was expected"
         )
     return EventSeries(
-        indices,
-        np.where(spec.passes(series.values), series.values, 0.0),
-        Provenance(
+        indices=indices,
+        values=np.where(spec.passes(series.values), series.values, 0.0),
+        provenance=Provenance(
             method="pot",
             threshold=spec.threshold,
             comparison=spec.comparison,

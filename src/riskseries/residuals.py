@@ -57,9 +57,9 @@ def _observed_and_predicted(model, series: TimeSeries):
         observed, predicted = predictions(model, series)
         return observed, predicted, model.p + 1
     if isinstance(model, TrendLine):
-        if model.source_n != len(series):
+        if model.n != len(series):
             raise UsageError(
-                f"trend line was fitted on {model.source_n} observations, "
+                f"trend line was fitted on {model.n} observations, "
                 f"series has {len(series)}"
             )
         t = np.arange(1.0, len(series) + 1)

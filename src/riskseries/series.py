@@ -69,12 +69,12 @@ class TimeSeries:
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, float]]) -> "TimeSeries":
         pairs = list(pairs)
-        return cls([index for index, _ in pairs], [value for _, value in pairs])
+        return cls(indices=[index for index, _ in pairs], values=[value for _, value in pairs])
 
     @classmethod
     def from_values(cls, values: Sequence[float]) -> "TimeSeries":
         """Build a series indexed 1..n from bare values."""
-        return cls(np.arange(1, len(values) + 1), values)
+        return cls(indices=np.arange(1, len(values) + 1), values=values)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -135,4 +135,4 @@ def reindex(series: TimeSeries) -> TimeSeries:
     """Renumber observations 1..n in order, keeping values."""
     if len(series) == 0:
         raise DataError("cannot reindex an empty series")
-    return TimeSeries(np.arange(1, len(series) + 1), series.values)
+    return TimeSeries(indices=np.arange(1, len(series) + 1), values=series.values)

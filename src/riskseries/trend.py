@@ -37,7 +37,7 @@ class TrendLine:
 
     intercept: float
     slope: float
-    source_n: int
+    n: int
 
 
 @dataclass(frozen=True)
@@ -58,18 +58,20 @@ def fit_trend(series: TimeSeries) -> TrendLine:
     return TrendLine(
         intercept=report.coefficients[0].estimate,
         slope=report.coefficients[1].estimate,
-        source_n=len(series),
+        n=len(series),
     )
 
 
 def detrend(series: TimeSeries, line: TrendLine) -> TimeSeries:
     """Subtract the fitted line at observation numbers 1..n; indices stay."""
-    if line.source_n != len(series):
+    if line.n != len(series):
         raise UsageError(
-            f"trend line was fitted on {line.source_n} observations, series has {len(series)}"
+            f"trend line was fitted on {line.n} observations, series has {len(series)}"
         )
     t = np.arange(1.0, len(series) + 1)
-    return TimeSeries(series.indices, series.values - (line.intercept + line.slope * t))
+    return TimeSeries(
+        indices=series.indices, values=series.values - (line.intercept + line.slope * t)
+    )
 
 
 def _mk_s_and_variance(values: np.ndarray) -> tuple[int, float]:

@@ -298,3 +298,12 @@ def test_lag_correlation_squares_round_as_python_pow(squares_that_differ):
         values = [-d, 0.0, d]
         assert lag_correlation(TimeSeries.from_values(values), 0).hex() == \
             _lag_correlation_generators(values, 0).hex()
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e150], ids=["underflow", "overflow"])
+def test_lag_correlation_survives_a_variance_product_out_of_range(scale):
+    # Each variance is a normal double, but their product under- or
+    # overflows: 1e-150 once divided by zero, 1e150 once printed 0.
+    values = np.random.default_rng(5).normal(0.0, 1.0, 50) * scale
+    expected = np.corrcoef(values[1:], values[:-1])[0, 1]
+    assert lag_correlation(TimeSeries.from_values(values), 1) == pytest.approx(expected, rel=1e-12)

@@ -120,6 +120,18 @@ def test_finite_input_whose_squares_or_sums_overflow_is_a_numerical_error(
     assert captured.err == f"numerical error: {message}\n"
 
 
+def test_overflowing_design_is_a_numerical_error_not_rank_deficiency(tmp_path, capsys):
+    path = tmp_path / "alternating.csv"
+    path.write_text("month,value\n" + "".join(
+        f"{m},{1.7e308 if m % 2 else 0}\n" for m in range(1, 21)))
+    assert main(["ar", str(path), "--max-lag", "1"]) == EXIT_NUMERICAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "numerical error: design matrix overflows: its largest singular value is not finite\n"
+    )
+
+
 def test_help_exits_zero(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["--help"])
@@ -675,6 +687,14 @@ def test_importing_every_module_runs_no_command(capsys):
     for info in pkgutil.iter_modules(riskseries.__path__):
         importlib.import_module(f"riskseries.{info.name}")
     assert capsys.readouterr() == ("", "")
+
+
+def test_every_exported_name_resolves():
+    import riskseries
+
+    assert len(set(riskseries.__all__)) == len(riskseries.__all__)
+    missing = [name for name in riskseries.__all__ if not hasattr(riskseries, name)]
+    assert missing == []
 
 
 def test_successive_main_calls_match_fresh_processes(fixture_path, capsys):

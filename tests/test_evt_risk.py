@@ -203,13 +203,11 @@ def test_risk_curve_monotone_and_linear_in_g():
 def test_segment_weights():
     rng = np.random.default_rng(37)
     hazard, vulnerability = make_instance(rng, n_points=7)
-    segments = build_segments(hazard, vulnerability)
-    assert all(segment.a >= 0.0 for segment in segments)
-    total = math.fsum(segment.a for segment in segments)
+    a, b = build_segments(hazard, vulnerability)
+    assert len(a) == len(b) == len(hazard) - 1
+    assert all(a >= 0.0)
+    total = math.fsum(a.tolist())
     assert total == pytest.approx(hazard.g[0] - hazard.g[-1], rel=1e-12)
-    for segment, (s0, g0), (s1, g1) in zip(segments, hazard.points, hazard.points[1:]):
-        assert segment.delta_s == pytest.approx(s1 - s0, rel=1e-12)
-        assert segment.m == pytest.approx(math.log(g1 / g0) / (s1 - s0), rel=1e-12)
 
 
 def test_flat_segment_contributes_nothing():
@@ -217,14 +215,16 @@ def test_flat_segment_contributes_nothing():
     vulnerability = tuple(
         VulnerabilityPoint(s=s, mean_loss=0.5 + 0.1 * s, cov=0.4) for s in (1.0, 2.0, 3.0)
     )
-    segments = build_segments(hazard, vulnerability)
-    assert segments[0].a == 0.0
-    assert segments[0].contribution(0.4) == pytest.approx(0.0, abs=1e-15)
+    a, _ = build_segments(hazard, vulnerability)
+    assert a[0] == 0.0
+    (with_flat,) = risk_curve([0.4], hazard, vulnerability).frequencies
+    without = HazardCurve(hazard.points[1:])
+    (after_flat,) = risk_curve([0.4], without, vulnerability[1:]).frequencies
+    assert with_flat == pytest.approx(after_flat, abs=1e-15)
     # near-flat segment goes through the series branch and stays consistent
     almost = HazardCurve(((1.0, 2.0), (2.0, 2.0 * (1.0 - 1e-9)), (3.0, 1.0)))
-    near_segments = build_segments(almost, vulnerability)
     oracle = trapezoid_oracle(0.4, almost, vulnerability)
-    closed = math.fsum(seg.contribution(0.4) for seg in near_segments)
+    (closed,) = risk_curve([0.4], almost, vulnerability).frequencies
     assert closed == pytest.approx(oracle, rel=5e-3, abs=1e-9)
 
 
@@ -263,14 +263,15 @@ EDGE_LOSSES = [0.0, -0.0, 1e-300, 5e-324, 1.7e308]
 
 def per_segment_risk_curve(losses, hazard, vulnerability):
     """The per-segment loop risk_curve was before it evaluated in blocks."""
-    segments = build_segments(hazard, vulnerability)
+    a, b = build_segments(hazard, vulnerability)
+    segments = list(zip(a.tolist(), b.tolist(), vulnerability, vulnerability[1:]))
     frequencies = []
     for x in losses:
         total = math.fsum(
-            (1.0 - conditional_nonexceedance(x, seg.lower)) * seg.a
-            - (conditional_nonexceedance(x, seg.upper)
-               - conditional_nonexceedance(x, seg.lower)) * seg.b
-            for seg in segments
+            (1.0 - conditional_nonexceedance(x, lower)) * a_i
+            - (conditional_nonexceedance(x, upper)
+               - conditional_nonexceedance(x, lower)) * b_i
+            for a_i, b_i, lower, upper in segments
         )
         frequencies.append(max(total, 0.0))
     return frequencies

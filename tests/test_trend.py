@@ -26,7 +26,7 @@ def test_fit_trend_matches_published_line(event_series):
     # frozen full-precision values as a regression guard
     assert line.slope == pytest.approx(14.780080645161292, rel=1e-10)
     assert line.intercept == pytest.approx(189.1445161290322, rel=1e-10)
-    assert line.source_n == 31
+    assert line.n == 31
 
 
 def test_fit_trend_constant_and_exact_line():
