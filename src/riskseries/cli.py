@@ -88,11 +88,17 @@ class PipelineReport:
 def _read_rows(path: str) -> list[tuple[int, str]]:
     """The non-blank lines of a file, each with its 1-based line number."""
     try:
-        text = Path(path).read_text(encoding="utf-8-sig")
+        data = Path(path).read_bytes()
     except FileNotFoundError:
         raise DataError(f"input file not found: {path}") from None
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
+    try:
+        text = data.decode("utf-8").removeprefix("﻿")
+    except UnicodeDecodeError as exc:
+        raise DataError(
+            f"{path}: not UTF-8 text: byte 0x{data[exc.start]:02x} at offset {exc.start}"
+        ) from None
     return [(i, line) for i, line in enumerate(text.splitlines(), start=1) if line.strip()]
 
 

@@ -629,6 +629,25 @@ def test_negative_loss_is_a_data_error_in_a_file_and_a_usage_error_in_a_flag(tmp
     assert "loss must be non-negative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("reader", ["csv", "hazard", "vulnerability", "losses"])
+@pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+def test_non_utf8_input_is_a_data_error_naming_the_byte(tmp_path, capsys, reader, bom):
+    files = {"csv": b"month,value\n1,10\n2,\xff\n", "hazard": b"s,G\n1.0,2.0\n2.0,\xff\n",
+             "vulnerability": b"s,mean_loss,cov\n1.0,0.2,0.5\n2.0,\xff,0.5\n",
+             "losses": b"x\n0.5\n\xff\n"}
+    risk = _risk_files(tmp_path)
+    path = tmp_path / f"{reader}.csv"
+    path.write_bytes(bom + files[reader])
+    argv = {"csv": ["analyze", str(path)], "hazard": risk + ["--losses", "0.5"],
+            "vulnerability": risk + ["--losses", "0.5"],
+            "losses": risk + ["--loss-csv", str(path)]}[reader]
+    assert main(argv) == EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    offset = len(bom) + files[reader].index(b"\xff")
+    assert captured.err == f"data error: {path}: not UTF-8 text: byte 0xff at offset {offset}\n"
+
+
 def test_non_finite_loss_flag_is_a_usage_error(tmp_path, capsys):
     assert main(_risk_files(tmp_path) + ["--losses", "nan,inf"]) == EXIT_USAGE
     captured = capsys.readouterr()
