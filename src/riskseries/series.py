@@ -17,10 +17,21 @@ import numpy as np
 from .errors import DataError
 
 
+_INDEX_MAX = int(np.iinfo(np.int64).max)
+
+
 def _column(data, dtype, name: str) -> np.ndarray:
     column = np.asarray(data)
     if column.ndim != 1:
         raise DataError(f"{name} must be a one-dimensional column, got shape {column.shape}")
+    if dtype is np.int64 and column.dtype.kind in "uOf":
+        # Python ints beyond int64 make numpy pick uint64, object or float64;
+        # name the first such index as given, before any cast can wrap it.
+        given = column.tolist() if isinstance(data, np.ndarray) else data
+        for index in given:
+            if type(index) is int and not 1 <= index <= _INDEX_MAX:
+                bound = ">= 1" if index < 1 else f"<= {_INDEX_MAX}"
+                raise DataError(f"observation index must be {bound}, got {index}")
     if dtype is np.int64 and column.size and column.dtype.kind not in "iu":
         # Checked before the cast, which would silently truncate 1.5 or True.
         bad = 0

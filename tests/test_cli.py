@@ -74,6 +74,22 @@ def test_parse_csv_decimal_comma(tmp_path):
     assert series.values.tolist() == [195.2, 225.0]
 
 
+@pytest.mark.parametrize("months, bad", [
+    ("1,9223372036854775808", "<= 9223372036854775807, got 9223372036854775808"),
+    ("1,18446744073709551616", "<= 9223372036854775807, got 18446744073709551616"),
+    ("9223372036854775808,9223372036854775809",
+     "<= 9223372036854775807, got 9223372036854775808"),
+    ("-9223372036854775809,1", ">= 1, got -9223372036854775809"),
+], ids=["float64", "object", "uint64", "below-int64"])
+def test_month_beyond_int64_is_a_data_error_naming_it(tmp_path, capsys, months, bad):
+    path = tmp_path / "huge.csv"
+    path.write_text("month,value\n" + "".join(f"{m},1.5\n" for m in months.split(",")))
+    assert main(["analyze", str(path)]) == EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"data error: {path}: observation index must be {bad}\n"
+
+
 def test_parse_csv_crlf(tmp_path):
     crlf = tmp_path / "crlf.csv"
     crlf.write_bytes(b"month,value\r\n1,10\r\n2,20\r\n")

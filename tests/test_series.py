@@ -187,6 +187,29 @@ def test_validation_messages_show_python_scalars():
         TimeSeries([1, 2, 3], [1.0, 2.0])
 
 
+_BIG = 2 ** 63  # one past the largest int64
+
+
+@pytest.mark.parametrize("indices, message", [
+    ([1, _BIG], f"must be <= {_BIG - 1}, got {_BIG}"),  # numpy would pick float64
+    ([1, 2 ** 64], f"must be <= {_BIG - 1}, got {2 ** 64}"),  # object
+    ([_BIG, _BIG + 1], f"must be <= {_BIG - 1}, got {_BIG}"),  # uint64, which wrapped
+    (np.array([_BIG], dtype=np.uint64), f"must be <= {_BIG - 1}, got {_BIG}"),
+    ([1, 2 ** 64, 0], f"must be <= {_BIG - 1}, got {2 ** 64}"),  # the first bad one
+    ([-(2 ** 70), 1], f"must be >= 1, got {-(2 ** 70)}"),
+    ([2, -_BIG - 1], f"must be >= 1, got {-_BIG - 1}"),
+])
+def test_index_beyond_int64_is_named_as_given(indices, message):
+    with pytest.raises(DataError) as excinfo:
+        TimeSeries(indices, [1.0] * len(indices))
+    assert str(excinfo.value) == f"observation index {message}"
+
+
+def test_largest_int64_index_and_in_range_uint64_are_accepted():
+    assert TimeSeries([1, _BIG - 1], [1.0, 2.0]).indices.tolist() == [1, _BIG - 1]
+    assert TimeSeries(np.array([3, 5], dtype=np.uint64), [1.0, 2.0]).indices.tolist() == [3, 5]
+
+
 def test_columns_are_read_only_copies():
     indices = np.array([1, 4, 9])
     values = np.array([3.0, 1.0, 2.0])
