@@ -89,7 +89,7 @@ def residual_analysis(
     # An exact fit leaves only float noise in the residuals; standardizing
     # against that noise would be meaningless, so such fits degenerate.
     value_scale = float(np.abs(observed).max()) if n else 0.0
-    if scale <= 1e-12 * max(value_scale, 1.0):
+    if scale <= 1e-12 * value_scale:
         scale = 0.0
         regression_std_error = 0.0
     if scale > 0.0:

@@ -71,6 +71,21 @@ def test_perfect_fit_degenerates_cleanly():
     assert not any(report.outlier)
 
 
+@pytest.mark.parametrize("k", [-200, -60, -46, -1, 1, 26, 300])
+def test_degeneracy_test_is_relative_to_the_data(k):
+    # 60 Gumbel values with mean 128; scaling by 2**k is exact, so the scale
+    # must be exactly 2**k times and the standardized column bit-identical.
+    values = np.random.default_rng(3).gumbel(100.0, 50.0, 60)
+    base_series = TimeSeries.from_values(values)
+    base = residual_analysis(fit_trend(base_series), base_series)
+    assert base.scale > 0.0 and base.outlier.sum() == 1
+    series = TimeSeries.from_values(values * 2.0 ** k)
+    report = residual_analysis(fit_trend(series), series)
+    assert report.scale == math.ldexp(base.scale, k)
+    assert report.standardized.tobytes() == base.standardized.tobytes()
+    assert report.outlier.tolist() == base.outlier.tolist()
+
+
 def test_trend_line_residuals_path():
     series = TimeSeries.from_values([1.0, 3.0, 2.0, 5.0, 4.0, 7.0])
     line = fit_trend(series)
