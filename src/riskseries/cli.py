@@ -85,8 +85,8 @@ class PipelineReport:
 
 # ----------------------------------------------------------------- parsing
 
-def _read_rows(path: str) -> list[tuple[int, str]]:
-    """The non-blank lines of a file, each with its 1-based line number."""
+def _read_lines(path: str) -> tuple[list[str], list[str]]:
+    """All lines of a UTF-8 file, and its non-blank ones; one leading BOM is dropped."""
     try:
         data = Path(path).read_bytes()
     except FileNotFoundError:
@@ -94,12 +94,31 @@ def _read_rows(path: str) -> list[tuple[int, str]]:
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
     try:
-        text = data.decode("utf-8").removeprefix("﻿")
+        text = data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise DataError(
             f"{path}: not UTF-8 text: byte 0x{data[exc.start]:02x} at offset {exc.start}"
         ) from None
-    return [(i, line) for i, line in enumerate(text.splitlines(), start=1) if line.strip()]
+    lines = text.splitlines()
+    return lines, list(filter(str.strip, lines))
+
+
+def _numbered_rows(lines: list[str]) -> list[tuple[int, str]]:
+    """The non-blank lines, each with its 1-based line number, for the per-row readers."""
+    return [(i, line) for i, line in enumerate(lines, start=1) if line.strip()]
+
+
+def _columns(rows: list[str], width: int) -> list[list[str]] | None:
+    """The comma-separated cells of ``rows`` as ``width`` columns.
+
+    None unless every row has exactly ``width`` fields. The count is taken
+    per row: a single total would let the rows ``5`` and ``6,7,8`` pass as
+    two rows of two.
+    """
+    if set(map(str.count, rows, repeat(","))) != {width - 1}:
+        return None
+    cells = ",".join(rows).split(",")
+    return [cells[j::width] for j in range(width)]
 
 
 def _finite_row(path: str, lineno: int, cells: list[str], what: str) -> tuple[float, ...]:
@@ -141,6 +160,13 @@ def _split_row(line: str, decimal: str) -> list[str]:
     return [cell.strip() for cell in line.split(",")]
 
 
+# The readers below take the good case as whole columns through Python's
+# own int and float, which strip the same whitespace str.strip does, or
+# less: a column pass accepts only what the per-row reader accepts, with
+# the same bits. On anything else (a bad cell, a wrong field count, a
+# rejected value) they hand the file to the per-row reader, which alone
+# words the error and numbers its line.
+
 def parse_csv(path: str, decimal: str = DECIMAL_POINT) -> TimeSeries:
     """Read a ``month,value`` CSV into a TimeSeries.
 
@@ -151,17 +177,27 @@ def parse_csv(path: str, decimal: str = DECIMAL_POINT) -> TimeSeries:
     """
     if decimal not in (DECIMAL_POINT, DECIMAL_COMMA):
         raise UsageError(f"decimal must be 'point' or 'comma', got {decimal!r}")
-    rows = _read_rows(path)
+    lines, rows = _read_lines(path)
     if not rows:
         raise DataError(f"{path}: file is empty")
-    header_no, header = rows[0]
-    header_cells = [c.lower() for c in _split_row(header, decimal)]
-    if header_cells[:2] != ["month", "value"]:
+    if [c.lower() for c in _split_row(rows[0], decimal)][:2] != ["month", "value"]:
+        header_no = _numbered_rows(lines)[0][0]
         raise DataError(f"{path}: line {header_no}: expected header 'month,value'")
     if len(rows) == 1:
         raise DataError(f"{path}: no data rows")
+    columns = _columns(rows[1:], 2) if decimal == DECIMAL_POINT else None
+    if columns:
+        try:
+            return TimeSeries(indices=list(map(int, columns[0])),
+                              values=list(map(float, columns[1])))
+        except (ValueError, DataError):
+            pass
+    return _csv_rows(path, _numbered_rows(lines)[1:], decimal)
+
+
+def _csv_rows(path: str, rows: list[tuple[int, str]], decimal: str) -> TimeSeries:
     months, values = [], []
-    for lineno, line in rows[1:]:
+    for lineno, line in rows:
         cells = _split_row(line, decimal)
         if decimal == DECIMAL_COMMA and len(cells) == 3:
             cells = [cells[0], cells[1] + "." + cells[2]]
@@ -190,13 +226,31 @@ def parse_csv(path: str, decimal: str = DECIMAL_POINT) -> TimeSeries:
         raise DataError(f"{path}: {exc}") from None
 
 
+def _header_is(line: str, expected: list[str]) -> bool:
+    return [c.strip().lower() for c in line.split(",")] == expected
+
+
 def parse_hazard_csv(path: str) -> evt_risk.HazardCurve:
-    rows = _read_rows(path)
-    if not rows or [c.strip().lower() for c in rows[0][1].split(",")] != ["s", "g"]:
+    lines, rows = _read_lines(path)
+    if not rows or not _header_is(rows[0], ["s", "g"]):
         raise DataError(f"{path}: expected header 's,G'")
+    columns = _columns(rows[1:], 2)
+    if columns and len(columns[0]) >= 2:
+        try:
+            # HazardCurve checks every point; finite, increasing s and positive,
+            # non-increasing G are what the per-row reader asks of each row.
+            return evt_risk.HazardCurve(
+                points=tuple(zip(map(float, columns[0]), map(float, columns[1])))
+            )
+        except (ValueError, DataError):
+            pass
+    return _hazard_rows(path, _numbered_rows(lines)[1:])
+
+
+def _hazard_rows(path: str, rows: list[tuple[int, str]]) -> evt_risk.HazardCurve:
     points = []
     previous = (-math.inf, math.inf)
-    for lineno, line in rows[1:]:
+    for lineno, line in rows:
         cells = [c.strip() for c in line.split(",")]
         if len(cells) != 2:
             raise DataError(f"{path}: line {lineno}: expected 2 fields")
@@ -218,13 +272,28 @@ def parse_vulnerability_csv(
     path: str, hazard: evt_risk.HazardCurve
 ) -> tuple[evt_risk.VulnerabilityPoint, ...]:
     """Read one ``s,mean_loss,cov`` row per intensity of the hazard grid."""
-    rows = _read_rows(path)
-    expected = ["s", "mean_loss", "cov"]
-    if not rows or [c.strip().lower() for c in rows[0][1].split(",")] != expected:
+    lines, rows = _read_lines(path)
+    if not rows or not _header_is(rows[0], ["s", "mean_loss", "cov"]):
         raise DataError(f"{path}: expected header 's,mean_loss,cov'")
-    grid = hazard.s
+    columns = _columns(rows[1:], 3)
+    if columns:
+        try:
+            s, mean_loss, cov = (list(map(float, column)) for column in columns)
+            if s == list(hazard.s) and all(map(math.isfinite, chain(mean_loss, cov))):
+                return tuple(
+                    evt_risk.VulnerabilityPoint(s=s_i, mean_loss=mean_i, cov=cov_i)
+                    for s_i, mean_i, cov_i in zip(s, mean_loss, cov)
+                )
+        except (ValueError, UsageError):
+            pass
+    return _vulnerability_rows(path, _numbered_rows(lines)[1:], hazard.s)
+
+
+def _vulnerability_rows(
+    path: str, rows: list[tuple[int, str]], grid: tuple[float, ...]
+) -> tuple[evt_risk.VulnerabilityPoint, ...]:
     points = []
-    for i, (lineno, line) in enumerate(rows[1:]):
+    for i, (lineno, line) in enumerate(rows):
         cells = [c.strip() for c in line.split(",")]
         if len(cells) != 3:
             raise DataError(f"{path}: line {lineno}: expected 3 fields")
@@ -252,14 +321,24 @@ def _parse_loss_grid(flag_value: str | None, csv_path: str | None) -> tuple[floa
         raise UsageError("provide exactly one of --losses or --loss-csv")
     if flag_value is not None:
         return _finite_list(flag_value, "loss grid")
-    rows = _read_rows(csv_path)
-    if not rows or rows[0][1].strip().lower() != "x":
+    lines, rows = _read_lines(csv_path)
+    if not rows or rows[0].strip().lower() != "x":
         raise DataError(f"{csv_path}: expected header 'x'")
+    try:
+        losses = tuple(map(float, rows[1:]))
+        if all(map(math.isfinite, losses)) and min(losses, default=0.0) >= 0.0:
+            return losses
+    except ValueError:
+        pass
+    return _loss_rows(csv_path, _numbered_rows(lines)[1:])
+
+
+def _loss_rows(path: str, rows: list[tuple[int, str]]) -> tuple[float, ...]:
     losses = []
-    for lineno, line in rows[1:]:
-        (x,) = _finite_row(csv_path, lineno, [line.strip()], "loss grid")
+    for lineno, line in rows:
+        (x,) = _finite_row(path, lineno, [line.strip()], "loss grid")
         if x < 0.0:
-            raise DataError(f"{csv_path}: line {lineno}: loss must be non-negative, got {x!r}")
+            raise DataError(f"{path}: line {lineno}: loss must be non-negative, got {x!r}")
         losses.append(x)
     return tuple(losses)
 
