@@ -5,11 +5,13 @@ and peaks over threshold), linear trend fitting and removal, the
 Mann-Kendall test, autoregression by least squares with top-down order
 selection, residual diagnostics, and the extreme-value / risk-curve
 mathematics. ``riskseries.cli`` adds the command-line front end.
+
+The extreme-value names are served from ``riskseries.evt_risk``, which is
+imported on first use: the time-series pipeline never runs it.
 """
 
 from .autoreg import (
     ARModel,
-    LaggedDesign,
     OrderSelectionStep,
     OrderSelectionTrace,
     build_lagged_design,
@@ -26,17 +28,6 @@ from .dist import (
     student_t_two_sided_p,
 )
 from .errors import DataError, NumericalError, RiskSeriesError, UsageError
-from .evt_risk import (
-    GevParams,
-    HazardCurve,
-    RiskCurve,
-    VulnerabilityPoint,
-    build_segments,
-    conditional_nonexceedance,
-    gev_pdf,
-    lognormal_params,
-    risk_curve,
-)
 from .linreg import AnovaBlock, CoefficientStat, RegressionReport, fit_ols
 from .peaks import (
     EventSeries,
@@ -65,7 +56,6 @@ __all__ = [
     "EventSeries",
     "GevParams",
     "HazardCurve",
-    "LaggedDesign",
     "MKResult",
     "NumericalError",
     "OrderSelectionStep",
@@ -109,3 +99,27 @@ __all__ = [
     "student_t_two_sided_p",
     "summarize",
 ]
+
+_EVT_RISK = frozenset({
+    "GevParams",
+    "HazardCurve",
+    "RiskCurve",
+    "VulnerabilityPoint",
+    "build_segments",
+    "conditional_nonexceedance",
+    "gev_pdf",
+    "lognormal_params",
+    "risk_curve",
+})
+
+
+def __getattr__(name: str):
+    if name in _EVT_RISK:
+        from . import evt_risk
+
+        return getattr(evt_risk, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _EVT_RISK)

@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from . import linreg
+from ._record import Record
 from .dist import normal_quantile
 from .errors import NumericalError, UsageError
 from .series import TimeSeries, _sum_of_squares
@@ -38,15 +38,7 @@ RAW = "raw"
 DETRENDED = "detrended"
 
 
-@dataclass(frozen=True, eq=False)
-class LaggedDesign:
-    p: int
-    y: np.ndarray
-    lag_columns: tuple[np.ndarray, ...]  # column i-1 holds y_{t-i}
-
-
-@dataclass(frozen=True)
-class ARModel:
+class ARModel(Record):
     p: int
     b0: float
     b: tuple[float, ...]
@@ -54,8 +46,7 @@ class ARModel:
     fitted_on: str = RAW
 
 
-@dataclass(frozen=True)
-class OrderSelectionStep:
+class OrderSelectionStep(Record):
     p: int
     coefficient: float
     std_error: float
@@ -64,8 +55,7 @@ class OrderSelectionStep:
     decision: str
 
 
-@dataclass(frozen=True)
-class OrderSelectionTrace:
+class OrderSelectionTrace(Record):
     alpha: float
     selected_order: int
     steps: tuple[OrderSelectionStep, ...]
@@ -81,8 +71,14 @@ def max_order(n: int) -> int:
     return (n - 2) // 2
 
 
-def build_lagged_design(values: Sequence[float], p: int) -> LaggedDesign:
-    """Shifted-copy design: y = values[p:], lag i = values shifted by i."""
+def build_lagged_design(
+    values: Sequence[float], p: int
+) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """The shifted-copy design ``(y, lag_columns)``.
+
+    y is ``values[p:]``, and ``lag_columns[i - 1]`` is y_{t-i}: the values
+    shifted down by i.
+    """
     if isinstance(p, bool) or not isinstance(p, int) or p < 1:
         raise UsageError(f"lag order must be a positive integer, got {p!r}")
     values = np.asarray(values, dtype=np.float64)
@@ -91,15 +87,13 @@ def build_lagged_design(values: Sequence[float], p: int) -> LaggedDesign:
         raise UsageError(
             f"lag order {p} needs at least {minimum_length(p)} values, got {n}"
         )
-    y = values[p:]
-    lag_columns = tuple(values[p - i:n - i] for i in range(1, p + 1))
-    return LaggedDesign(p=p, y=y, lag_columns=lag_columns)
+    return values[p:], tuple(values[p - i:n - i] for i in range(1, p + 1))
 
 
 def fit_ar(series: TimeSeries, p: int, fitted_on: str = RAW) -> ARModel:
     """AR(p) by OLS on the lagged design; a thin wrapper over fit_ols."""
-    design = build_lagged_design(series.values, p)
-    report = linreg.fit_ols(design.y, list(design.lag_columns))
+    y, lag_columns = build_lagged_design(series.values, p)
+    report = linreg.fit_ols(y, list(lag_columns))
     return ARModel(
         p=p,
         b0=report.coefficients[0].estimate,
@@ -111,26 +105,24 @@ def fit_ar(series: TimeSeries, p: int, fitted_on: str = RAW) -> ARModel:
 
 def predictions(model: ARModel, series: TimeSeries) -> tuple[np.ndarray, np.ndarray]:
     """(observed, predicted) columns of the model on its own fitting data."""
-    design = build_lagged_design(series.values, model.p)
-    if len(design.y) != model.report.n:
-        raise UsageError(
-            f"model was fitted on {model.report.n} rows, series yields {len(design.y)}"
-        )
+    y, lag_columns = build_lagged_design(series.values, model.p)
+    if len(y) != model.report.n:
+        raise UsageError(f"model was fitted on {model.report.n} rows, series yields {len(y)}")
     if model.p <= 2:
         # An fsum of one or two floats is one correctly rounded add, so this
         # sum has its bits; starting from +0.0 gives fsum's +0.0 for a zero sum.
-        total = np.zeros(len(design.y))
-        for b, column in zip(model.b, design.lag_columns):
+        total = np.zeros(len(y))
+        for b, column in zip(model.b, lag_columns):
             total += b * column
     else:
         # fsum of three or more products rounds once and numpy rounds after
         # every add, so higher orders keep the per-row fsum and its bits.
-        lag_columns = [column.tolist() for column in design.lag_columns]
+        lag_lists = [column.tolist() for column in lag_columns]
         total = np.array([
-            math.fsum(model.b[i] * lag_columns[i][row] for i in range(model.p))
-            for row in range(len(design.y))
+            math.fsum(model.b[i] * lag_lists[i][row] for i in range(model.p))
+            for row in range(len(y))
         ])
-    return design.y, model.b0 + total
+    return y, model.b0 + total
 
 
 def z_alpha_threshold(alpha: float) -> float:

@@ -10,8 +10,10 @@ the raw AR(1).
 
 Exit codes are stable: 0 success, 1 usage error, 2 data error,
 3 numerical error, 141 when the reader closed stdout early. Text output
-is rendered from the same dictionary the JSON mode emits, so the two
-never disagree.
+is rendered (by ``riskseries._text``) from the same dictionary the JSON
+mode emits, so the two never disagree. ``evt_risk`` and ``_text`` are
+imported only by the commands and formats that run them, which keeps a
+cold ``analyze --format json`` from loading either.
 """
 from __future__ import annotations
 
@@ -20,13 +22,13 @@ import functools
 import math
 import os
 import sys
-from dataclasses import dataclass
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Sequence
 
-from . import autoreg, evt_risk, peaks, residuals, trend
+from . import autoreg, peaks, residuals, trend
+from ._record import Record
 from .errors import DataError, NumericalError, UsageError
 from .series import SummaryStats, TimeSeries, summarize
 
@@ -44,8 +46,7 @@ DECIMAL_COMMA = "comma"
 DETREND_DISABLED = "detrending disabled by configuration"
 
 
-@dataclass(frozen=True)
-class AnalysisConfig:
+class AnalysisConfig(Record):
     input_path: str
     decimal: str = DECIMAL_POINT
     threshold: peaks.ThresholdSpec | None = None
@@ -63,8 +64,7 @@ class AnalysisConfig:
             raise UsageError(f"max lag must be >= 1, got {self.max_lag!r}")
 
 
-@dataclass(frozen=True)
-class PipelineReport:
+class PipelineReport(Record):
     """Every pipeline product, or the reason it was skipped (a string)."""
 
     config: AnalysisConfig
@@ -231,6 +231,8 @@ def _header_is(line: str, expected: list[str]) -> bool:
 
 
 def parse_hazard_csv(path: str) -> evt_risk.HazardCurve:
+    from . import evt_risk
+
     lines, rows = _read_lines(path)
     if not rows or not _header_is(rows[0], ["s", "g"]):
         raise DataError(f"{path}: expected header 's,G'")
@@ -248,6 +250,8 @@ def parse_hazard_csv(path: str) -> evt_risk.HazardCurve:
 
 
 def _hazard_rows(path: str, rows: list[tuple[int, str]]) -> evt_risk.HazardCurve:
+    from . import evt_risk
+
     points = []
     previous = (-math.inf, math.inf)
     for lineno, line in rows:
@@ -272,6 +276,8 @@ def parse_vulnerability_csv(
     path: str, hazard: evt_risk.HazardCurve
 ) -> tuple[evt_risk.VulnerabilityPoint, ...]:
     """Read one ``s,mean_loss,cov`` row per intensity of the hazard grid."""
+    from . import evt_risk
+
     lines, rows = _read_lines(path)
     if not rows or not _header_is(rows[0], ["s", "mean_loss", "cov"]):
         raise DataError(f"{path}: expected header 's,mean_loss,cov'")
@@ -292,6 +298,8 @@ def parse_vulnerability_csv(
 def _vulnerability_rows(
     path: str, rows: list[tuple[int, str]], grid: tuple[float, ...]
 ) -> tuple[evt_risk.VulnerabilityPoint, ...]:
+    from . import evt_risk
+
     points = []
     for i, (lineno, line) in enumerate(rows):
         cells = [c.strip() for c in line.split(",")]
@@ -443,20 +451,21 @@ def run_pipeline(series: TimeSeries, config: AnalysisConfig) -> PipelineReport:
 
 # ------------------------------------------------------- dict conversion
 
-def _record_to_dict(record) -> dict:
-    """A result dataclass as a dict: its fields in declaration order, which
+def _record_to_dict(record: Record) -> dict:
+    """A result record as a dict: its fields in declaration order, which
     is the JSON schema. Nested records and tuples of records are converted
     too; every other value is shared, not copied.
 
-    A record is told by the attribute ``dataclasses.is_dataclass`` looks
-    for, read off the value: is_dataclass itself is several times slower
-    on the floats that make up most fields.
+    The order comes from ``_fields``, not from the instance's ``__dict__``,
+    which holds the fields in whatever order the constructor's keywords
+    came and may hold derived attributes as well.
     """
-    fields = dict(vars(record))
+    attributes = vars(record)
+    fields = {name: attributes[name] for name in record._fields}
     for key, value in fields.items():
-        if hasattr(value, "__dataclass_fields__"):
+        if isinstance(value, Record):
             fields[key] = _record_to_dict(value)
-        elif type(value) is tuple and value and hasattr(value[0], "__dataclass_fields__"):
+        elif type(value) is tuple and value and isinstance(value[0], Record):
             fields[key] = [_record_to_dict(item) for item in value]
     return fields
 
@@ -547,194 +556,6 @@ def pipeline_to_dict(report: PipelineReport) -> dict:
 
 
 # ---------------------------------------------------------------- render
-
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "yes" if value else "no"
-    if isinstance(value, float):
-        return f"{value:.9g}"
-    if value is None:
-        return "-"
-    return str(value)
-
-
-def _table(rows: list[list[str]], indent: str = "  ") -> list[str]:
-    widths = [max(len(row[c]) for row in rows) for c in range(len(rows[0]))]
-    return [
-        indent + "  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip()
-        for row in rows
-    ]
-
-
-def _regression_lines(d: dict, title: str) -> list[str]:
-    if "skipped" in d:
-        return [f"{title}: skipped ({d['skipped']})", ""]
-    lines = [title]
-    lines += _table([
-        ["r multiple", _fmt(d["r_multiple"])],
-        ["r squared", _fmt(d["r_squared"])],
-        ["r squared adjusted", _fmt(d["r_squared_adj"])],
-        ["standard error", _fmt(d["std_error_regression"])],
-        ["observations", _fmt(d["n"])],
-    ])
-    anova = d["anova"]
-    lines.append("  anova")
-    lines += _table([
-        ["source", "df", "ss", "ms", "f", "significance f"],
-        ["regression", _fmt(anova["df_regression"]), _fmt(anova["regression_ss"]),
-         _fmt(anova["regression_ms"]), _fmt(anova["f_stat"]), _fmt(anova["significance_f"])],
-        ["residual", _fmt(anova["df_residual"]), _fmt(anova["residual_ss"]),
-         _fmt(anova["residual_ms"]), "", ""],
-        ["total", _fmt(anova["df_regression"] + anova["df_residual"]),
-         _fmt(anova["total_ss"]), "", "", ""],
-    ], indent="    ")
-    lines.append("  coefficients")
-    coefficient_rows = [["term", "estimate", "std error", "t stat", "p value",
-                         "lower 95%", "upper 95%"]]
-    for c in d["coefficients"]:
-        coefficient_rows.append([
-            c["term"], _fmt(c["estimate"]), _fmt(c["std_error"]), _fmt(c["t_stat"]),
-            _fmt(c["p_value"]), _fmt(c["ci_lower_95"]), _fmt(c["ci_upper_95"]),
-        ])
-    lines += _table(coefficient_rows, indent="    ")
-    lines.append("")
-    return lines
-
-
-def _summary_lines(d: dict, title: str) -> list[str]:
-    if "skipped" in d:
-        return [f"{title}: skipped ({d['skipped']})", ""]
-    return [
-        title,
-        *_table([
-            ["n", _fmt(d["n"])],
-            ["mean", _fmt(d["mean"])],
-            ["variance", _fmt(d["variance"])],
-            ["std dev", _fmt(d["std_dev"])],
-            ["min", _fmt(d["min"])],
-            ["max", _fmt(d["max"])],
-        ]),
-        "",
-    ]
-
-
-def _mk_lines(d: dict) -> list[str]:
-    if "skipped" in d:
-        return [f"mann-kendall: skipped ({d['skipped']})", ""]
-    return [
-        "mann-kendall",
-        *_table([
-            ["S", _fmt(d["S"])],
-            ["var(S)", _fmt(d["var_S"])],
-            ["Z", _fmt(d["Z"])],
-            ["p value", _fmt(d["p_value"])],
-            ["decision", f"{d['decision']} (alpha {_fmt(d['alpha'])})"],
-        ]),
-        "",
-    ]
-
-
-def _trace_lines(d: dict, title: str) -> list[str]:
-    if "skipped" in d:
-        return [f"{title}: skipped ({d['skipped']})", ""]
-    lines = [f"{title} (alpha {_fmt(d['alpha'])})"]
-    rows = [["p", "coefficient", "std error", "z", "z_alpha", "decision"]]
-    for step in d["steps"]:
-        rows.append([
-            _fmt(step["p"]), _fmt(step["coefficient"]), _fmt(step["std_error"]),
-            _fmt(step["z"]), _fmt(step["z_alpha"]), step["decision"],
-        ])
-    lines += _table(rows)
-    lines.append(f"  selected order: {d['selected_order']}")
-    lines.append("")
-    return lines
-
-
-def _residual_lines(d: dict, title: str = "residuals (raw AR(1))") -> list[str]:
-    if "skipped" in d:
-        return [f"{title}: skipped ({d['skipped']})", ""]
-    lines = [title]
-    lines += _table([
-        ["scale (rss/(n-1))", _fmt(d["scale"])],
-        ["regression std error", _fmt(d["regression_std_error"])],
-        ["outlier threshold", _fmt(d["outlier_threshold"])],
-        ["outliers", ", ".join(str(i) for i in d["outliers"]) or "none"],
-    ])
-    rows = [["obs", "y", "predicted", "residual", "standardized", "percentile", "outlier"]]
-    for row in d["rows"]:
-        rows.append([
-            _fmt(row["observation_id"]), _fmt(row["y"]), _fmt(row["y_predicted"]),
-            _fmt(row["residual"]), _fmt(row["standardized"]), _fmt(row["percentile"]),
-            _fmt(row["outlier"]),
-        ])
-    lines += _table(rows)
-    lines.append("")
-    return lines
-
-
-def _event_lines(d: dict, title: str = "peaks") -> list[str]:
-    if "skipped" in d:
-        return [f"{title}: skipped ({d['skipped']})", ""]
-    provenance = d["provenance"]
-    if provenance["method"] == "block-maxima":
-        detail = f"block maxima, block size {provenance['block_size']}"
-    else:
-        detail = (
-            f"pot, threshold {_fmt(provenance['threshold'])} ({provenance['comparison']}"
-            f"{', zero-filled' if provenance['zero_filled'] else ''})"
-        )
-    lines = [f"{title} ({detail}, {d['n']} events)"]
-    rows = [["index", "value"]]
-    for index, value in d["observations"]:
-        rows.append([_fmt(index), _fmt(value)])
-    lines += _table(rows)
-    lines.append("")
-    return lines
-
-
-def render_pipeline_text(d: dict) -> str:
-    lines = [
-        f"riskseries analysis report (schema {d['schema_version']})",
-        f"input: {d['config']['input']} ({d['series']['n']} observations)",
-        "",
-    ]
-    lines += _event_lines(d["pot"], title="pot extraction")
-    lines += _summary_lines(d["summary"]["raw"], "summary (raw)")
-    lines += _summary_lines(d["summary"]["detrended"], "summary (detrended)")
-    lines += [
-        "trend line",
-        *_table([
-            ["intercept", _fmt(d["trend"]["intercept"])],
-            ["slope", _fmt(d["trend"]["slope"])],
-            ["observations", _fmt(d["trend"]["n"])],
-        ]),
-        "",
-    ]
-    lines += _mk_lines(d["mann_kendall"])
-    raw_corr = d["lag_correlation"]["raw"]
-    detrended_corr = d["lag_correlation"]["detrended"]
-    lines += [
-        "lag-1 correlation",
-        *_table([
-            ["raw", _fmt(raw_corr) if not isinstance(raw_corr, dict)
-             else f"skipped ({raw_corr['skipped']})"],
-            ["detrended", _fmt(detrended_corr) if not isinstance(detrended_corr, dict)
-             else f"skipped ({detrended_corr['skipped']})"],
-        ]),
-        "",
-    ]
-    for label in ("raw", "detrended"):
-        block = d["ar"][label]
-        if "skipped" in block:
-            lines += [f"ar ({label}): skipped ({block['skipped']})", ""]
-            continue
-        for key in sorted(block, key=lambda k: int(k[1:])):
-            lines += _regression_lines(block[key], f"ar ({label}) order {key[1:]}")
-    lines += _trace_lines(d["order_selection"]["raw"], "order selection (raw)")
-    lines += _trace_lines(d["order_selection"]["detrended"], "order selection (detrended)")
-    lines += _residual_lines(d["residuals"])
-    return "\n".join(lines).rstrip() + "\n"
-
 
 _FLOAT_SPECIAL = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
@@ -852,13 +673,21 @@ def _write_json(value, parts: list[str], newline: str):
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def render(report_dict: dict, output_format: str, text_renderer) -> str:
+def render(report_dict: dict, output_format: str, text_renderer: str, *text_args) -> str:
+    """The report as JSON, or as text.
+
+    Text comes from the function of ``riskseries._text`` named
+    ``text_renderer``, called with the report and ``text_args``. That
+    module is imported here, so only a text run loads it.
+    """
     if output_format == "json":
         parts: list[str] = []
         _write_json(report_dict, parts, "\n")
         parts.append("\n")
         return "".join(parts)
-    return text_renderer(report_dict)
+    from . import _text
+
+    return getattr(_text, text_renderer)(report_dict, *text_args)
 
 
 # ------------------------------------------------------------- commands
@@ -973,11 +802,7 @@ def _write_plot_csvs(directory: str, report: residuals.ResidualReport):
 def _cmd_summarize(args) -> str:
     series = parse_csv(args.input, _decimal(args))
     payload = _record_to_dict(summarize(series))
-
-    def text(d):
-        return "\n".join(_summary_lines(d, f"summary of {args.input}")).rstrip() + "\n"
-
-    return render(payload, args.format, text)
+    return render(payload, args.format, "summary", f"summary of {args.input}")
 
 
 def _cmd_peaks(args) -> str:
@@ -993,11 +818,7 @@ def _cmd_peaks(args) -> str:
         events = peaks.pot_zerofill(series, spec) if args.zero_fill \
             else peaks.pot_compact(series, spec)
     payload = event_series_to_dict(events)
-
-    def text(d):
-        return "\n".join(_event_lines(d)).rstrip() + "\n"
-
-    return render(payload, args.format, text)
+    return render(payload, args.format, "events")
 
 
 def _cmd_trend(args) -> str:
@@ -1006,22 +827,7 @@ def _cmd_trend(args) -> str:
     payload = {"trend": _record_to_dict(line)}
     if args.mann_kendall:
         payload["mann_kendall"] = _record_to_dict(trend.mann_kendall(series, args.alpha))
-
-    def text(d):
-        lines = [
-            "trend line",
-            *_table([
-                ["intercept", _fmt(d["trend"]["intercept"])],
-                ["slope", _fmt(d["trend"]["slope"])],
-                ["observations", _fmt(d["trend"]["n"])],
-            ]),
-            "",
-        ]
-        if "mann_kendall" in d:
-            lines += _mk_lines(d["mann_kendall"])
-        return "\n".join(lines).rstrip() + "\n"
-
-    return render(payload, args.format, text)
+    return render(payload, args.format, "trend")
 
 
 def _prepare_ar_series(args) -> tuple[TimeSeries, str]:
@@ -1042,15 +848,7 @@ def _cmd_ar(args) -> str:
         "ar": {f"p{model.p}": regression_to_dict(model) for model in models},
         "order_selection": _record_to_dict(autoreg.select_order(models, args.alpha)),
     }
-
-    def text(d):
-        lines = []
-        for key in sorted(d["ar"], key=lambda k: int(k[1:])):
-            lines += _regression_lines(d["ar"][key], f"ar ({d['fitted_on']}) order {key[1:]}")
-        lines += _trace_lines(d["order_selection"], f"order selection ({d['fitted_on']})")
-        return "\n".join(lines).rstrip() + "\n"
-
-    return render(payload, args.format, text)
+    return render(payload, args.format, "ar")
 
 
 def _cmd_residuals(args) -> str:
@@ -1060,30 +858,24 @@ def _cmd_residuals(args) -> str:
     if args.plot_data:
         _write_plot_csvs(args.plot_data, report)
     payload = {"model": {"p": model.p, "fitted_on": label}, **residuals_to_dict(report)}
-
-    def text(d):
-        title = f"residuals ({d['model']['fitted_on']} AR({d['model']['p']}))"
-        return "\n".join(_residual_lines(d, title)).rstrip() + "\n"
-
-    return render(payload, args.format, text)
+    return render(payload, args.format, "residuals")
 
 
 def _cmd_gev_pdf(args) -> str:
+    from . import evt_risk
+
     params = evt_risk.GevParams(mu=args.mu, sigma=args.sigma, xi=args.xi)
     xs = _finite_list(args.x, "evaluation points")
     payload = {
         "mu": args.mu, "sigma": args.sigma, "xi": args.xi,
         "points": [[x, evt_risk.gev_pdf(x, params)] for x in xs],
     }
-
-    def text(d):
-        rows = [["x", "density"]] + [[_fmt(x), _fmt(density)] for x, density in d["points"]]
-        return "\n".join(_table(rows, indent="")).rstrip() + "\n"
-
-    return render(payload, args.format, text)
+    return render(payload, args.format, "gev_pdf")
 
 
 def _cmd_risk_curve(args) -> str:
+    from . import evt_risk
+
     hazard = parse_hazard_csv(args.hazard)
     vulnerability = parse_vulnerability_csv(args.vulnerability, hazard)
     losses = _parse_loss_grid(args.losses, args.loss_csv)
@@ -1093,13 +885,7 @@ def _cmd_risk_curve(args) -> str:
         "losses": list(curve.losses),
         "frequencies": list(curve.frequencies),
     }
-
-    def text(d):
-        rows = [["loss", "exceedance frequency"]]
-        rows += [[_fmt(x), _fmt(r)] for x, r in zip(d["losses"], d["frequencies"])]
-        return "\n".join(_table(rows, indent="")).rstrip() + "\n"
-
-    return render(payload, args.format, text)
+    return render(payload, args.format, "risk_curve")
 
 
 def _cmd_analyze(args) -> str:
@@ -1121,7 +907,7 @@ def _cmd_analyze(args) -> str:
     report = run_pipeline(series, config)
     if config.plot_data_dir and not isinstance(report.residuals_raw_ar1, str):
         _write_plot_csvs(config.plot_data_dir, report.residuals_raw_ar1)
-    return render(pipeline_to_dict(report), config.output_format, render_pipeline_text)
+    return render(pipeline_to_dict(report), config.output_format, "pipeline")
 
 
 _COMMANDS = {

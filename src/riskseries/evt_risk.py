@@ -33,11 +33,11 @@ conditional_nonexceedance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
+from ._record import Record
 from .dist import _SQRT2, normal_cdf
 from .errors import DataError, UsageError
 
@@ -48,8 +48,7 @@ _FLAT_SEGMENT_EPS = 1e-8
 _BLOCK_CELLS = 4096
 
 
-@dataclass(frozen=True)
-class GevParams:
+class GevParams(Record):
     mu: float
     sigma: float
     xi: float
@@ -90,15 +89,16 @@ def lognormal_params(mean: float, cov: float) -> tuple[float, float]:
     return theta, beta
 
 
-@dataclass(frozen=True)
-class VulnerabilityPoint:
-    """Conditional loss distribution at excitation intensity s."""
+class VulnerabilityPoint(Record):
+    """Conditional loss distribution at excitation intensity s.
+
+    ``theta`` and ``beta``, the lognormal's median and log-sd, are derived
+    attributes set from the fields; they are not fields themselves.
+    """
 
     s: float
     mean_loss: float
     cov: float
-    theta: float = field(init=False)
-    beta: float = field(init=False)
 
     def __post_init__(self):
         theta, beta = lognormal_params(self.mean_loss, self.cov)
@@ -136,8 +136,7 @@ def check_hazard_point(previous: tuple[float, float], point: tuple[float, float]
         raise DataError(f"hazard frequencies must be non-increasing at s={s}")
 
 
-@dataclass(frozen=True)
-class HazardCurve:
+class HazardCurve(Record):
     """Intensity grid with mean annual exceedance frequencies."""
 
     points: tuple[tuple[float, float], ...]  # (s, G) pairs
@@ -203,8 +202,7 @@ def _cellwise(fn, cells: np.ndarray) -> np.ndarray:
     return np.fromiter(map(fn, memoryview(cells.ravel())), float, cells.size).reshape(cells.shape)
 
 
-@dataclass(frozen=True)
-class RiskCurve:
+class RiskCurve(Record):
     losses: tuple[float, ...]
     frequencies: tuple[float, ...]  # annual frequency of exceeding each loss
 

@@ -9,11 +9,11 @@ statistics exactly as spreadsheet regression output lays them out.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from ._record import Record
 from .dist import f_upper_tail, student_t_critical, student_t_two_sided_p
 from .errors import DataError, NumericalError, UsageError
 from .series import _sum_of_squares
@@ -22,8 +22,7 @@ RANK_TOLERANCE = 1e-10
 CI_ALPHA = 0.05
 
 
-@dataclass(frozen=True)
-class CoefficientStat:
+class CoefficientStat(Record):
     term: str  # "intercept", then x1, x2, ... in caller order
     estimate: float
     std_error: float
@@ -33,8 +32,7 @@ class CoefficientStat:
     ci_upper_95: float
 
 
-@dataclass(frozen=True)
-class AnovaBlock:
+class AnovaBlock(Record):
     df_regression: int
     df_residual: int
     regression_ss: float
@@ -46,8 +44,7 @@ class AnovaBlock:
     significance_f: float
 
 
-@dataclass(frozen=True)
-class RegressionReport:
+class RegressionReport(Record):
     n: int
     r_multiple: float
     r_squared: float

@@ -9,10 +9,10 @@ empty slots themselves carry meaning (nothing paid, nothing measured).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import Record
 from .errors import DataError, UsageError
 from .series import TimeSeries
 
@@ -21,8 +21,7 @@ AT_OR_ABOVE = "at-or-above"
 _COMPARISONS = (STRICTLY_ABOVE, AT_OR_ABOVE)
 
 
-@dataclass(frozen=True)
-class ThresholdSpec:
+class ThresholdSpec(Record):
     threshold: float
     comparison: str = STRICTLY_ABOVE
 
@@ -41,8 +40,7 @@ class ThresholdSpec:
         return values >= self.threshold
 
 
-@dataclass(frozen=True)
-class Provenance:
+class Provenance(Record):
     """How an event series was extracted from its parent series."""
 
     method: str  # "block-maxima" | "pot"
@@ -52,8 +50,7 @@ class Provenance:
     zero_filled: bool = False
 
 
-@dataclass(frozen=True, eq=False)
-class EventSeries(TimeSeries):
+class EventSeries(TimeSeries, eq=False):
     provenance: Provenance = Provenance(method="pot")
 
 

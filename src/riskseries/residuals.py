@@ -9,10 +9,10 @@ sorted observed values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import Record
 from .autoreg import ARModel, predictions
 from .errors import UsageError
 from .series import TimeSeries
@@ -21,8 +21,7 @@ from .trend import TrendLine
 DEFAULT_OUTLIER_THRESHOLD = 3.0
 
 
-@dataclass(frozen=True, eq=False)
-class ResidualReport:
+class ResidualReport(Record, eq=False):
     """Residual columns of one fit; entry k is observation k + 1 of the fit.
 
     Every column is a read-only numpy array: float64 except the bool

@@ -9,11 +9,11 @@ series is immutable and safe to share between threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from ._record import Record
 from .errors import DataError
 
 
@@ -44,8 +44,7 @@ def _column(data, dtype, name: str) -> np.ndarray:
     return column
 
 
-@dataclass(frozen=True, eq=False)
-class TimeSeries:
+class TimeSeries(Record, eq=False):
     """Strictly increasing integer indices (>= 1, gaps allowed) and finite values."""
 
     indices: np.ndarray
@@ -107,8 +106,7 @@ def _sum_of_squares(deviations: np.ndarray) -> float:
     return math.fsum(memoryview(squares))
 
 
-@dataclass(frozen=True)
-class SummaryStats:
+class SummaryStats(Record):
     n: int
     mean: float
     variance: float

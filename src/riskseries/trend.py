@@ -18,11 +18,11 @@ takes 4 s at n = 1e4.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import linreg
+from ._record import Record
 from .errors import UsageError
 from .series import TimeSeries
 
@@ -31,8 +31,7 @@ DECREASING = "decreasing"
 NO_TREND = "no-trend"
 
 
-@dataclass(frozen=True)
-class TrendLine:
+class TrendLine(Record):
     """value ~ intercept + slope * observation_number."""
 
     intercept: float
@@ -40,8 +39,7 @@ class TrendLine:
     n: int
 
 
-@dataclass(frozen=True)
-class MKResult:
+class MKResult(Record):
     S: int
     var_S: float
     Z: float

@@ -24,40 +24,40 @@ from riskseries.series import TimeSeries
 # ----------------------------------------------------------- lagged design
 
 def test_build_lagged_design_ramp():
-    design = build_lagged_design([1.0, 2.0, 3.0, 4.0], 1)
-    assert design.y.tolist() == [2.0, 3.0, 4.0]
-    assert [column.tolist() for column in design.lag_columns] == [[1.0, 2.0, 3.0]]
+    y, lag_columns = build_lagged_design([1.0, 2.0, 3.0, 4.0], 1)
+    assert y.tolist() == [2.0, 3.0, 4.0]
+    assert [column.tolist() for column in lag_columns] == [[1.0, 2.0, 3.0]]
 
 
 def test_build_lagged_design_first_row_of_detrended_fixture(detrended_series):
-    design = build_lagged_design(detrended_series.values, 1)
-    assert design.y[0] == pytest.approx(81.07)
-    assert design.lag_columns[0][0] == pytest.approx(-1.922)
+    y, lag_columns = build_lagged_design(detrended_series.values, 1)
+    assert y[0] == pytest.approx(81.07)
+    assert lag_columns[0][0] == pytest.approx(-1.922)
     # the first value only ever appears as a regressor entry
-    assert -1.922 not in design.y
+    assert -1.922 not in y
 
 
 def test_build_lagged_design_p3_row_count_and_layout(event_series):
     values = event_series.values
-    design = build_lagged_design(values, 3)
-    assert len(design.y) == 28
-    assert design.y[0] == values[3]
-    assert (design.lag_columns[0][0], design.lag_columns[1][0], design.lag_columns[2][0]) == (
+    y, lag_columns = build_lagged_design(values, 3)
+    assert len(y) == 28
+    assert y[0] == values[3]
+    assert (lag_columns[0][0], lag_columns[1][0], lag_columns[2][0]) == (
         values[2], values[1], values[0],
     )
     # trailing shifted values are never used: columns stop at y_{n-1}
-    assert design.lag_columns[0][-1] == values[-2]
+    assert lag_columns[0][-1] == values[-2]
 
 
 def test_build_lagged_design_shift_identity():
     values = tuple(float(v) for v in range(10, 30))
-    design = build_lagged_design(values, 4)
+    y, lag_columns = build_lagged_design(values, 4)
     n = len(values)
     for i in range(1, 5):
-        column = design.lag_columns[i - 1]
+        column = lag_columns[i - 1]
         for r, cell in enumerate(column):
             assert cell == values[4 + r - i]
-    assert len(design.y) == n - 4
+    assert len(y) == n - 4
 
 
 def test_build_lagged_design_too_short_names_minimum():
@@ -133,8 +133,8 @@ def test_fit_ar_detrended_goldens(detrended_series):
 
 def test_fit_ar_is_a_thin_wrapper(event_series):
     model = fit_ar(event_series, 2)
-    design = build_lagged_design(event_series.values, 2)
-    manual = fit_ols(design.y, list(design.lag_columns))
+    y, lag_columns = build_lagged_design(event_series.values, 2)
+    manual = fit_ols(y, list(lag_columns))
     assert model.report == manual  # exact equality, same code path
 
 
