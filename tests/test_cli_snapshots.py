@@ -1,10 +1,13 @@
-"""Byte-for-byte snapshots of CLI output on the bundled case study.
+"""Byte-for-byte snapshots of CLI output.
 
-Each case runs one command on ``data/extreme_precipitation.csv`` and
-compares its stdout, with the absolute input path replaced by
-``<INPUT>``, to ``data/snapshots/<case>.<format>``. A case that exits
-non-zero also pins its stderr in ``<case>.<format>.stderr``. Every
-printed float is covered, down to the last digit.
+Each case runs one command, most of them on the bundled case study
+``data/extreme_precipitation.csv``; ``gev-pdf`` takes only flags, and
+``risk-curve`` reads the small ``data/hazard.csv``,
+``data/vulnerability.csv`` and ``data/losses.csv``. Its stdout, with the
+absolute case-study path replaced by ``<INPUT>``, is compared to
+``data/snapshots/<case>.<format>``. A case that exits non-zero also pins
+its stderr in ``<case>.<format>.stderr``. Every printed float is
+covered, down to the last digit.
 
 To regenerate after a deliberate change of output:
 
@@ -22,8 +25,11 @@ DATA_DIR = Path(__file__).parent / "data"
 SNAPSHOT_DIR = DATA_DIR / "snapshots"
 INPUT = DATA_DIR / "extreme_precipitation.csv"
 PLACEHOLDER = "<INPUT>"
+RISK_FILES = [
+    "--hazard", DATA_DIR / "hazard.csv", "--vulnerability", DATA_DIR / "vulnerability.csv",
+]
 
-# (case name, arguments after the input path, expected exit code)
+# (case name, arguments without --format, expected exit code)
 COMMANDS = [
     ("analyze", ["analyze"], EXIT_OK),
     ("analyze_threshold150", ["analyze", "--threshold", "150"], EXIT_OK),
@@ -43,16 +49,36 @@ COMMANDS = [
      ["ar", "--max-lag", "4", "--detrend", "--alpha", "0.1"], EXIT_OK),
     ("residuals_lag2", ["residuals", "--lag", "2"], EXIT_OK),
 ]
+# Every command above reads the case study, named right after the command.
+COMMANDS = [(name, [command, INPUT, *flags], code) for name, (command, *flags), code in COMMANDS]
+COMMANDS += [
+    # Points below the support print 0.0.
+    ("gev_pdf_frechet",
+     ["gev-pdf", "--mu", "100", "--sigma", "25", "--xi", "0.2", "--x=-40,0,60,100,125.5,200,1e3"],
+     EXIT_OK),
+    # z < -700 takes the Gumbel overflow guard.
+    ("gev_pdf_gumbel",
+     ["gev-pdf", "--mu", "0", "--sigma", "1", "--xi", "0", "--x=-800,-5,-1,0,0.5,3,40,800"],
+     EXIT_OK),
+    # The last point lies past the upper end of the support, 183.33.
+    ("gev_pdf_weibull",
+     ["gev-pdf", "--mu", "100", "--sigma", "25", "--xi", "-0.3", "--x=0,100,150,183.3,190"],
+     EXIT_OK),
+    # The hazard has a flat and a nearly flat segment, and one point has cov 0.
+    ("risk_curve_losses", ["risk-curve", *RISK_FILES, "--losses", "0,10,90,100,5000"], EXIT_OK),
+    # Losses of 0, a subnormal, just either side of the cov-0 point's 90 and 1e6.
+    ("risk_curve_loss_csv",
+     ["risk-curve", *RISK_FILES, "--loss-csv", DATA_DIR / "losses.csv"], EXIT_OK),
+]
 CASES = [
     (name, fmt, args, code) for name, args, code in COMMANDS for fmt in ("json", "text")
 ]
 
 
 def _run(args, fmt):
-    command, *flags = args
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        code = main([command, str(INPUT), *flags, "--format", fmt])
+        code = main([*map(str, args), "--format", fmt])
     return (
         code,
         out.getvalue().replace(str(INPUT), PLACEHOLDER),
