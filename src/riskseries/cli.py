@@ -560,6 +560,22 @@ def pipeline_to_dict(report: PipelineReport) -> dict:
 _FLOAT_SPECIAL = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
+def _float_text(value: float) -> str:
+    text = float.__repr__(value)
+    return _FLOAT_SPECIAL.get(text, text)
+
+
+# The JSON text of a scalar of exactly this type; subclasses take the
+# isinstance chain in _write_json.
+_SCALAR_TEXT = {
+    str: encode_basestring_ascii,
+    type(None): lambda _: "null",
+    bool: lambda value: "true" if value else "false",
+    int: int.__repr__,
+    float: _float_text,
+}
+
+
 def _column_texts(column) -> list[str] | None:
     """The JSON text of each item, if all are scalars of one exact type; else None."""
     kinds = set(map(type, column))
@@ -581,27 +597,43 @@ def _column_texts(column) -> list[str] | None:
 
 
 def _record_texts(items, inner: str) -> str | None:
-    """The items of a list of flat records, joined column by column, or None.
+    """The items of a list of rows, joined column by column, or None.
 
-    Qualifies when every item is a dict with the same str keys in the
-    same order and each key's column passes ``_column_texts``. Each row is
-    then key prefix, value, key prefix, value, ..., closing brace, taken
-    from per-column lists in one join.
+    A row is a flat record or a flat list. The items qualify when all are
+    dicts with the same str keys in the same order, or all are lists of
+    the same non-zero length, and each column passes ``_column_texts``.
+    Each row is then opening bracket, value (after its key prefix, for a
+    record), comma, value, ..., closing bracket, taken from per-column
+    lists in one join.
     """
-    keys = tuple(items[0])
-    if (not keys or set(map(type, items)) != {dict} or set(map(tuple, items)) != {keys}
-            or not all(isinstance(key, str) for key in keys)):
+    kinds = set(map(type, items))
+    if kinds == {dict}:
+        keys = tuple(items[0])
+        if (not keys or set(map(tuple, items)) != {keys}
+                or not all(isinstance(key, str) for key in keys)):
+            return None
+        prefixes = [encode_basestring_ascii(key) + ": " for key in keys]
+        columns = zip(*map(dict.values, items))
+        opener, closer = "{", "}"
+    elif kinds == {list}:
+        width = len(items[0])
+        if not width or set(map(len, items)) != {width}:
+            return None
+        prefixes = [""] * width
+        columns = zip(*items)
+        opener, closer = "[", "]"
+    else:
         return None
     row_inner = inner + "  "
     fields = []
-    separator = "{"
-    for key, column in zip(keys, zip(*map(dict.values, items))):
+    separator = opener
+    for prefix, column in zip(prefixes, columns):
         texts = _column_texts(column)
         if texts is None:
             return None
-        fields += (repeat(separator + row_inner + encode_basestring_ascii(key) + ": "), texts)
+        fields += (repeat(separator + row_inner + prefix), texts)
         separator = ","
-    closes = chain(repeat(inner + "}," + inner, len(items) - 1), (inner + "}",))
+    closes = chain(repeat(inner + closer + "," + inner, len(items) - 1), (inner + closer,))
     return "".join(chain.from_iterable(zip(*fields, closes)))
 
 
@@ -613,16 +645,22 @@ def _write_json(value, parts: list[str], newline: str):
     bytes are the same; writing them here skips that encoder's generator
     chain. ``newline`` is the line break plus the current indentation.
 
+    A dict value whose exact type is ``str``, ``int``, ``float``, ``bool``
+    or ``None`` is written in the dict's own loop with the formatter this
+    function's scalar branches use (``_SCALAR_TEXT``); any other value,
+    a float or int subclass included, is written by a recursive call.
+
     A list is written one column at a time when it is homogeneous: all
     scalars of one exact type (``float``, ``int``, ``bool`` or ``str``;
     a bool is never taken for an int, nor a float subclass for a float),
-    or all flat dicts with the same str keys in the same order whose
-    every column is such a list. Each column is mapped through the same
-    formatter the per-value path applies to that type (``float.__repr__``
-    and the NaN/Infinity names, ``int.__repr__``, ``true``/``false``,
-    ``encode_basestring_ascii``), and the separators and indentation are
-    the per-value path's, so the bytes are the same. Any other list is
-    written item by item.
+    or all rows of one shape whose every column is such a list. A row is
+    a flat dict (the same str keys in the same order in every row) or a
+    flat list (the same non-zero length in every row). Each column is
+    mapped through the same formatter the per-value path applies to that
+    type (``float.__repr__`` and the NaN/Infinity names, ``int.__repr__``,
+    ``true``/``false``, ``encode_basestring_ascii``), and the separators
+    and indentation are the per-value path's, so the bytes are the same.
+    Any other list is written item by item.
     """
     if isinstance(value, str):
         parts.append(encode_basestring_ascii(value))
@@ -635,14 +673,13 @@ def _write_json(value, parts: list[str], newline: str):
     elif isinstance(value, int):
         parts.append(int.__repr__(value))
     elif isinstance(value, float):
-        text = float.__repr__(value)
-        parts.append(_FLOAT_SPECIAL.get(text, text))
+        parts.append(_float_text(value))
     elif isinstance(value, (list, tuple)):
         if not value:
             parts.append("[]")
             return
         inner = newline + "  "
-        if type(value[0]) is dict:
+        if type(value[0]) in (dict, list):
             text = _record_texts(value, inner)
         else:
             texts = _column_texts(value)
@@ -662,11 +699,17 @@ def _write_json(value, parts: list[str], newline: str):
             return
         inner = newline + "  "
         separator = "{" + inner
+        scalar_text = _SCALAR_TEXT.get
         for key, item in value.items():
             if not isinstance(key, str):
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
-            parts.append(separator + encode_basestring_ascii(key) + ": ")
-            _write_json(item, parts, inner)
+            prefix = separator + encode_basestring_ascii(key) + ": "
+            formatter = scalar_text(type(item))
+            if formatter is None:
+                parts.append(prefix)
+                _write_json(item, parts, inner)
+            else:
+                parts.append(prefix + formatter(item))
             separator = "," + inner
         parts.append(newline + "}")
     else:

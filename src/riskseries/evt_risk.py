@@ -85,7 +85,14 @@ def lognormal_params(mean: float, cov: float) -> tuple[float, float]:
     if cov < 0.0:
         raise UsageError(f"coefficient of variation must be >= 0, got {cov!r}")
     beta = math.sqrt(math.log1p(cov * cov))
+    if beta == math.inf:
+        raise UsageError(f"lognormal log-sd overflows for coefficient of variation {cov!r}")
     theta = mean / math.sqrt(1.0 + cov * cov)
+    if theta == 0.0:
+        raise UsageError(
+            f"lognormal median underflows to 0 for mean loss {mean!r} "
+            f"and coefficient of variation {cov!r}"
+        )
     return theta, beta
 
 
@@ -187,7 +194,9 @@ def build_segments(
     g = hazard.g
     a, b = [], []
     for g_prev, g_cur in zip(g, g[1:]):
-        t = math.log(g_cur / g_prev)  # = m * delta_s
+        ratio = g_cur / g_prev
+        # = m * delta_s; a ratio that underflows to 0 is a difference of logs
+        t = math.log(ratio) if ratio > 0.0 else math.log(g_cur) - math.log(g_prev)
         a.append(g_prev - g_cur)
         if abs(t) < _FLAT_SEGMENT_EPS:
             # (e^t - 1)/t - e^t = -t/2 - t^2/3 - O(t^3)

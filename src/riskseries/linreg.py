@@ -72,6 +72,19 @@ def _raise_rank_deficient(x: np.ndarray, singular_values: np.ndarray):
     )
 
 
+def _design(n: int, regressors: Sequence[Sequence[float]]) -> np.ndarray:
+    """[1, x1, x2, ...] as one C-ordered (n, k) float array, filled column by column.
+
+    Equal, bit for bit and in layout, to ``np.column_stack`` of a ones
+    column and each regressor as a float array, without its temporaries.
+    """
+    x = np.empty((n, len(regressors) + 1))
+    x[:, 0] = 1.0
+    for j, column in enumerate(regressors, start=1):
+        x[:, j] = column
+    return x
+
+
 def fit_ols(y: Sequence[float], regressors: Sequence[Sequence[float]]) -> RegressionReport:
     """Least-squares fit of y on an intercept plus the given regressors."""
     if len(regressors) == 0:
@@ -87,7 +100,7 @@ def fit_ols(y: Sequence[float], regressors: Sequence[Sequence[float]]) -> Regres
             )
     if not np.all(np.isfinite(y_vec)):
         raise DataError("y contains non-finite entries")
-    x = np.column_stack([np.ones(n), *(np.asarray(r, dtype=float) for r in regressors)])
+    x = _design(n, regressors)
     k = x.shape[1]
     if n <= k:
         raise UsageError(f"need more rows than columns, got n={n}, k={k}")
@@ -123,8 +136,9 @@ def fit_ols(y: Sequence[float], regressors: Sequence[Sequence[float]]) -> Regres
     residual_ms = residual_ss / df_residual
     regression_ms = regression_ss / df_regression
 
-    # (X'X)^-1 diagonal from the R factor: (R^-1)(R^-1)'.
-    r_inv = np.linalg.solve(r, np.eye(k))
+    # (X'X)^-1 diagonal from the R factor: (R^-1)(R^-1)'. inv makes the
+    # same LAPACK gesv call as solve(r, np.eye(k)), so the bits are the same.
+    r_inv = np.linalg.inv(r)
     xtx_inv_diag = np.sum(r_inv * r_inv, axis=1)
     std_errors = np.sqrt(residual_ms * xtx_inv_diag)
 

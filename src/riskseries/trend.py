@@ -9,11 +9,15 @@ continuity-corrected normal approximation.
 
 S is not counted pair by pair. One ``np.unique`` gives dense ranks and
 the tie-group sizes; S follows from the number of strict inversions,
-which a bottom-up merge over the ranks counts in log2(n) numpy passes
-(Knight, JASA 61 (1966) 436-439). Each pass sorts and searches n keys,
-so the cost is O(n log^2 n): about 11 ms at n = 1e4 and 0.15 s at
-n = 1e5 for untied values on a 2-vCPU machine, where a pairwise loop
-takes 4 s at n = 1e4.
+which a bottom-up merge over the ranks counts in log2(n) levels
+(Knight, JASA 61 (1966) 436-439). The ranks are padded to a power of
+two, so each level is one (blocks x 2w) array: one ``searchsorted``
+counts its inversions and one row-wise sort merges it, whatever the
+number of blocks. A level costs O(n log n), so the whole is
+O(n log^2 n): about 3 ms at n = 1e4 and 37 ms at n = 1e5 for untied
+values on a 2-vCPU machine, where a pairwise loop takes 4 s at
+n = 1e4. On short series the few numpy calls per level are most of
+the cost: about 40-60 us for 30-120 values.
 """
 from __future__ import annotations
 
@@ -77,30 +81,34 @@ def _mk_s_and_variance(values: np.ndarray) -> tuple[int, float]:
 
     S = n(n-1)/2 - sum t(t-1)/2 - 2D over tie groups of size t, where D is
     the number of strict inversions (i < j, x_i > x_j). D is counted by a
-    bottom-up merge over dense ranks: at block width w every element is
-    keyed ``pair * k + rank`` with ``pair = (i // w) // 2``, so the left
-    halves' keys are globally sorted and two searchsorted calls count, for
-    each right-half element, the greater elements of its left half. One
-    sort per level merges the pairs for the next width.
+    bottom-up merge over dense ranks 0..k-1, padded at the end to a power
+    of two with rank k, which is above every other rank and adds no
+    inversion. At block width w the ranks are a (rows x 2w) array whose
+    row i holds a sorted left and a sorted right block. Adding i * (k + 1)
+    to row i makes the left halves one sorted sequence, and a single
+    ``searchsorted(side="right")`` of the offset right halves into it
+    finds, for each right element, its row's block end (i + 1) * w less
+    the number of its left-block elements greater than it. Those block
+    ends sum to w^2 * rows * (rows + 1) / 2 over all right elements, so D
+    gains that less the sum of the search results. One row-wise sort
+    then merges every pair of blocks for the next width.
     """
     n = len(values)
     _, ranks, ties = np.unique(values, return_inverse=True, return_counts=True)
     k = len(ties)
-    position = np.arange(n)
+    size = 1 << max(n - 1, 0).bit_length()
+    merged = np.full(size, k)
+    merged[:n] = ranks
     inversions = 0
     width = 1
-    while width < n:
-        block = position // width
-        pair = block >> 1
-        keys = pair * k + ranks
-        is_right = (block & 1).astype(bool)
-        left = keys[~is_right]
-        right = keys[is_right]
-        pair_end = np.searchsorted(left, (pair[is_right] + 1) * k, side="left")
-        not_greater = np.searchsorted(left, right, side="right")
-        inversions += int((pair_end - not_greater).sum())
-        keys.sort()
-        ranks = keys % k
+    while width < size:
+        rows = size // (2 * width)
+        blocks = merged.reshape(rows, 2 * width)
+        offsets = np.arange(0, rows * (k + 1), k + 1).reshape(rows, 1)
+        left = (blocks[:, :width] + offsets).ravel()
+        not_greater = np.searchsorted(left, blocks[:, width:] + offsets, side="right")
+        inversions += width * width * rows * (rows + 1) // 2 - int(not_greater.sum())
+        blocks.sort(axis=1)
         width *= 2
     tie_sizes = ties.tolist()
     s = n * (n - 1) // 2 - sum(t * (t - 1) // 2 for t in tie_sizes) - 2 * inversions

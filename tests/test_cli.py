@@ -315,6 +315,20 @@ def test_risk_curve_subnormal_loss_prints_the_zero_loss_frequency(tmp_path, caps
     assert frequencies[1] == frequencies[0] == 1.0
 
 
+def test_risk_curve_of_an_underflowing_hazard_ratio_exits_0(tmp_path, capsys):
+    # G_2 / G_1 underflows to 0: was a ValueError traceback from math.log.
+    argv = _risk_files(tmp_path, hazard_rows="1.0,1e308\n2.0,1e-308\n3.0,5e-324\n",
+                       vulnerability_rows="1.0,1,0.5\n2.0,2,0.5\n3.0,3,0.5\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + ["--losses", "0,1,10,1e300", "--format", "json"]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    frequencies = json.loads(captured.out)["frequencies"]
+    assert all(map(math.isfinite, frequencies))
+    assert frequencies[0] == 1e308 - 5e-324
+
+
 def test_risk_curve_overflowing_loss_ratio_prints_no_warning(tmp_path):
     argv = _risk_files(
         tmp_path,
@@ -587,7 +601,14 @@ def test_non_finite_hazard_and_loss_csv_cells_name_their_line(tmp_path, capsys):
     ("1.0,0.2,-0.3\n2.0,0.5,0.5\n", 2, "coefficient of variation must be >= 0, got -0.3"),
     ("1.0,0.2,0.5\n2.5,0.5,0.5\n", 3, "vulnerability grid is misaligned: s=2.5 vs hazard s=2.0"),
     ("1.0,0.2,0.5\n2.0,0.5,0.5\n3.0,0.9,0.5\n", 4, "row beyond the 2-point hazard grid"),
-], ids=["zero-mean-loss", "negative-cov", "misaligned-s", "extra-row"])
+    # Both printed NaN frequencies after two RuntimeWarnings, with exit 0.
+    ("1.0,0.2,0.5\n2.0,1e-300,1e150\n", 3,
+     "lognormal median underflows to 0 for mean loss 1e-300 and coefficient of variation 1e+150"),
+    ("1.0,0.2,1.4e154\n2.0,0.5,0.5\n", 2,
+     "lognormal log-sd overflows for coefficient of variation 1.4e+154"),
+], ids=["zero-mean-loss", "negative-cov", "misaligned-s", "extra-row",
+        "underflowing-median", "overflowing-log-sd"])
+@pytest.mark.filterwarnings("error")
 def test_bad_vulnerability_row_is_a_data_error_naming_its_line(
     tmp_path, capsys, rows, line, message
 ):

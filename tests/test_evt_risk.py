@@ -76,6 +76,25 @@ def test_lognormal_params_trivial_and_derived():
         lognormal_params(1.0, -0.1)
 
 
+@pytest.mark.parametrize("mean, cov", [
+    (1e-300, 1e150),  # the median mean / sqrt(1 + cov^2) underflows to 0
+    (1.0, 1.4e154),  # cov^2 overflows, so the log-sd is inf (and the median 0)
+    (1e300, 1e300),
+], ids=["underflowing-median", "overflowing-log-sd", "both"])
+def test_lognormal_params_reject_a_zero_median_or_an_infinite_log_sd(mean, cov):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UsageError, match="^lognormal (median underflows|log-sd overflows)"):
+            lognormal_params(mean, cov)
+        with pytest.raises(UsageError):
+            VulnerabilityPoint(s=1.0, mean_loss=mean, cov=cov)
+
+
+def test_lognormal_params_keep_the_largest_finite_log_sd():
+    theta, beta = lognormal_params(1.0, 1.3e154)  # cov^2 is finite
+    assert theta > 0.0 and math.isfinite(beta)
+
+
 def test_lognormal_mean_round_trip():
     rng = np.random.default_rng(17)
     for _ in range(50):
@@ -208,6 +227,34 @@ def test_segment_weights():
     assert all(a >= 0.0)
     total = math.fsum(a.tolist())
     assert total == pytest.approx(hazard.g[0] - hazard.g[-1], rel=1e-12)
+
+
+def test_segment_whose_frequency_ratio_underflows_takes_a_difference_of_logs():
+    # 1e-308 / 1e308 underflows to 0, where math.log raised a domain error.
+    steep = HazardCurve(((1.0, 1e308), (2.0, 1e-308), (3.0, 5e-324)))
+    vulnerability = tuple(
+        VulnerabilityPoint(s=s, mean_loss=m, cov=0.5) for s, m in ((1.0, 1.0), (2.0, 2.0), (3.0, 3.0))
+    )
+    a, b = build_segments(steep, vulnerability)
+    t = math.log(1e-308) - math.log(1e308)
+    assert a[0] == 1e308 - 1e-308
+    assert b[0] == 1e308 * (math.expm1(t) / t - math.exp(t))
+    # A ratio that does not underflow, even a subnormal one, keeps t = log(ratio);
+    # for this pair the difference of logs rounds otherwise.
+    tiny = HazardCurve(((1.0, 2.680632529446252e+270), (2.0, 1.0965714741895922e-39),
+                        (3.0, 1e-40)))
+    for hazard in (steep, tiny):
+        _, b = build_segments(hazard, vulnerability)
+        for i, (g_prev, g_cur) in enumerate(zip(hazard.g, hazard.g[1:])):
+            if g_cur / g_prev > 0.0:
+                t = math.log(g_cur / g_prev)
+                assert b[i] == g_prev * (math.expm1(t) / t - math.exp(t))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        frequencies = risk_curve([0.0, 1.0, 10.0, 1e300], steep, vulnerability).frequencies
+    assert all(map(math.isfinite, frequencies))
+    assert frequencies[0] == 1e308 - 5e-324
+    assert list(frequencies) == sorted(frequencies, reverse=True)
 
 
 def test_flat_segment_contributes_nothing():

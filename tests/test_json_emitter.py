@@ -9,16 +9,18 @@ from contextlib import redirect_stdout
 import numpy as np
 import pytest
 
-from riskseries import cli
+from riskseries import cli, peaks
 from riskseries.cli import (
     EXIT_OK,
     AnalysisConfig,
+    event_series_to_dict,
     main,
     parse_csv,
     pipeline_to_dict,
     render,
     run_pipeline,
 )
+from riskseries.series import TimeSeries
 
 STRINGS = ["", "a", "month,value", "é", "雨量", "\U0001F327", "\x00\x01\x1f", "\n\t\r\b\f",
            '"quoted"', "back\\slash", "\x7f  ", "mixed é\x05\"\\"]
@@ -66,7 +68,9 @@ def _random_payload(rng: random.Random, depth: int = 0):
     if depth >= 4 or rng.random() < 0.3:
         return _random_leaf(rng)
     size = rng.randrange(5)
-    kind = rng.randrange(3)
+    kind = rng.randrange(4)
+    if kind == 3:
+        return _random_rows(rng)
     if kind == 0:
         return {
             rng.choice(STRINGS) + str(rng.randrange(100)): _random_payload(rng, depth + 1)
@@ -74,6 +78,27 @@ def _random_payload(rng: random.Random, depth: int = 0):
         }
     items = [_random_payload(rng, depth + 1) for _ in range(size)]
     return items if kind == 1 else tuple(items)
+
+
+def _random_rows(rng: random.Random) -> list:
+    """A list of equal-length lists of scalars, sometimes bent out of shape."""
+    n = rng.choice([1, 2, 3, 8, 60])
+    kinds = [rng.choice(ROW_COLUMN_KINDS) for _ in range(rng.choice([0, 1, 2, 3, 6]))]
+    columns = [_scalar_column(rng, kind, n) for kind in kinds]
+    rows = [[column[i] for column in columns] for i in range(n)]
+    bend = rng.randrange(8)
+    row = rng.randrange(n)
+    if bend == 0 and rows[row]:  # ragged
+        rows[row].pop()
+    elif bend == 1:  # a nested list or record in one cell
+        rows[row].append(rng.choice([[1.0, 2.0], [], {"k": 1.0}]))
+    elif bend == 2:  # an empty row among full ones
+        rows[row] = []
+    elif bend == 3:  # one row a tuple
+        rows[row] = tuple(rows[row])
+    elif bend == 4 and rows[row]:  # one cell of another type
+        rows[row][rng.randrange(len(rows[row]))] = _random_leaf(rng)
+    return rows
 
 
 def test_random_payloads_match_json_dumps():
@@ -166,10 +191,19 @@ def _scalar_column(rng: random.Random, kind: str, n: int) -> list:
     if kind == "bigint":
         return [rng.choice(INTS) if rng.random() < 0.3 else rng.randint(-10**40, 10**40)
                 for _ in range(n)]
+    if kind == "bool-int":  # bools next to ints: each keeps its own spelling
+        return [rng.choice([True, False, 0, 1]) for _ in range(n)]
+    if kind == "float-int":
+        return [rng.choice([1.0, -0.0, 1, 0]) for _ in range(n)]
+    if kind == "float64":
+        return [np.float64(_random_float(rng)) for _ in range(n)]
+    if kind == "none":
+        return [None] * n
     return [rng.choice(TEXTS) + rng.choice(STRINGS) for _ in range(n)]
 
 
 COLUMN_KINDS = ["float", "special", "int01", "bool", "bigint", "str"]
+ROW_COLUMN_KINDS = COLUMN_KINDS + ["bool-int", "float-int", "float64", "none"]
 
 
 @pytest.mark.parametrize("kind", COLUMN_KINDS)
@@ -197,6 +231,40 @@ def test_records_of_every_column_kind_match_json_dumps():
             row = rng.randrange(n)
             rows[row] = dict(rng.sample(list(rows[row].items()), len(keys)))
         payload = {"rows": rows, "n": n} if trial % 2 else rows
+        assert render(payload, "json", None) == _expected(payload)
+
+
+def test_rows_of_every_column_kind_match_json_dumps():
+    rng = random.Random(20164)
+    for trial in range(300):
+        n = rng.choice([1, 2, 3, 10, 250])
+        columns = [_scalar_column(rng, rng.choice(ROW_COLUMN_KINDS), n)
+                   for _ in range(rng.randint(1, 6))]
+        rows = [[column[i] for column in columns] for i in range(n)]
+        payload = {"points": rows, "n": n} if trial % 2 else rows
+        assert render(payload, "json", None) == _expected(payload)
+
+
+@pytest.mark.parametrize("rows", [
+    [[0, 1.0], [1, float("nan")], [2, float("inf")], [3, float("-inf")], [4, -0.0]],
+    [[True, 1], [1, True], [False, 0]],  # bools and ints mixed per column
+    [[1.0, 2.0], [3.0]],  # ragged
+    [[1.0], [2.0, 3.0]],
+    [[], []],  # empty rows
+    [[], [1.0]],
+    [[1.0], []],
+    [[[1.0, 2.0]], [[3.0, 4.0]]],  # nested rows
+    [[{"a": 1.0}], [{"a": 2.0}]],
+    [[1.0, 2.0], (3.0, 4.0)],  # a tuple row
+    [(1.0, 2.0), (3.0, 4.0)],
+    [[1.0, None], [2.0, None]],
+    [[np.float64(1.0), 2.0], [3.0, 4.0]],
+    [["é", "\x00"], ["雨量", '"']],
+    [[1.0, 2.0], {"a": 1.0}],
+    [[5e-324, 1.7976931348623157e308]],  # one row
+])
+def test_lists_of_lists_match_json_dumps(rows):
+    for payload in (rows, {"rows": rows}, [rows]):
         assert render(payload, "json", None) == _expected(payload)
 
 
@@ -261,10 +329,7 @@ def test_records_with_an_int_key_raise_the_same_type_error(rows):
         render({"rows": rows}, "json", None)
 
 
-def test_long_record_residual_rows_are_written_column_by_column(tmp_path, monkeypatch):
-    path = _long_record_csv(tmp_path)
-    report = run_pipeline(parse_csv(str(path)), AnalysisConfig(input_path=str(path)))
-    payload = pipeline_to_dict(report)
+def _count_write_json_calls(monkeypatch, payload) -> int:
     calls = 0
     write_json = cli._write_json
 
@@ -275,5 +340,22 @@ def test_long_record_residual_rows_are_written_column_by_column(tmp_path, monkey
 
     monkeypatch.setattr(cli, "_write_json", counting)
     assert render(payload, "json", None) == _expected(payload)
+    return calls
+
+
+def test_long_record_residual_rows_are_written_column_by_column(tmp_path, monkeypatch):
+    path = _long_record_csv(tmp_path)
+    report = run_pipeline(parse_csv(str(path)), AnalysisConfig(input_path=str(path)))
+    payload = pipeline_to_dict(report)
     # One call per value would be about 80,000 for the 9,999 residual rows.
-    assert calls < 2_000
+    assert _count_write_json_calls(monkeypatch, payload) < 2_000
+
+
+def test_peaks_observation_rows_are_written_column_by_column(monkeypatch):
+    series = TimeSeries.from_values(np.random.default_rng(1305).gamma(0.7, 9.0, size=2_500))
+    threshold = float(np.sort(series.values)[-1_001])
+    events = peaks.pot_compact(series, peaks.ThresholdSpec(threshold=threshold))
+    payload = event_series_to_dict(events)
+    assert payload["n"] == len(payload["observations"]) == 1_000
+    # One call per row and per value would be about 3,000.
+    assert _count_write_json_calls(monkeypatch, payload) < 10

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from riskseries import dist
+from riskseries import dist, linreg
 from riskseries.autoreg import Z_ALPHA_TABLE
 from riskseries.errors import DataError, NumericalError, UsageError
 from riskseries.linreg import CI_ALPHA, fit_ols
@@ -221,6 +221,47 @@ def test_residual_ss_bits_match_the_generator_form(seed):
     assert anova.total_ss.hex() == math.fsum((v - y_mean) ** 2 for v in y).hex()
     assert anova.regression_ss.hex() == \
         math.fsum((f - y_mean) ** 2 for f in fitted.tolist()).hex()
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_inverse_of_r_is_bit_equal_to_solving_against_the_identity(k):
+    # fit_ols takes the (X'X)^-1 factor from inv(R); it must keep the bits
+    # of solve(R, I), which it used before.
+    rng = np.random.default_rng([1303, k])
+    for trial in range(60):
+        if trial % 2:
+            scales = 10.0 ** rng.integers(-3, 4, size=(k, k))
+            r = np.triu(rng.normal(size=(k, k)) * scales)
+            r[np.diag_indices(k)] += np.copysign(0.1, r.diagonal())
+        else:
+            n = int(rng.integers(k + 1, 200))
+            x = np.column_stack([np.ones(n), rng.normal(0.0, 10.0, size=(n, k - 1))])
+            r = np.linalg.qr(x)[1]
+        assert np.linalg.inv(r).tobytes() == np.linalg.solve(r, np.eye(k)).tobytes()
+
+
+def test_design_is_column_stack_of_the_same_columns():
+    rng = np.random.default_rng(1304)
+    for trial in range(40):
+        n = int(rng.integers(1, 300))
+        y = rng.normal(0.0, 10.0 ** rng.integers(-5, 6), size=2 * n + 4)
+        kinds = [
+            lambda: y[2:n + 2],  # a view, as autoreg's lag columns are
+            lambda: y[:2 * n:2],  # a strided view
+            lambda: y[:n].tolist(),
+            lambda: rng.integers(-5, 5, size=n),
+            lambda: rng.integers(-5, 5, size=n).tolist(),
+            lambda: y[:n].astype(np.float32),
+            lambda: np.arange(1.0, n + 1),
+        ]
+        regressors = [kinds[int(j)]() for j in rng.integers(0, len(kinds), size=rng.integers(1, 8))]
+        expected = np.column_stack(
+            [np.ones(n), *(np.asarray(column, dtype=float) for column in regressors)]
+        )
+        design = linreg._design(n, regressors)
+        assert (design.dtype, design.shape) == (expected.dtype, expected.shape)
+        assert design.flags.c_contiguous and expected.flags.c_contiguous
+        assert design.tobytes() == expected.tobytes()
 
 
 def test_total_ss_squares_round_as_python_pow(squares_that_differ):

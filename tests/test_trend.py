@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,12 +10,19 @@ from riskseries.trend import (
     DECREASING,
     INCREASING,
     NO_TREND,
+    _mk_s_and_variance,
     detrend,
     fit_trend,
     mann_kendall,
 )
 
-from mk_oracle import exact_one_sided_p, exact_two_sided_p, normal_one_sided_p, s_statistic
+from mk_oracle import (
+    exact_one_sided_p,
+    exact_two_sided_p,
+    normal_one_sided_p,
+    s_statistic,
+    s_statistic_blocked,
+)
 
 
 # ------------------------------------------------------------------ trend
@@ -154,6 +162,41 @@ def test_mann_kendall_s_matches_brute_force_and_tie_correction():
                 - sum(int(t) * (int(t) - 1) * (2 * int(t) + 5) for t in counts)
             ) / 18.0
             assert result.var_S == pytest.approx(expected_var, rel=1e-12)
+
+
+def _tied_and_untied(rng, n):
+    """Untied values, small-integer ties and rain-like ties, each of length n."""
+    rain = np.round(rng.gamma(0.6, 8.0, size=n), 1)
+    rain[rng.random(n) < 0.6] = 0.0
+    return rng.permutation(n).astype(float), rng.integers(0, 6, size=n).astype(float), rain
+
+
+def _tie_variance(values) -> float:
+    """var(S) with the tie correction, from a Counter of the values."""
+    n = len(values)
+    ties = Counter(values.tolist()).values()
+    return (n * (n - 1) * (2 * n + 5) - sum(t * (t - 1) * (2 * t + 5) for t in ties)) / 18.0
+
+
+def test_mk_s_and_variance_is_exact_at_every_length_to_70():
+    rng = np.random.default_rng(1301)
+    for n in range(1, 71):
+        for values in _tied_and_untied(rng, n):
+            s, var = _mk_s_and_variance(values)
+            assert type(s) is int
+            assert (s, var) == (s_statistic(values), _tie_variance(values))
+            assert s_statistic_blocked(values, rows=7) == s
+
+
+def test_mk_s_and_variance_is_exact_around_powers_of_two():
+    # The ranks are padded to the next power of two: one below, at and
+    # one above each power pads most, none and least.
+    rng = np.random.default_rng(1302)
+    for j in range(1, 15):
+        for n in (2 ** j - 1, 2 ** j, 2 ** j + 1):
+            for values in _tied_and_untied(rng, n):
+                s = s_statistic(values) if n <= 130 else s_statistic_blocked(values)
+                assert _mk_s_and_variance(values) == (s, _tie_variance(values))
 
 
 def test_mann_kendall_closed_forms_at_n_100000():
