@@ -29,8 +29,8 @@ RISK_FILES = [
     "--hazard", DATA_DIR / "hazard.csv", "--vulnerability", DATA_DIR / "vulnerability.csv",
 ]
 
-# (case name, arguments without --format, expected exit code)
-COMMANDS = [
+# (case name, command and the flags after the case-study path, expected exit code)
+CASE_STUDY_COMMANDS = [
     ("analyze", ["analyze"], EXIT_OK),
     ("analyze_threshold150", ["analyze", "--threshold", "150"], EXIT_OK),
     # Three events: Mann-Kendall, both lag correlations, every AR order,
@@ -49,9 +49,10 @@ COMMANDS = [
      ["ar", "--max-lag", "4", "--detrend", "--alpha", "0.1"], EXIT_OK),
     ("residuals_lag2", ["residuals", "--lag", "2"], EXIT_OK),
 ]
-# Every command above reads the case study, named right after the command.
-COMMANDS = [(name, [command, INPUT, *flags], code) for name, (command, *flags), code in COMMANDS]
-COMMANDS += [
+# (case name, arguments without --format, expected exit code)
+COMMANDS = [
+    (name, [command, INPUT, *flags], code) for name, (command, *flags), code in CASE_STUDY_COMMANDS
+] + [
     # Points below the support print 0.0.
     ("gev_pdf_frechet",
      ["gev-pdf", "--mu", "100", "--sigma", "25", "--xi", "0.2", "--x=-40,0,60,100,125.5,200,1e3"],

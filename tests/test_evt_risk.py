@@ -232,9 +232,7 @@ def test_segment_weights():
 def test_segment_whose_frequency_ratio_underflows_takes_a_difference_of_logs():
     # 1e-308 / 1e308 underflows to 0, where math.log raised a domain error.
     steep = HazardCurve(((1.0, 1e308), (2.0, 1e-308), (3.0, 5e-324)))
-    vulnerability = tuple(
-        VulnerabilityPoint(s=s, mean_loss=m, cov=0.5) for s, m in ((1.0, 1.0), (2.0, 2.0), (3.0, 3.0))
-    )
+    vulnerability = tuple(VulnerabilityPoint(s=s, mean_loss=s, cov=0.5) for s in (1.0, 2.0, 3.0))
     a, b = build_segments(steep, vulnerability)
     t = math.log(1e-308) - math.log(1e308)
     assert a[0] == 1e308 - 1e-308
