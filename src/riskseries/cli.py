@@ -646,9 +646,10 @@ def _write_json(value, parts: list[str], newline: str):
     chain. ``newline`` is the line break plus the current indentation.
 
     A dict value whose exact type is ``str``, ``int``, ``float``, ``bool``
-    or ``None`` is written in the dict's own loop with the formatter this
-    function's scalar branches use (``_SCALAR_TEXT``); any other value,
-    a float or int subclass included, is written by a recursive call.
+    or ``None`` is written in the dict's own loop, by the formatter that
+    ``_SCALAR_TEXT`` holds for its type, which gives the text of the
+    scalar branches below; any other value, a float or int subclass
+    included, is written by a recursive call.
 
     A list is written one column at a time when it is homogeneous: all
     scalars of one exact type (``float``, ``int``, ``bool`` or ``str``;
