@@ -71,6 +71,14 @@ def max_order(n: int) -> int:
     return (n - 2) // 2
 
 
+def check_length(p: int, n: int):
+    """Raise the usage error of an AR(p) fit on n values, if n is too few."""
+    if n < minimum_length(p):
+        raise UsageError(
+            f"lag order {p} needs at least {minimum_length(p)} values, got {n}"
+        )
+
+
 def build_lagged_design(
     values: Sequence[float], p: int
 ) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
@@ -83,10 +91,7 @@ def build_lagged_design(
         raise UsageError(f"lag order must be a positive integer, got {p!r}")
     values = np.asarray(values, dtype=np.float64)
     n = len(values)
-    if n < minimum_length(p):
-        raise UsageError(
-            f"lag order {p} needs at least {minimum_length(p)} values, got {n}"
-        )
+    check_length(p, n)
     return values[p:], tuple(values[p - i:n - i] for i in range(1, p + 1))
 
 

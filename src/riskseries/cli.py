@@ -58,10 +58,14 @@ class AnalysisConfig(Record):
     plot_data_dir: str | None = None
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise UsageError(f"alpha must be in (0, 1), got {self.alpha!r}")
+        _check_alpha(self.alpha)
         if self.max_lag < 1:
             raise UsageError(f"max lag must be >= 1, got {self.max_lag!r}")
+
+
+def _check_alpha(alpha: float):
+    if not 0.0 < alpha < 1.0:
+        raise UsageError(f"alpha must be in (0, 1), got {alpha!r}")
 
 
 class PipelineReport(Record):
@@ -479,30 +483,46 @@ def regression_to_dict(model: autoreg.ARModel) -> dict:
     return {"p": model.p, "fitted_on": model.fitted_on, **_record_to_dict(model.report)}
 
 
+class ColumnTable:
+    """Rows held as columns: one list per key, in schema order, all of one length.
+
+    Iterating yields each row as a dict, keys in column order, so a table
+    reads as the list of row dicts it stands for and ``list(table)`` builds
+    that list. The JSON writer formats it column by column and builds no
+    row.
+    """
+
+    __slots__ = ("columns",)
+
+    def __init__(self, **columns):
+        if len(set(map(len, columns.values()))) > 1:
+            raise ValueError("table columns must all have the same length")
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return len(next(iter(self.columns.values()), ()))
+
+    def __iter__(self):
+        keys = tuple(self.columns)
+        return (dict(zip(keys, row)) for row in zip(*self.columns.values()))
+
+
 def residuals_to_dict(report: residuals.ResidualReport) -> dict:
-    columns = zip(
-        report.y.tolist(), report.y_predicted.tolist(), report.residual.tolist(),
-        report.standardized.tolist(), report.percentile.tolist(), report.outlier.tolist(),
-    )
     return {
         "n": len(report.y),
         "scale": report.scale,
         "regression_std_error": report.regression_std_error,
         "outlier_threshold": report.outlier_threshold,
         "outliers": (report.outlier.nonzero()[0] + 1).tolist(),
-        "rows": [
-            {
-                "observation_id": observation_id,
-                "y": y,
-                "y_predicted": y_predicted,
-                "residual": residual,
-                "standardized": standardized,
-                "percentile": percentile,
-                "outlier": outlier,
-            }
-            for observation_id, (y, y_predicted, residual, standardized, percentile, outlier)
-            in enumerate(columns, start=1)
-        ],
+        "rows": ColumnTable(
+            observation_id=range(1, len(report.y) + 1),
+            y=report.y.tolist(),
+            y_predicted=report.y_predicted.tolist(),
+            residual=report.residual.tolist(),
+            standardized=report.standardized.tolist(),
+            percentile=report.percentile.tolist(),
+            outlier=report.outlier.tolist(),
+        ),
     }
 
 
@@ -601,10 +621,7 @@ def _record_texts(items, inner: str) -> str | None:
 
     A row is a flat record or a flat list. The items qualify when all are
     dicts with the same str keys in the same order, or all are lists of
-    the same non-zero length, and each column passes ``_column_texts``.
-    Each row is then opening bracket, value (after its key prefix, for a
-    record), comma, value, ..., closing bracket, taken from per-column
-    lists in one join.
+    the same non-zero length; ``_rows_text`` then joins their columns.
     """
     kinds = set(map(type, items))
     if kinds == {dict}:
@@ -612,18 +629,29 @@ def _record_texts(items, inner: str) -> str | None:
         if (not keys or set(map(tuple, items)) != {keys}
                 or not all(isinstance(key, str) for key in keys)):
             return None
-        prefixes = [encode_basestring_ascii(key) + ": " for key in keys]
-        columns = zip(*map(dict.values, items))
-        opener, closer = "{", "}"
-    elif kinds == {list}:
+        return _rows_text(zip(*map(dict.values, items)), len(items), inner, keys)
+    if kinds == {list}:
         width = len(items[0])
         if not width or set(map(len, items)) != {width}:
             return None
-        prefixes = [""] * width
-        columns = zip(*items)
+        return _rows_text(zip(*items), len(items), inner)
+    return None
+
+
+def _rows_text(columns, n: int, inner: str, keys: tuple[str, ...] | None = None) -> str | None:
+    """``n`` rows given as columns, joined into the text between a list's brackets.
+
+    The rows are records with ``keys`` or, without keys, flat lists. Each
+    row is opening bracket, value (after its key prefix, for a record),
+    comma, value, ..., closing bracket, taken from per-column lists in one
+    join. None if a column fails ``_column_texts``.
+    """
+    if keys is None:
+        prefixes = repeat("")
         opener, closer = "[", "]"
     else:
-        return None
+        prefixes = [encode_basestring_ascii(key) + ": " for key in keys]
+        opener, closer = "{", "}"
     row_inner = inner + "  "
     fields = []
     separator = opener
@@ -633,7 +661,7 @@ def _record_texts(items, inner: str) -> str | None:
             return None
         fields += (repeat(separator + row_inner + prefix), texts)
         separator = ","
-    closes = chain(repeat(inner + closer + "," + inner, len(items) - 1), (inner + closer,))
+    closes = chain(repeat(inner + closer + "," + inner, n - 1), (inner + closer,))
     return "".join(chain.from_iterable(zip(*fields, closes)))
 
 
@@ -662,6 +690,11 @@ def _write_json(value, parts: list[str], newline: str):
     ``true``/``false``, ``encode_basestring_ascii``), and the separators
     and indentation are the per-value path's, so the bytes are the same.
     Any other list is written item by item.
+
+    A ``ColumnTable`` is written as the list of its row dicts: its columns
+    go straight to the joiner that record rows take, and no row is built.
+    If a column does not qualify, the table is written item by item from
+    its row dicts.
     """
     if isinstance(value, str):
         parts.append(encode_basestring_ascii(value))
@@ -675,12 +708,14 @@ def _write_json(value, parts: list[str], newline: str):
         parts.append(int.__repr__(value))
     elif isinstance(value, float):
         parts.append(_float_text(value))
-    elif isinstance(value, (list, tuple)):
+    elif isinstance(value, (list, tuple, ColumnTable)):
         if not value:
             parts.append("[]")
             return
         inner = newline + "  "
-        if type(value[0]) in (dict, list):
+        if isinstance(value, ColumnTable):
+            text = _rows_text(value.columns.values(), len(value), inner, tuple(value.columns))
+        elif type(value[0]) in (dict, list):
             text = _record_texts(value, inner)
         else:
             texts = _column_texts(value)
@@ -866,6 +901,7 @@ def _cmd_peaks(args) -> str:
 
 
 def _cmd_trend(args) -> str:
+    _check_alpha(args.alpha)
     series = parse_csv(args.input, _decimal(args))
     line = trend.fit_trend(series)
     payload = {"trend": _record_to_dict(line)}
@@ -886,6 +922,10 @@ def _cmd_ar(args) -> str:
     source, label = _prepare_ar_series(args)
     if args.max_lag < 1:
         raise UsageError(f"max lag must be >= 1, got {args.max_lag!r}")
+    n = len(source)
+    if args.max_lag > autoreg.max_order(n):
+        # The first order too high for the data fails as its fit would, before any fit runs.
+        autoreg.check_length(max(autoreg.max_order(n), 0) + 1, n)
     models = [autoreg.fit_ar(source, p, fitted_on=label) for p in range(1, args.max_lag + 1)]
     payload = {
         "fitted_on": label,

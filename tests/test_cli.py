@@ -3,6 +3,7 @@ import json
 import math
 import os
 import pkgutil
+import random
 import subprocess
 import sys
 import warnings
@@ -500,6 +501,42 @@ def test_ar_max_lag_below_one_is_a_usage_error(fixture_path, capsys, max_lag):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"usage error: max lag must be >= 1, got {max_lag}\n"
+
+
+def _random_series_csv(tmp_path, n: int) -> str:
+    rng = random.Random(n)
+    path = tmp_path / f"random{n}.csv"
+    path.write_text("month,value\n" + "".join(
+        f"{m},{rng.gauss(100.0, 20.0)!r}\n" for m in range(1, n + 1)))
+    return str(path)
+
+
+@pytest.mark.parametrize("detrend", [[], ["--detrend"]], ids=["raw", "detrend"])
+@pytest.mark.parametrize("n, max_lag, order", [
+    (400, 200, 200), (400, 2000, 200), (401, 250, 200), (31, 15, 15), (3, 1, 1),
+])
+def test_ar_max_lag_above_the_data_fails_before_any_fit(tmp_path, monkeypatch, capsys,
+                                                        n, max_lag, order, detrend):
+    # The message is the one the fit of the first order too high would raise.
+    calls = _count_fits(monkeypatch)
+    path = _random_series_csv(tmp_path, n)
+    assert main(["ar", path, "--max-lag", str(max_lag), *detrend]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"usage error: lag order {order} needs at least {2 * order + 2} values, got {n}\n"
+    )
+    assert len(calls) == len(detrend)  # the trend line alone, when detrending
+
+
+@pytest.mark.parametrize("flags", [[], ["--mann-kendall"]], ids=["trend", "mann-kendall"])
+@pytest.mark.parametrize("alpha", ["0", "1", "-0.5", "1.5"])
+def test_trend_alpha_outside_the_unit_interval_is_a_usage_error(fixture_path, capsys,
+                                                                alpha, flags):
+    assert main(["trend", fixture_path, f"--alpha={alpha}", *flags]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"usage error: alpha must be in (0, 1), got {float(alpha)!r}\n"
 
 
 def _analyze_json(tmp_path, capsys, values) -> dict:

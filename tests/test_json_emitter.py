@@ -13,6 +13,7 @@ from riskseries import cli, peaks
 from riskseries.cli import (
     EXIT_OK,
     AnalysisConfig,
+    ColumnTable,
     event_series_to_dict,
     main,
     parse_csv,
@@ -30,8 +31,15 @@ FLOATS = [0.0, -0.0, 1.0, -1.5, 0.1, 1e16, 1e-7, 1e-5, 123456789.0, 1.7976931348
 INTS = [0, 1, -1, 2**53 + 1, -(2**63), 2**70, 10**30]
 
 
+def _table_rows(value) -> list:
+    """``json.dumps``'s ``default``: a ColumnTable stands for the list of its row dicts."""
+    if isinstance(value, ColumnTable):
+        return list(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _expected(value) -> str:
-    return json.dumps(value, indent=2, allow_nan=True) + "\n"
+    return json.dumps(value, indent=2, allow_nan=True, default=_table_rows) + "\n"
 
 
 def _random_float(rng: random.Random) -> float:
@@ -359,3 +367,79 @@ def test_peaks_observation_rows_are_written_column_by_column(monkeypatch):
     assert payload["n"] == len(payload["observations"]) == 1_000
     # One call per row and per value would be about 3,000.
     assert _count_write_json_calls(monkeypatch, payload) < 10
+
+
+# A ColumnTable is written as the list of its row dicts, from its columns.
+
+def _table(rng: random.Random, kinds: list[str], n: int) -> ColumnTable:
+    columns = {"observation_id": range(1, n + 1)}
+    for j, kind in enumerate(kinds):
+        columns[rng.choice(TEXTS) + f"{kind}{j}"] = _scalar_column(rng, kind, n)
+    return ColumnTable(**columns)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 57, 1_000])
+def test_column_tables_of_every_column_kind_match_json_dumps_of_their_rows(n, monkeypatch):
+    rng = random.Random(f"table-{n}")
+    for trial in range(20):
+        table = _table(rng, rng.sample(COLUMN_KINDS * 2, rng.randint(1, 8)), n)
+        rows = list(table)
+        assert len(rows) == len(table) == n
+        for payload, materialized in ((table, rows), ({"rows": table, "n": n}, {"rows": rows, "n": n}),
+                                      ([table, table], [rows, rows])):
+            assert render(payload, "json", None) == _expected(materialized)
+    # The columns are written in one call, with no call per row.
+    table = _table(rng, COLUMN_KINDS, n)
+    assert _count_write_json_calls(monkeypatch, {"rows": table}) == 2
+
+
+def test_column_table_with_every_special_float_and_escaped_key_matches_json_dumps():
+    floats = SPECIAL_FLOATS + [2.2250738585072014e-308, -2.2250738585072009e-308, 0.1]
+    n = len(floats)
+    table = ColumnTable(**{
+        "id": range(n), "é\"\\\n": floats, "neg": [-x for x in floats],
+        "flag": [i % 3 == 0 for i in range(n)], "count": [i % 2 for i in range(n)],
+        "big": [2**70 - i for i in range(n)], "text": [TEXTS[i % len(TEXTS)] for i in range(n)],
+    })
+    assert render({"rows": table}, "json", None) == _expected({"rows": list(table)})
+
+
+@pytest.mark.parametrize("kind", ["bool-int", "float-int", "float64", "none"])
+def test_column_table_with_a_mixed_column_is_written_row_by_row(kind, monkeypatch):
+    rng = random.Random(f"mixed-{kind}")
+    n = 40
+    table = ColumnTable(id=range(1, n + 1), value=_scalar_column(rng, "float", n),
+                        mixed=_scalar_column(rng, kind, n))
+    if kind in ("bool-int", "float-int"):  # make sure both types are present
+        table.columns["mixed"][:2] = [True, 1] if kind == "bool-int" else [1.0, 1]
+    assert render(table, "json", None) == _expected(list(table))
+    # One call for the table, then at least one per row: the item-by-item fallback.
+    assert _count_write_json_calls(monkeypatch, {"rows": table}) >= 2 + n
+
+
+def test_column_table_columns_must_share_one_length():
+    with pytest.raises(ValueError, match="same length"):
+        ColumnTable(a=[1.0, 2.0], b=[1.0])
+    assert list(ColumnTable()) == [] and len(ColumnTable()) == 0
+    assert render({"rows": ColumnTable(a=[], b=[])}, "json", None) == _expected({"rows": []})
+
+
+def test_pipeline_residual_rows_iterate_to_the_row_dicts_of_the_report(event_series):
+    report = run_pipeline(event_series, AnalysisConfig(input_path="fixture"))
+    residual = report.residuals_raw_ar1
+    rows = pipeline_to_dict(report)["residuals"]["rows"]
+    columns = zip(
+        residual.y.tolist(), residual.y_predicted.tolist(), residual.residual.tolist(),
+        residual.standardized.tolist(), residual.percentile.tolist(), residual.outlier.tolist(),
+    )
+    expected = [
+        {"observation_id": observation_id, "y": y, "y_predicted": y_predicted,
+         "residual": e, "standardized": z, "percentile": percentile, "outlier": outlier}
+        for observation_id, (y, y_predicted, e, z, percentile, outlier)
+        in enumerate(columns, start=1)
+    ]
+    assert len(rows) == len(expected) == 30
+    # Items in order, and each value's type: True == 1 would hide a bool turned int.
+    assert [[(key, type(value), value) for key, value in row.items()] for row in rows] == \
+        [[(key, type(value), value) for key, value in row.items()] for row in expected]
+    assert list(rows) == list(rows)  # iterating again gives the rows again
