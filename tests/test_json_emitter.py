@@ -146,16 +146,19 @@ def _first_difference(a: str, b: str) -> int:
     return next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
 
 
+def _assert_same_text(text: str, expected: str):
+    # Comparing long strings themselves would have pytest diff them for
+    # minutes on a failure; the digest fails as surely, and at once.
+    assert (len(text), _sha256(text)) == (len(expected), _sha256(expected)), \
+        f"first difference at offset {_first_difference(text, expected)}"
+
+
 def test_long_record_analyze_payload_matches_json_dumps(tmp_path):
     path = _long_record_csv(tmp_path)
     report = run_pipeline(parse_csv(str(path)), AnalysisConfig(input_path=str(path)))
     payload = pipeline_to_dict(report)
     assert payload["residuals"]["n"] == 9_999
-    text, expected = render(payload, "json", None), _expected(payload)
-    # Comparing the 2.6 MB strings themselves would have pytest diff them
-    # for minutes on a failure; the digest fails as surely, and at once.
-    assert (len(text), _sha256(text)) == (len(expected), _sha256(expected)), \
-        f"first difference at offset {_first_difference(text, expected)}"
+    _assert_same_text(render(payload, "json", None), _expected(payload))
 
 
 def test_exact_fit_ar_payload_with_infinity_matches_json_dumps(tmp_path):
@@ -347,7 +350,7 @@ def _count_write_json_calls(monkeypatch, payload) -> int:
         write_json(value, parts, newline)
 
     monkeypatch.setattr(cli, "_write_json", counting)
-    assert render(payload, "json", None) == _expected(payload)
+    _assert_same_text(render(payload, "json", None), _expected(payload))
     return calls
 
 
@@ -387,7 +390,7 @@ def test_column_tables_of_every_column_kind_match_json_dumps_of_their_rows(n, mo
         assert len(rows) == len(table) == n
         for payload, materialized in ((table, rows), ({"rows": table, "n": n}, {"rows": rows, "n": n}),
                                       ([table, table], [rows, rows])):
-            assert render(payload, "json", None) == _expected(materialized)
+            _assert_same_text(render(payload, "json", None), _expected(materialized))
     # The columns are written in one call, with no call per row.
     table = _table(rng, COLUMN_KINDS, n)
     assert _count_write_json_calls(monkeypatch, {"rows": table}) == 2
