@@ -16,19 +16,32 @@ non-exceedance probability linearly; each segment then integrates in
 closed form, with the log-slope terms replaced by their series limits
 when a segment is nearly flat.
 
+Each cell's log(x / theta) is taken from the parts of x and theta that
+frexp splits off, x = m_x * 2^e_x and theta = m_t * 2^e_t with mantissas
+in [0.5, 1):
+
+    log(x / theta) = k * LN2_HI + ((log m_x - log m_t) + k * LN2_LO)
+
+with k = e_x - e_t and fdlibm's split of ln 2 into LN2_HI, whose low 20
+bits are zero so k * LN2_HI is exact, and LN2_LO. math.log is called once
+per loss mantissa and once per median mantissa, not once per cell.
+Scaling the losses and the mean losses by a power of two changes neither
+the mantissas nor k, so the frequencies are exactly scale-equivariant.
+
 risk_curve evaluates in blocks of losses, each a (losses x points)
 matrix of at most _BLOCK_CELLS cells, so each conditional CDF is taken
 once per (point, loss) and memory stays bounded on large grids. The
-ratios, quotients and segment contributions are numpy arrays, but the
-log and erfc of each cell go through math.log and math.erfc: numpy's
-vectorised log does not always round as the C library's log does, and
-numpy has no erfc. Cells reach them through a memoryview, so no block
-is copied into a Python list. Every cell then sees the same IEEE
-operations as the scalar conditional_nonexceedance, and each loss is
-summed with math.fsum, which is exact in any order. So the frequencies
-equal, bit for bit, the fsum over the segments of the closed-form
-contribution that build_segments documents, with every p taken from
-conditional_nonexceedance.
+exponent differences, log ratios, quotients and segment contributions
+are numpy arrays, but each cell's erfc goes through math.erfc, which
+numpy lacks; cells reach it through a memoryview, so no block is copied
+into a Python list. The mantissa logs go through math.log too, since
+numpy's vectorised log does not always round as the C library's log
+does. Every cell then sees
+the same IEEE operations as the scalar conditional_nonexceedance, and
+each loss is summed with math.fsum, which is exact in any order. So the
+frequencies equal, bit for bit, the fsum over the segments of the
+closed-form contribution that build_segments documents, with every p
+taken from conditional_nonexceedance.
 """
 from __future__ import annotations
 
@@ -46,6 +59,11 @@ _FLAT_SEGMENT_EPS = 1e-8
 
 # Cells (losses x hazard points) in one block of risk_curve.
 _BLOCK_CELLS = 4096
+
+# fdlibm's split of ln 2: _LN2_HI has 33 significant bits, so k * _LN2_HI
+# is exact for every exponent difference k of two doubles (|k| < 2^12).
+_LN2_HI = float.fromhex("0x1.62e42fee00000p-1")
+_LN2_LO = float.fromhex("0x1.a39ef35793c76p-33")
 
 
 class GevParams(Record):
@@ -114,17 +132,26 @@ class VulnerabilityPoint(Record):
 
 
 def conditional_nonexceedance(x: float, point: VulnerabilityPoint) -> float:
-    """P[X <= x | S = s] for the lognormal vulnerability at that point."""
+    """P[X <= x | S = s] for the lognormal vulnerability at that point.
+
+    This is normal_cdf(log(x / theta) / beta), with the log taken from the
+    frexp parts of x and theta as the module docstring describes. A loss
+    of 0, or one whose ratio to theta underflows to 0, gives 0; at
+    beta = 0 the loss is deterministic and P steps from 0 to 1 at theta.
+    """
     if x < 0.0:
         raise UsageError(f"loss must be non-negative, got {x!r}")
     if x == 0.0:
         return 0.0
     if point.beta == 0.0:
         return 1.0 if x >= point.theta else 0.0  # deterministic loss
-    ratio = x / point.theta
-    if ratio == 0.0:
+    if x / point.theta == 0.0:
         return 0.0  # x / theta underflowed; P -> 0 as x -> 0
-    return normal_cdf(math.log(ratio) / point.beta)
+    m_x, e_x = math.frexp(x)
+    m_t, e_t = math.frexp(point.theta)
+    k = e_x - e_t
+    log_ratio = k * _LN2_HI + ((math.log(m_x) - math.log(m_t)) + k * _LN2_LO)
+    return normal_cdf(log_ratio / point.beta)
 
 
 def check_hazard_point(previous: tuple[float, float], point: tuple[float, float]) -> None:
@@ -236,15 +263,21 @@ def risk_curve(
     step = beta == 0.0
     beta[step] = 1.0  # those columns are replaced by the step below
     x_all = np.array(loss_grid, dtype=float)
+    m_x, e_x = np.frexp(x_all)
+    m_x[x_all == 0.0] = 1.0  # keeps math.log in its domain; those cells are set to 0 below
+    log_m_x = _cellwise(math.log, m_x)
+    m_t, e_t = np.frexp(theta)
+    log_m_t = _cellwise(math.log, m_t)
     rows = max(1, _BLOCK_CELLS // len(theta))
     frequencies = []
     for start in range(0, len(loss_grid), rows):
-        x = x_all[start:start + rows, None]
+        block = slice(start, start + rows)
+        x = x_all[block, None]
         with np.errstate(over="ignore"):
-            q = x / theta
-        zero = q == 0.0  # x == 0, or x / theta underflowed
-        q[zero] = 1.0  # keeps math.log in its domain; these cells are set to 0 below
-        p = 0.5 * _cellwise(math.erfc, -(_cellwise(math.log, q) / beta) / _SQRT2)
+            zero = x / theta == 0.0  # x == 0, or x / theta underflowed
+        k = e_x[block, None] - e_t
+        log_ratio = k * _LN2_HI + ((log_m_x[block, None] - log_m_t) + k * _LN2_LO)
+        p = 0.5 * _cellwise(math.erfc, -(log_ratio / beta) / _SQRT2)
         p[:, step] = x >= theta[step]
         p[zero] = 0.0
         c = (1.0 - p[:, :-1]) * a - (p[:, 1:] - p[:, :-1]) * b

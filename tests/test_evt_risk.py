@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import types
 import warnings
 
 import numpy as np
@@ -400,6 +401,22 @@ def test_risk_curve_of_an_overflowing_ratio_raises_no_warning():
         warnings.simplefilter("error")
         curve = risk_curve(EDGE_LOSSES + [0.5, math.inf], hazard, vulnerability)
     assert curve.frequencies[4] == 0.0 and curve.frequencies[-1] == 0.0
+
+
+def test_risk_curve_takes_one_log_per_loss_and_per_point(monkeypatch):
+    calls = []
+
+    def counting_log(value):
+        calls.append(value)
+        return math.log(value)
+
+    counting_math = types.SimpleNamespace(**vars(math))
+    counting_math.log = counting_log
+    monkeypatch.setattr(evt_risk, "math", counting_math)
+    hazard, vulnerability, grid = bench_shaped_instance(7, 60, 90)
+    risk_curve(grid, hazard, vulnerability)
+    # One per loss mantissa, one per median mantissa, one per segment's log-slope.
+    assert len(calls) == len(grid) + len(hazard) + (len(hazard) - 1)
 
 
 def test_risk_curve_memory_stays_within_blocks():
