@@ -919,6 +919,7 @@ def _prepare_ar_series(args) -> tuple[TimeSeries, str]:
 
 
 def _cmd_ar(args) -> str:
+    _check_alpha(args.alpha)
     source, label = _prepare_ar_series(args)
     if args.max_lag < 1:
         raise UsageError(f"max lag must be >= 1, got {args.max_lag!r}")

@@ -539,6 +539,21 @@ def test_trend_alpha_outside_the_unit_interval_is_a_usage_error(fixture_path, ca
     assert captured.err == f"usage error: alpha must be in (0, 1), got {float(alpha)!r}\n"
 
 
+@pytest.mark.parametrize("detrend", [[], ["--detrend"]], ids=["raw", "detrend"])
+@pytest.mark.parametrize("alpha", ["0", "1", "-0.5", "1.5"])
+def test_ar_alpha_outside_the_unit_interval_fails_before_any_fit(tmp_path, monkeypatch,
+                                                                 capsys, alpha, detrend):
+    calls = _count_fits(monkeypatch)
+    path = _random_series_csv(tmp_path, 400)
+    for source in (path, str(tmp_path / "missing.csv")):  # nothing is read either
+        argv = ["ar", source, "--max-lag", "199", f"--alpha={alpha}", *detrend]
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"usage error: alpha must be in (0, 1), got {float(alpha)!r}\n"
+    assert calls == []
+
+
 def _analyze_json(tmp_path, capsys, values) -> dict:
     csv = tmp_path / "series.csv"
     csv.write_text("month,value\n" + "".join(f"{m},{v}\n" for m, v in enumerate(values, 1)))
