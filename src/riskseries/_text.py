@@ -124,12 +124,10 @@ def _trace_lines(d: dict, title: str) -> list[str]:
 
 def _residual_lines(d: dict, title: str) -> list[str]:
     rows = [["obs", "y", "predicted", "residual", "standardized", "percentile", "outlier"]]
-    for row in d["rows"]:
-        rows.append([
-            _fmt(row["observation_id"]), _fmt(row["y"]), _fmt(row["y_predicted"]),
-            _fmt(row["residual"]), _fmt(row["standardized"]), _fmt(row["percentile"]),
-            _fmt(row["outlier"]),
-        ])
+    columns = d["rows"].columns
+    rows += zip(*(map(_fmt, columns[key]) for key in (
+        "observation_id", "y", "y_predicted", "residual", "standardized", "percentile", "outlier",
+    )))
     return [
         title,
         *_table([
