@@ -149,9 +149,16 @@ def conditional_nonexceedance(x: float, point: VulnerabilityPoint) -> float:
         return 0.0  # x / theta underflowed; P -> 0 as x -> 0
     m_x, e_x = math.frexp(x)
     m_t, e_t = math.frexp(point.theta)
-    k = e_x - e_t
-    log_ratio = k * _LN2_HI + ((math.log(m_x) - math.log(m_t)) + k * _LN2_LO)
-    return normal_cdf(log_ratio / point.beta)
+    return normal_cdf(_log_ratio(e_x - e_t, math.log(m_x), math.log(m_t)) / point.beta)
+
+
+def _log_ratio(k, log_m_x, log_m_t):
+    """log(x / theta) from the exponent difference k and the mantissa logs.
+
+    Floats or numpy arrays; risk_curve and conditional_nonexceedance both
+    take it from here, so their cells round alike.
+    """
+    return k * _LN2_HI + ((log_m_x - log_m_t) + k * _LN2_LO)
 
 
 def check_hazard_point(previous: tuple[float, float], point: tuple[float, float]) -> None:
@@ -275,8 +282,7 @@ def risk_curve(
         x = x_all[block, None]
         with np.errstate(over="ignore"):
             zero = x / theta == 0.0  # x == 0, or x / theta underflowed
-        k = e_x[block, None] - e_t
-        log_ratio = k * _LN2_HI + ((log_m_x[block, None] - log_m_t) + k * _LN2_LO)
+        log_ratio = _log_ratio(e_x[block, None] - e_t, log_m_x[block, None], log_m_t)
         p = 0.5 * _cellwise(math.erfc, -(log_ratio / beta) / _SQRT2)
         p[:, step] = x >= theta[step]
         p[zero] = 0.0
