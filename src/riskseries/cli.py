@@ -488,8 +488,8 @@ class ColumnTable:
 
     Iterating yields each row as a dict, keys in column order, so a table
     reads as the list of row dicts it stands for and ``list(table)`` builds
-    that list. The JSON writer formats it column by column and builds no
-    row.
+    that list. The JSON and text writers format it column by column and
+    build no row.
     """
 
     __slots__ = ("columns",)
