@@ -36,12 +36,11 @@ are numpy arrays, but each cell's erfc goes through math.erfc, which
 numpy lacks; cells reach it through a memoryview, so no block is copied
 into a Python list. The mantissa logs go through math.log too, since
 numpy's vectorised log does not always round as the C library's log
-does. Every cell then sees
-the same IEEE operations as the scalar conditional_nonexceedance, and
-each loss is summed with math.fsum, which is exact in any order. So the
-frequencies equal, bit for bit, the fsum over the segments of the
-closed-form contribution that build_segments documents, with every p
-taken from conditional_nonexceedance.
+does. Every cell then sees the same IEEE operations as the scalar
+conditional_nonexceedance, and each loss is summed with math.fsum, which
+is exact in any order. So the frequencies equal, bit for bit, the fsum
+over the segments of the closed-form contribution that build_segments
+documents, with every p taken from conditional_nonexceedance.
 """
 from __future__ import annotations
 
