@@ -11,8 +11,8 @@ non-exceedance probability
 closed-form weights a = G_{i-1} - G_i and
 b = G_{i-1} * ((e^t - 1)/t - e^t), t = ln(G_i / G_{i-1}), the limit 0 at
 t = 0. A segment contributes (1 - p_{i-1}) * a - (p_i - p_{i-1}) * b.
-The oracle takes 1 - p as erfc(+ln(x / theta) / (beta * sqrt(2))) / 2
-itself, so a p within 1e-40 of 1 does not cancel to 0 in the far tail.
+The oracle takes 1 - p directly as erfc(ln(x / theta) / (beta * sqrt(2))) / 2,
+so a p within 1e-40 of 1 does not cancel to 0 in the far tail.
 Nothing here calls into ``riskseries``.
 """
 import mpmath

@@ -12,7 +12,7 @@ Frequencies below 2^-20 of the in-range total G_1 - G_n are left out.
 There 1 - p is close to 0 while p is a double near 1, so the frequency
 keeps only an absolute accuracy of a few ulps of the total: at a loss of
 5000 on the snapshot files the frequency 1.29e-12 is 3e-7 off in
-relative terms, and at a loss of 1e6 the exact 1e-130 or so prints as 0.
+relative terms, and at a loss of 1e6 the exact 4.8e-79 prints as 0.
 Those tail values are pinned bit for bit by the snapshots instead.
 """
 import json
