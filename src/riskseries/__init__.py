@@ -74,6 +74,7 @@ __all__ = [
     "block_maxima",
     "build_lagged_design",
     "build_segments",
+    "conditional_exceedance",
     "conditional_nonexceedance",
     "detrend",
     "f_upper_tail",
@@ -106,6 +107,7 @@ _EVT_RISK = frozenset({
     "RiskCurve",
     "VulnerabilityPoint",
     "build_segments",
+    "conditional_exceedance",
     "conditional_nonexceedance",
     "gev_pdf",
     "lognormal_params",

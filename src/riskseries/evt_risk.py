@@ -16,6 +16,18 @@ non-exceedance probability linearly; each segment then integrates in
 closed form, with the log-slope terms replaced by their series limits
 when a segment is nearly flat.
 
+Summed over the segments, those contributions regroup by grid point:
+
+    R(x) = sum over j of d_j * q_j(x)
+
+where q_j = 1 - p_j = P[X > x | S = s_j] is the conditional exceedance
+probability and d_j a weight that build_segments' (a, b) fold into. Every
+d_j is >= 0 and every q_j lies in [0, 1], so no term cancels another.
+q_j is taken directly as erfc(z_j / sqrt 2) / 2, z_j = log(x / theta_j) /
+beta_j, never as 1 - p from a double p near 1, so far-tail frequencies keep
+their relative accuracy. Each q_j falls as x grows, so R never rises
+with the loss.
+
 Each cell's log(x / theta) is taken from the parts of x and theta that
 frexp splits off, x = m_x * 2^e_x and theta = m_t * 2^e_t with mantissas
 in [0.5, 1):
@@ -29,18 +41,19 @@ Scaling the losses and the mean losses by a power of two changes neither
 the mantissas nor k, so the frequencies are exactly scale-equivariant.
 
 risk_curve evaluates in blocks of losses, each a (losses x points)
-matrix of at most _BLOCK_CELLS cells, so each conditional CDF is taken
-once per (point, loss) and memory stays bounded on large grids. The
-exponent differences, log ratios, quotients and segment contributions
-are numpy arrays, but each cell's erfc goes through math.erfc, which
-numpy lacks; cells reach it through a memoryview, so no block is copied
-into a Python list. The mantissa logs go through math.log too, since
-numpy's vectorised log does not always round as the C library's log
-does. Every cell then sees the same IEEE operations as the scalar
-conditional_nonexceedance, and each loss is summed with math.fsum, which
-is exact in any order. So the frequencies equal, bit for bit, the fsum
-over the segments of the closed-form contribution that build_segments
-documents, with every p taken from conditional_nonexceedance.
+matrix of at most _BLOCK_CELLS cells, so each q is taken once per
+(point, loss) and memory stays bounded on large grids. The exponent
+differences, log ratios and quotients are numpy arrays, but each cell's
+erfc goes through math.erfc, which numpy lacks; cells reach it through a
+memoryview, so no block is copied into a Python list. The mantissa logs
+go through math.log too, since numpy's vectorised log does not always
+round as the C library's log does. Every cell then equals, bit for bit,
+the scalar conditional_exceedance. Each loss's frequency is the row sum
+(q * d).sum(axis=1): numpy's pairwise sum in a fixed order along the
+row, which depends neither on the block a row falls in nor on a BLAS
+build, its CPU kernel or its thread count. It is not an exactly rounded
+sum, so frequencies may differ from a sum in another order in the last
+digits.
 """
 from __future__ import annotations
 
@@ -99,7 +112,7 @@ def lognormal_params(mean: float, cov: float) -> tuple[float, float]:
     """(median theta, log-sd beta) of a lognormal with given mean and CoV."""
     if not mean > 0.0:
         raise UsageError(f"mean loss must be positive, got {mean!r}")
-    if cov < 0.0:
+    if not cov >= 0.0:
         raise UsageError(f"coefficient of variation must be >= 0, got {cov!r}")
     beta = math.sqrt(math.log1p(cov * cov))
     if beta == math.inf:
@@ -138,24 +151,41 @@ def conditional_nonexceedance(x: float, point: VulnerabilityPoint) -> float:
     of 0, or one whose ratio to theta underflows to 0, gives 0; at
     beta = 0 the loss is deterministic and P steps from 0 to 1 at theta.
     """
-    if x < 0.0:
+    return normal_cdf(_standard_score(x, point))
+
+
+def conditional_exceedance(x: float, point: VulnerabilityPoint) -> float:
+    """P[X > x | S = s], taken directly as erfc(z / sqrt 2) / 2.
+
+    z is the standard score of conditional_nonexceedance, so this is
+    1 - conditional_nonexceedance without the cancellation where that is
+    near 1: a loss of 0, or one whose ratio to theta underflows to 0,
+    gives 1, and at beta = 0 it steps from 1 to 0 at theta. Every cell of
+    risk_curve equals this, bit for bit.
+    """
+    return 0.5 * math.erfc(_standard_score(x, point) / _SQRT2)
+
+
+def _standard_score(x: float, point: VulnerabilityPoint) -> float:
+    """z = log(x / theta) / beta; -inf where X > x is certain, +inf where X <= x is."""
+    if not x >= 0.0:
         raise UsageError(f"loss must be non-negative, got {x!r}")
     if x == 0.0:
-        return 0.0
+        return -math.inf
     if point.beta == 0.0:
-        return 1.0 if x >= point.theta else 0.0  # deterministic loss
+        return math.inf if x >= point.theta else -math.inf  # deterministic loss
     if x / point.theta == 0.0:
-        return 0.0  # x / theta underflowed; P -> 0 as x -> 0
+        return -math.inf  # x / theta underflowed; P -> 0 as x -> 0
     m_x, e_x = math.frexp(x)
     m_t, e_t = math.frexp(point.theta)
-    return normal_cdf(_log_ratio(e_x - e_t, math.log(m_x), math.log(m_t)) / point.beta)
+    return _log_ratio(e_x - e_t, math.log(m_x), math.log(m_t)) / point.beta
 
 
 def _log_ratio(k, log_m_x, log_m_t):
     """log(x / theta) from the exponent difference k and the mantissa logs.
 
-    Floats or numpy arrays; risk_curve and conditional_nonexceedance both
-    take it from here, so their cells round alike.
+    Floats or numpy arrays; risk_curve and the scalar conditional
+    probabilities all take it from here, so their cells round alike.
     """
     return k * _LN2_HI + ((log_m_x - log_m_t) + k * _LN2_LO)
 
@@ -212,6 +242,13 @@ def build_segments(
         (1 - p_{i-1}(x)) * a - (p_i(x) - p_{i-1}(x)) * b
 
     where a = G_{i-1} - G_i and b = G_{i-1} * ((e^t - 1)/t - e^t).
+    Both are >= 0, and a >= b. risk_curve regroups the segments by grid
+    point, writing 1 - p as q: point j (from 0) takes the weight
+
+        d_j = (a_{j+1} - b_{j+1}) + b_j
+
+    with segment j running from point j-1 to point j, so the first point
+    takes a_1 - b_1 and the last b_{n-1}, and R(x) = sum of d_j * q_j(x).
     """
     if len(hazard) < 2:
         raise UsageError(f"need at least 2 hazard points, got {len(hazard)}")
@@ -244,6 +281,34 @@ def _cellwise(fn, cells: np.ndarray) -> np.ndarray:
     return np.fromiter(map(fn, memoryview(cells.ravel())), float, cells.size).reshape(cells.shape)
 
 
+def _frexp_logs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """frexp exponents of non-negative values and math.log of their mantissas.
+
+    A 0 takes the mantissa 1, which keeps math.log in its domain; its
+    cells are set by the x / theta == 0 branch, not by the log.
+    """
+    m, e = np.frexp(values)
+    m[values == 0.0] = 1.0
+    return e, _cellwise(math.log, m)
+
+
+def _exceedance_block(x, e_x, log_m_x, theta, e_t, log_m_t, beta, step) -> np.ndarray:
+    """q = P[X > x | S = s] for a block of losses (rows) at every point (columns).
+
+    ``x``, ``e_x`` and ``log_m_x`` are (rows, 1) columns of the losses and
+    their frexp parts; ``theta``, ``e_t``, ``log_m_t``, ``beta`` and the
+    boolean ``step`` (beta = 0) are one entry per point, with beta set to
+    1 in the step columns. Each cell equals conditional_exceedance.
+    """
+    with np.errstate(over="ignore"):
+        certain = x / theta == 0.0  # x == 0, or x / theta underflowed
+    log_ratio = _log_ratio(e_x - e_t, log_m_x, log_m_t)
+    q = 0.5 * _cellwise(math.erfc, (log_ratio / beta) / _SQRT2)
+    q[:, step] = x < theta[step]
+    q[certain] = 1.0
+    return q
+
+
 class RiskCurve(Record):
     losses: tuple[float, ...]
     frequencies: tuple[float, ...]  # annual frequency of exceeding each loss
@@ -262,29 +327,24 @@ def risk_curve(
     a, b = build_segments(hazard, vulnerability)
     loss_grid = tuple(float(x) for x in losses)
     for x in loss_grid:
-        if x < 0.0:
+        if not x >= 0.0:
             raise UsageError(f"loss must be non-negative, got {x!r}")
+    d = np.zeros(len(a) + 1)  # the weights build_segments describes, all >= +0.0
+    d[:-1] += a - b
+    d[1:] += b
     theta = np.array([point.theta for point in vulnerability])
     beta = np.array([point.beta for point in vulnerability])
     step = beta == 0.0
-    beta[step] = 1.0  # those columns are replaced by the step below
-    x_all = np.array(loss_grid, dtype=float)
-    m_x, e_x = np.frexp(x_all)
-    m_x[x_all == 0.0] = 1.0  # keeps math.log in its domain; those cells are set to 0 below
-    log_m_x = _cellwise(math.log, m_x)
-    m_t, e_t = np.frexp(theta)
-    log_m_t = _cellwise(math.log, m_t)
+    beta[step] = 1.0  # those columns are replaced by the step in _exceedance_block
+    e_t, log_m_t = _frexp_logs(theta)
+    x_all = np.array(loss_grid, dtype=float)[:, None]
+    e_x, log_m_x = _frexp_logs(x_all)
     rows = max(1, _BLOCK_CELLS // len(theta))
     frequencies = []
     for start in range(0, len(loss_grid), rows):
         block = slice(start, start + rows)
-        x = x_all[block, None]
-        with np.errstate(over="ignore"):
-            zero = x / theta == 0.0  # x == 0, or x / theta underflowed
-        log_ratio = _log_ratio(e_x[block, None] - e_t, log_m_x[block, None], log_m_t)
-        p = 0.5 * _cellwise(math.erfc, -(log_ratio / beta) / _SQRT2)
-        p[:, step] = x >= theta[step]
-        p[zero] = 0.0
-        c = (1.0 - p[:, :-1]) * a - (p[:, 1:] - p[:, :-1]) * b
-        frequencies.extend(max(math.fsum(memoryview(row)), 0.0) for row in c)
+        q = _exceedance_block(
+            x_all[block], e_x[block], log_m_x[block], theta, e_t, log_m_t, beta, step
+        )
+        frequencies.extend((q * d).sum(axis=1).tolist())
     return RiskCurve(losses=loss_grid, frequencies=tuple(frequencies))

@@ -14,6 +14,7 @@ from riskseries.evt_risk import (
     HazardCurve,
     VulnerabilityPoint,
     build_segments,
+    conditional_exceedance,
     conditional_nonexceedance,
     gev_pdf,
     lognormal_params,
@@ -112,6 +113,17 @@ def test_conditional_nonexceedance_basics():
     assert conditional_nonexceedance(1e-12, point) == pytest.approx(0.0, abs=1e-9)
     with pytest.raises(UsageError):
         conditional_nonexceedance(-1.0, point)
+    assert conditional_exceedance(point.theta, point) == pytest.approx(0.5, abs=1e-12)
+    assert conditional_exceedance(0.0, point) == 1.0
+    for x in (0.05, 0.4, 2.0):
+        assert conditional_exceedance(x, point) == pytest.approx(
+            1.0 - conditional_nonexceedance(x, point), abs=1e-15
+        )
+    # Far above the median, 1 - P cancels to 0 and the exceedance does not.
+    assert conditional_nonexceedance(1e6, point) == 1.0
+    assert 0.0 < conditional_exceedance(1e6, point) < 1e-200
+    with pytest.raises(UsageError):
+        conditional_exceedance(-1.0, point)
 
 
 def test_conditional_nonexceedance_matches_quadrature():
@@ -139,12 +151,15 @@ def test_deterministic_vulnerability_is_step():
     assert point.beta == 0.0 and point.theta == 0.5
     assert conditional_nonexceedance(0.49, point) == 0.0
     assert conditional_nonexceedance(0.5, point) == 1.0
+    assert conditional_exceedance(0.49, point) == 1.0
+    assert conditional_exceedance(0.5, point) == 0.0
 
 
 def test_conditional_nonexceedance_of_an_underflowing_ratio_is_zero():
     point = VulnerabilityPoint(s=1.0, mean_loss=10.0, cov=0.5)
     assert 5e-324 / point.theta == 0.0  # math.log of it used to raise
     assert conditional_nonexceedance(5e-324, point) == 0.0
+    assert conditional_exceedance(5e-324, point) == 1.0
     hazard = HazardCurve(((1.0, 2.0), (2.0, 1.0)))
     vulnerability = (point, VulnerabilityPoint(s=2.0, mean_loss=12.0, cov=0.5))
     assert risk_curve([0.0, 5e-324], hazard, vulnerability).frequencies == (1.0, 1.0)
@@ -213,7 +228,7 @@ def test_risk_curve_monotone_and_linear_in_g():
     losses = np.linspace(0.0, 4.0, 25).tolist()
     curve = risk_curve(losses, hazard, vulnerability)
     for a, b in zip(curve.frequencies, curve.frequencies[1:]):
-        assert b <= a + 1e-12
+        assert b <= a
     doubled = HazardCurve(tuple((s, 2.0 * g) for s, g in hazard.points))
     curve2 = risk_curve(losses, doubled, vulnerability)
     for r1, r2 in zip(curve.frequencies, curve2.frequencies):
@@ -300,27 +315,18 @@ def test_validation_errors():
         risk_curve([-1.0], HazardCurve(good), vulnerability)  # negative loss
     with pytest.raises(UsageError, match=r"got -2\.0$"):
         risk_curve([0.5, -2.0, -3.0], HazardCurve(good), vulnerability)  # the first one
+    with pytest.raises(UsageError, match=r"^loss must be non-negative, got nan$"):
+        risk_curve([math.nan, 0.5], HazardCurve(good), vulnerability)
+    for scalar in (conditional_nonexceedance, conditional_exceedance):
+        with pytest.raises(UsageError, match=r"got nan$"):
+            scalar(math.nan, vulnerability[0])
+    with pytest.raises(UsageError, match=r"^coefficient of variation must be >= 0, got nan$"):
+        VulnerabilityPoint(s=1.0, mean_loss=0.5, cov=math.nan)
 
 
-# ------------------------------------------- blocked kernel vs the loop
+# ------------------------------------- blocked kernel vs the scalar cells
 
 EDGE_LOSSES = [0.0, -0.0, 1e-300, 5e-324, 1.7e308]
-
-
-def per_segment_risk_curve(losses, hazard, vulnerability):
-    """The per-segment loop risk_curve was before it evaluated in blocks."""
-    a, b = build_segments(hazard, vulnerability)
-    segments = list(zip(a.tolist(), b.tolist(), vulnerability, vulnerability[1:]))
-    frequencies = []
-    for x in losses:
-        total = math.fsum(
-            (1.0 - conditional_nonexceedance(x, lower)) * a_i
-            - (conditional_nonexceedance(x, upper)
-               - conditional_nonexceedance(x, lower)) * b_i
-            for a_i, b_i, lower, upper in segments
-        )
-        frequencies.append(max(total, 0.0))
-    return frequencies
 
 
 def bench_shaped_instance(seed, points, losses):
@@ -340,39 +346,8 @@ def bench_shaped_instance(seed, points, losses):
     return hazard, vulnerability, grid
 
 
-def assert_bit_identical(losses, hazard, vulnerability):
-    curve = risk_curve(losses, hazard, vulnerability)
-    expected = per_segment_risk_curve(curve.losses, hazard, vulnerability)
-    assert [r.hex() for r in curve.frequencies] == [r.hex() for r in expected]
-
-
-@pytest.mark.parametrize("points, n_losses", [(200, 300), (300, 200)])
-def test_risk_curve_matches_per_segment_loop_on_bench_shapes(points, n_losses):
-    for seed in (1, 2):
-        hazard, vulnerability, grid = bench_shaped_instance(seed, points, n_losses)
-        assert_bit_identical(EDGE_LOSSES + grid, hazard, vulnerability)
-
-
-def test_risk_curve_matches_per_segment_loop_on_a_long_two_point_grid():
-    # One segment per loss, so a cell whose log or erfc is off by one ulp
-    # shows in that loss's frequency instead of vanishing in a long sum.
-    hazard, vulnerability, grid = bench_shaped_instance(6, 2, 20_000)
-    assert_bit_identical(EDGE_LOSSES + grid, hazard, vulnerability)
-
-
-def test_risk_curve_matches_per_segment_loop_across_block_edges():
-    wide = evt_risk._BLOCK_CELLS + 904  # one loss fills more than a block
-    hazard, vulnerability, grid = bench_shaped_instance(3, wide, 7)
-    assert_bit_identical(EDGE_LOSSES + grid, hazard, vulnerability)
-
-    hazard, vulnerability, grid = bench_shaped_instance(4, 300, 204)
-    losses = EDGE_LOSSES + grid
-    assert len(losses) % (evt_risk._BLOCK_CELLS // 300) != 0  # a ragged last block
-    assert_bit_identical(losses, hazard, vulnerability)
-
-
-def test_risk_curve_matches_per_segment_loop_on_steps_and_flat_segments():
-    rng = np.random.default_rng(41)
+def steps_instance(rng):
+    """Steps (beta = 0 at three points), a flat and two nearly flat segments."""
     s = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]
     g = [3.0, 3.0, 2.0, 2.0 * (1.0 - 1e-9), 1.5, 1.5 * (1.0 - 3e-12), 0.4]
     hazard = HazardCurve(tuple(zip(s, g)))
@@ -382,12 +357,106 @@ def test_risk_curve_matches_per_segment_loop_on_steps_and_flat_segments():
     )
     at_theta = [v.theta for v in vulnerability if v.beta == 0.0]
     nearby = [math.nextafter(t, 0.0) for t in at_theta] + [math.nextafter(t, 9.0) for t in at_theta]
-    losses = EDGE_LOSSES + at_theta + nearby + rng.uniform(0.0, 3.0, 60).tolist()
-    assert_bit_identical(losses, hazard, vulnerability)
+    return hazard, vulnerability, at_theta + nearby + rng.uniform(0.0, 3.0, 60).tolist()
+
+
+def assert_cells_match_the_scalar(monkeypatch, losses, hazard, vulnerability):
+    """Every q cell risk_curve sums equals conditional_exceedance, bit for bit."""
+    blocks = []
+
+    def recording(x, *columns):
+        q = exceedance_block(x, *columns)
+        blocks.append((x[:, 0].tolist(), q.tolist()))
+        return q
+
+    exceedance_block = evt_risk._exceedance_block
+    monkeypatch.setattr(evt_risk, "_exceedance_block", recording)
+    curve = risk_curve(losses, hazard, vulnerability)
+    monkeypatch.undo()
+    assert [x for xs, _ in blocks for x in xs] == list(curve.losses)
+    for xs, q in blocks:
+        assert len(q) * len(vulnerability) <= max(evt_risk._BLOCK_CELLS, len(vulnerability))
+        expected = [[conditional_exceedance(x, point).hex() for point in vulnerability]
+                    for x in xs]
+        assert [[cell.hex() for cell in row] for row in q] == expected
+
+
+@pytest.mark.parametrize("points, n_losses", [(200, 300), (300, 200)])
+def test_risk_curve_cells_match_conditional_exceedance_on_bench_shapes(
+    monkeypatch, points, n_losses
+):
+    for seed in (1, 2):
+        hazard, vulnerability, grid = bench_shaped_instance(seed, points, n_losses)
+        assert_cells_match_the_scalar(monkeypatch, EDGE_LOSSES + grid, hazard, vulnerability)
+
+
+def test_risk_curve_cells_match_conditional_exceedance_on_a_long_two_point_grid(monkeypatch):
+    hazard, vulnerability, grid = bench_shaped_instance(6, 2, 20_000)
+    assert_cells_match_the_scalar(monkeypatch, EDGE_LOSSES + grid, hazard, vulnerability)
+
+
+def test_risk_curve_cells_match_conditional_exceedance_across_block_edges(monkeypatch):
+    wide = evt_risk._BLOCK_CELLS + 904  # one loss fills more than a block
+    hazard, vulnerability, grid = bench_shaped_instance(3, wide, 7)
+    assert_cells_match_the_scalar(monkeypatch, EDGE_LOSSES + grid, hazard, vulnerability)
+
+    hazard, vulnerability, grid = bench_shaped_instance(4, 300, 204)
+    losses = EDGE_LOSSES + grid
+    assert len(losses) % (evt_risk._BLOCK_CELLS // 300) != 0  # a ragged last block
+    assert_cells_match_the_scalar(monkeypatch, losses, hazard, vulnerability)
+
+
+def test_risk_curve_cells_match_conditional_exceedance_on_steps_and_flat_segments(monkeypatch):
+    rng = np.random.default_rng(41)
+    hazard, vulnerability, losses = steps_instance(rng)
+    assert_cells_match_the_scalar(monkeypatch, EDGE_LOSSES + losses, hazard, vulnerability)
     for trial in range(6):
         hazard, vulnerability = make_instance(rng, n_points=6, flat_segment=True)
-        assert_bit_identical(EDGE_LOSSES + np.linspace(0.0, 3.0, 17).tolist(),
-                             hazard, vulnerability)
+        assert_cells_match_the_scalar(monkeypatch, EDGE_LOSSES + np.linspace(0.0, 3.0, 17).tolist(),
+                                      hazard, vulnerability)
+
+
+@pytest.mark.parametrize("block_cells", [1, 64, evt_risk._BLOCK_CELLS, 2**22])
+def test_risk_curve_does_not_depend_on_the_block_size(monkeypatch, block_cells):
+    instances = [
+        bench_shaped_instance(4, 300, 204),
+        bench_shaped_instance(3, evt_risk._BLOCK_CELLS + 904, 7),
+        bench_shaped_instance(6, 2, 500),
+        steps_instance(np.random.default_rng(41)),
+    ]
+    expected = [[r.hex() for r in risk_curve(EDGE_LOSSES + grid, hazard, vulnerability).frequencies]
+                for hazard, vulnerability, grid in instances]
+    monkeypatch.setattr(evt_risk, "_BLOCK_CELLS", block_cells)
+    for (hazard, vulnerability, grid), want in zip(instances, expected):
+        frequencies = risk_curve(EDGE_LOSSES + grid, hazard, vulnerability).frequencies
+        assert [r.hex() for r in frequencies] == want
+
+
+def test_risk_curve_never_rises_with_the_loss():
+    # Medians scaled by up to 2^+-900, steps, flat segments, and every
+    # loss beside its next double: each q cell falls as the loss grows and
+    # every folded weight is >= 0, so no frequency may rise.
+    rng = np.random.default_rng(7)
+    for trial in range(400):
+        n = int(rng.integers(2, 9))
+        s = np.cumsum(rng.uniform(0.1, 2.0, n))
+        fall = np.where(rng.random(n) < 0.2, 1.0, rng.uniform(0.05, 1.0, n))
+        fall[0] = 1.0
+        g = rng.uniform(0.5, 5.0) * fall.cumprod()
+        k = int(rng.integers(-900, 901))
+        mean = np.ldexp(np.sort(rng.uniform(0.05, 2.0, n)), k)
+        cov = np.where(rng.random(n) < 0.2, 0.0, rng.uniform(0.05, 2.0, n))
+        hazard = HazardCurve(tuple(zip(s.tolist(), g.tolist())))
+        vulnerability = tuple(
+            VulnerabilityPoint(s=a, mean_loss=b, cov=c)
+            for a, b, c in zip(s.tolist(), mean.tolist(), cov.tolist())
+        )
+        base = np.ldexp(rng.uniform(0.0, 6.0, 12), k).tolist()
+        base += [v.theta for v in vulnerability] + [0.0]
+        losses = sorted(base + [math.nextafter(x, math.inf) for x in base])
+        frequencies = risk_curve(losses, hazard, vulnerability).frequencies
+        assert all(r >= 0.0 and math.copysign(1.0, r) == 1.0 for r in frequencies), trial
+        assert all(b <= a for a, b in zip(frequencies, frequencies[1:])), trial
 
 
 def test_risk_curve_of_an_overflowing_ratio_raises_no_warning():

@@ -5,15 +5,14 @@ fixed corpus: the hazard and vulnerability files of the two
 ``risk_curve_*`` snapshot cases with their loss grids, three instances
 shaped like the risk-grid benchmark, and the steps-and-flat-segments
 instance of the kernel tests. Its bound is the worst case measured on the
-kernel that took one ``math.log`` of ``x / theta`` per cell; a change to
-the kernel may not raise it.
+kernel that sums one exceedance probability per cell against non-negative
+weights; a change to the kernel may not raise it.
 
-Frequencies below 2^-20 of the in-range total G_1 - G_n are left out.
-There 1 - p is close to 0 while p is a double near 1, so the frequency
-keeps only an absolute accuracy of a few ulps of the total: at a loss of
-5000 on the snapshot files the frequency 1.29e-12 is 3e-7 off in
-relative terms, and at a loss of 1e6 the exact 4.8e-79 prints as 0.
-Those tail values are pinned bit for bit by the snapshots instead.
+Every frequency is judged, the far tail included. The kernel takes each
+exceedance probability as erfc(+z / sqrt 2) / 2, never as 1 - p, so a
+frequency keeps its relative accuracy however small it is: at a loss of
+1e6 on the snapshot files the exact 4.8e-79 is computed, not 0. The
+worst case of the corpus sits there.
 """
 import json
 import math
@@ -23,16 +22,16 @@ import numpy as np
 import pytest
 
 import mp_oracle
+import test_evt_risk
 from riskseries.cli import parse_hazard_csv, parse_vulnerability_csv
-from riskseries.evt_risk import HazardCurve, VulnerabilityPoint, risk_curve
+from riskseries.evt_risk import VulnerabilityPoint, risk_curve
 from test_evt_risk import bench_shaped_instance
 
 DATA_DIR = Path(__file__).parent / "data"
 
-# Worst relative error of the corpus on the per-cell-log kernel: the
-# bench-shaped instance of seed 1 at its top loss.
-WORST_RELATIVE_ERROR = 9.170205673297828e-14
-TAIL_FRACTION = 2.0 ** -20
+# Worst relative error of the corpus on the exceedance kernel: the
+# loss-csv snapshot case at its loss of 1e6.
+WORST_RELATIVE_ERROR = 1.767974625924585e-14
 
 
 def snapshot_instances():
@@ -44,18 +43,7 @@ def snapshot_instances():
 
 
 def steps_instance():
-    """Steps (beta = 0 at three points), a flat and two nearly flat segments."""
-    rng = np.random.default_rng(41)
-    s = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]
-    g = [3.0, 3.0, 2.0, 2.0 * (1.0 - 1e-9), 1.5, 1.5 * (1.0 - 3e-12), 0.4]
-    hazard = HazardCurve(tuple(zip(s, g)))
-    covs = [0.4, 0.0, 0.7, 0.0, 1.1, 0.3, 0.0]
-    vulnerability = tuple(
-        VulnerabilityPoint(s=si, mean_loss=0.3 * si, cov=c) for si, c in zip(s, covs)
-    )
-    at_theta = [v.theta for v in vulnerability if v.beta == 0.0]
-    nearby = [math.nextafter(t, 0.0) for t in at_theta] + [math.nextafter(t, 9.0) for t in at_theta]
-    return hazard, vulnerability, at_theta + nearby + rng.uniform(0.0, 3.0, 60).tolist()
+    return test_evt_risk.steps_instance(np.random.default_rng(41))
 
 
 def corpus():
@@ -74,10 +62,8 @@ def test_risk_curve_frequencies_within_the_recorded_bound_of_a_40_digit_oracle()
     for name, hazard, vulnerability, losses in corpus():
         computed = risk_curve(losses, hazard, vulnerability).frequencies
         exact = mp_oracle.frequencies(losses, *oracle_rows(hazard, vulnerability))
-        floor = TAIL_FRACTION * (hazard.g[0] - hazard.g[-1])
         for x, r, e in zip(losses, computed, exact):
-            if e >= floor:
-                worst = max(worst, (mp_oracle.relative_error(r, e), (name, x)))
+            worst = max(worst, (mp_oracle.relative_error(r, e), (name, x)))
     assert worst[0] <= WORST_RELATIVE_ERROR, worst
 
 
