@@ -54,18 +54,20 @@ class AnalysisConfig(Record):
     alpha: float = 0.05
     detrend: bool = True
     outlier_threshold: float = 3.0
-    output_format: str = "text"
-    plot_data_dir: str | None = None
 
     def __post_init__(self):
         _check_alpha(self.alpha)
-        if self.max_lag < 1:
-            raise UsageError(f"max lag must be >= 1, got {self.max_lag!r}")
+        _check_max_lag(self.max_lag)
 
 
 def _check_alpha(alpha: float):
     if not 0.0 < alpha < 1.0:
         raise UsageError(f"alpha must be in (0, 1), got {alpha!r}")
+
+
+def _check_max_lag(max_lag: int):
+    if max_lag < 1:
+        raise UsageError(f"max lag must be >= 1, got {max_lag!r}")
 
 
 class PipelineReport(Record):
@@ -457,8 +459,9 @@ def run_pipeline(series: TimeSeries, config: AnalysisConfig) -> PipelineReport:
 
 def _record_to_dict(record: Record) -> dict:
     """A result record as a dict: its fields in declaration order, which
-    is the JSON schema. Nested records and tuples of records are converted
-    too; every other value is shared, not copied.
+    is the JSON schema. A nested record becomes a dict, and a non-empty
+    tuple of records a ``ColumnTable`` with one column per field, in
+    declaration order; every other value is shared, not copied.
 
     The order comes from ``_fields``, not from the instance's ``__dict__``,
     which holds the fields in whatever order the constructor's keywords
@@ -470,7 +473,9 @@ def _record_to_dict(record: Record) -> dict:
         if isinstance(value, Record):
             fields[key] = _record_to_dict(value)
         elif type(value) is tuple and value and isinstance(value[0], Record):
-            fields[key] = [_record_to_dict(item) for item in value]
+            fields[key] = ColumnTable(**{
+                name: [getattr(item, name) for item in value] for name in value[0]._fields
+            })
     return fields
 
 
@@ -484,27 +489,36 @@ def regression_to_dict(model: autoreg.ARModel) -> dict:
 
 
 class ColumnTable:
-    """Rows held as columns: one list per key, in schema order, all of one length.
+    """Rows held as columns, in schema order, all of one length.
 
-    Iterating yields each row as a dict, keys in column order, so a table
-    reads as the list of row dicts it stands for and ``list(table)`` builds
-    that list. The JSON and text writers format it column by column and
-    build no row.
+    Named columns (``ColumnTable(y=..., z=...)``) hold rows that are
+    dicts, keys in column order; positional ones (``ColumnTable(xs, ys)``)
+    hold rows that are lists. ``columns`` maps each name, or position, to
+    its column. Iterating yields the rows, so ``list(table)`` builds the
+    list the table stands for. The JSON writer formats it column by column
+    and builds no row.
     """
 
-    __slots__ = ("columns",)
+    __slots__ = ("columns", "keys")
 
-    def __init__(self, **columns):
+    def __init__(self, /, *positional, **named):
+        if positional and named:
+            raise ValueError("table columns must be all named or all positional")
+        columns = named or dict(enumerate(positional))
         if len(set(map(len, columns.values()))) > 1:
             raise ValueError("table columns must all have the same length")
         self.columns = columns
+        self.keys = tuple(named) if named else None
 
     def __len__(self) -> int:
         return len(next(iter(self.columns.values()), ()))
 
     def __iter__(self):
-        keys = tuple(self.columns)
-        return (dict(zip(keys, row)) for row in zip(*self.columns.values()))
+        rows = zip(*self.columns.values())
+        if self.keys is None:
+            return map(list, rows)
+        keys = self.keys
+        return (dict(zip(keys, row)) for row in rows)
 
 
 def residuals_to_dict(report: residuals.ResidualReport) -> dict:
@@ -530,7 +544,7 @@ def event_series_to_dict(events: peaks.EventSeries) -> dict:
     return {
         "provenance": _record_to_dict(events.provenance),
         "n": len(events),
-        "observations": [list(p) for p in zip(events.indices.tolist(), events.values.tolist())],
+        "observations": ColumnTable(events.indices.tolist(), events.values.tolist()),
     }
 
 
@@ -616,32 +630,10 @@ def _column_texts(column) -> list[str] | None:
     return None
 
 
-def _record_texts(items, inner: str) -> str | None:
-    """The items of a list of rows, joined column by column, or None.
-
-    A row is a flat record or a flat list. The items qualify when all are
-    dicts with the same str keys in the same order, or all are lists of
-    the same non-zero length; ``_rows_text`` then joins their columns.
-    """
-    kinds = set(map(type, items))
-    if kinds == {dict}:
-        keys = tuple(items[0])
-        if (not keys or set(map(tuple, items)) != {keys}
-                or not all(isinstance(key, str) for key in keys)):
-            return None
-        return _rows_text(zip(*map(dict.values, items)), len(items), inner, keys)
-    if kinds == {list}:
-        width = len(items[0])
-        if not width or set(map(len, items)) != {width}:
-            return None
-        return _rows_text(zip(*items), len(items), inner)
-    return None
-
-
-def _rows_text(columns, n: int, inner: str, keys: tuple[str, ...] | None = None) -> str | None:
+def _rows_text(columns, n: int, inner: str, keys: tuple[str, ...] | None) -> str | None:
     """``n`` rows given as columns, joined into the text between a list's brackets.
 
-    The rows are records with ``keys`` or, without keys, flat lists. Each
+    The rows are records with ``keys`` or, if ``keys`` is None, flat lists. Each
     row is opening bracket, value (after its key prefix, for a record),
     comma, value, ..., closing bracket, taken from per-column lists in one
     join. None if a column fails ``_column_texts``.
@@ -679,22 +671,13 @@ def _write_json(value, parts: list[str], newline: str):
     scalar branches below; any other value, a float or int subclass
     included, is written by a recursive call.
 
-    A list is written one column at a time when it is homogeneous: all
-    scalars of one exact type (``float``, ``int``, ``bool`` or ``str``;
-    a bool is never taken for an int, nor a float subclass for a float),
-    or all rows of one shape whose every column is such a list. A row is
-    a flat dict (the same str keys in the same order in every row) or a
-    flat list (the same non-zero length in every row). Each column is
-    mapped through the same formatter the per-value path applies to that
-    type (``float.__repr__`` and the NaN/Infinity names, ``int.__repr__``,
-    ``true``/``false``, ``encode_basestring_ascii``), and the separators
-    and indentation are the per-value path's, so the bytes are the same.
-    Any other list is written item by item.
-
-    A ``ColumnTable`` is written as the list of its row dicts: its columns
-    go straight to the joiner that record rows take, and no row is built.
-    If a column does not qualify, the table is written item by item from
-    its row dicts.
+    A list is written in one pass when all its items are scalars of one
+    exact type (``float``, ``int``, ``bool`` or ``str``; a bool is never
+    taken for an int, nor a float subclass for a float), each mapped
+    through the formatter the per-value path applies to that type; any
+    other list is written item by item. A ``ColumnTable`` is written as
+    the list of its rows, one such column at a time, and no row is built;
+    if a column does not qualify, the table is written row by row.
     """
     if isinstance(value, str):
         parts.append(encode_basestring_ascii(value))
@@ -714,9 +697,7 @@ def _write_json(value, parts: list[str], newline: str):
             return
         inner = newline + "  "
         if isinstance(value, ColumnTable):
-            text = _rows_text(value.columns.values(), len(value), inner, tuple(value.columns))
-        elif type(value[0]) in (dict, list):
-            text = _record_texts(value, inner)
+            text = _rows_text(value.columns.values(), len(value), inner, value.keys)
         else:
             texts = _column_texts(value)
             text = None if texts is None else ("," + inner).join(texts)
@@ -921,8 +902,7 @@ def _prepare_ar_series(args) -> tuple[TimeSeries, str]:
 def _cmd_ar(args) -> str:
     _check_alpha(args.alpha)
     source, label = _prepare_ar_series(args)
-    if args.max_lag < 1:
-        raise UsageError(f"max lag must be >= 1, got {args.max_lag!r}")
+    _check_max_lag(args.max_lag)
     n = len(source)
     if args.max_lag > autoreg.max_order(n):
         # The first order too high for the data fails as its fit would, before any fit runs.
@@ -953,7 +933,7 @@ def _cmd_gev_pdf(args) -> str:
     xs = _finite_list(args.x, "evaluation points")
     payload = {
         "mu": args.mu, "sigma": args.sigma, "xi": args.xi,
-        "points": [[x, evt_risk.gev_pdf(x, params)] for x in xs],
+        "points": ColumnTable(list(xs), [evt_risk.gev_pdf(x, params) for x in xs]),
     }
     return render(payload, args.format, "gev_pdf")
 
@@ -985,14 +965,12 @@ def _cmd_analyze(args) -> str:
         alpha=args.alpha,
         detrend=not args.no_detrend,
         outlier_threshold=args.outlier_threshold,
-        output_format=args.format,
-        plot_data_dir=args.plot_data,
     )
     series = parse_csv(config.input_path, config.decimal)
     report = run_pipeline(series, config)
-    if config.plot_data_dir and not isinstance(report.residuals_raw_ar1, str):
-        _write_plot_csvs(config.plot_data_dir, report.residuals_raw_ar1)
-    return render(pipeline_to_dict(report), config.output_format, "pipeline")
+    if args.plot_data and not isinstance(report.residuals_raw_ar1, str):
+        _write_plot_csvs(args.plot_data, report.residuals_raw_ar1)
+    return render(pipeline_to_dict(report), args.format, "pipeline")
 
 
 _COMMANDS = {

@@ -269,8 +269,9 @@ def build_segments(
         t = math.log(ratio) if ratio > 0.0 else math.log(g_cur) - math.log(g_prev)
         a.append(g_prev - g_cur)
         if abs(t) < _FLAT_SEGMENT_EPS:
-            # (e^t - 1)/t - e^t = -t/2 - t^2/3 - O(t^3)
-            b.append(g_prev * (-t / 2.0 - t * t / 3.0))
+            # (e^t - 1)/t - e^t = -t/2 - t^2/3 - O(t^3); adding 0.0 turns the
+            # -0.0 of an exactly flat segment (t = 0) into 0.0 and changes no other b.
+            b.append(g_prev * (-t / 2.0 - t * t / 3.0) + 0.0)
         else:
             b.append(g_prev * (math.expm1(t) / t - math.exp(t)))
     return np.array(a), np.array(b)

@@ -271,6 +271,14 @@ def test_segment_whose_frequency_ratio_underflows_takes_a_difference_of_logs():
     assert list(frequencies) == sorted(frequencies, reverse=True)
 
 
+def test_flat_segment_weight_b_is_positive_zero():
+    hazard = HazardCurve(((1, 2), (2, 2), (3, 1)))
+    vulnerability = tuple(VulnerabilityPoint(s=s, mean_loss=s, cov=0.5) for s in (1.0, 2.0, 3.0))
+    _, b = build_segments(hazard, vulnerability)
+    assert b[0] == 0.0 and math.copysign(1.0, b[0]) == 1.0
+    assert b[1] > 0.0
+
+
 def test_flat_segment_contributes_nothing():
     hazard = HazardCurve(((1.0, 2.0), (2.0, 2.0), (3.0, 1.0)))
     vulnerability = tuple(

@@ -4,12 +4,12 @@ import io
 import json
 import random
 import struct
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
 
-from riskseries import cli, peaks
+from riskseries import cli, evt_risk, peaks
 from riskseries.cli import (
     EXIT_OK,
     AnalysisConfig,
@@ -22,6 +22,7 @@ from riskseries.cli import (
     run_pipeline,
 )
 from riskseries.series import TimeSeries
+from test_cli_snapshots import COMMANDS
 
 STRINGS = ["", "a", "month,value", "é", "雨量", "\U0001F327", "\x00\x01\x1f", "\n\t\r\b\f",
            '"quoted"', "back\\slash", "\x7f  ", "mixed é\x05\"\\"]
@@ -180,8 +181,8 @@ def test_values_outside_the_report_types_raise_type_error(value):
         render(value, "json", None)
 
 
-# Lists of one exact scalar type, and lists of flat records with the same
-# keys in the same order, are written column by column; the rest item by item.
+# Lists of one exact scalar type are written in one pass; every other list,
+# lists of flat records or of flat lists included, is written item by item.
 
 TEXTS = ["", "plain", "é", "雨量", "\U0001F327", "\x00\x01\x1f", "\n\t", "100%", "%s %(k)s",
          "{0}", "{", '"', '\\"{%}\\"', "\x7f", "mixed é\x05\"\\"]
@@ -446,3 +447,158 @@ def test_pipeline_residual_rows_iterate_to_the_row_dicts_of_the_report(event_ser
     assert [[(key, type(value), value) for key, value in row.items()] for row in rows] == \
         [[(key, type(value), value) for key, value in row.items()] for row in expected]
     assert list(rows) == list(rows)  # iterating again gives the rows again
+
+
+# Every table of a report is declared as a ColumnTable by the dict layer.
+
+def _payload(monkeypatch, argv) -> dict:
+    """The dict that ``main(argv + ["--format", "json"])`` renders."""
+    payloads = []
+    render_ = cli.render
+
+    def capturing(report_dict, *args):
+        payloads.append(report_dict)
+        return render_(report_dict, *args)
+
+    with monkeypatch.context() as patch, redirect_stdout(io.StringIO()), \
+            redirect_stderr(io.StringIO()):
+        patch.setattr(cli, "render", capturing)
+        main([*map(str, argv), "--format", "json"])
+    assert len(payloads) == 1, argv
+    return payloads[0]
+
+
+def _containers(value):
+    """The dicts, lists, tuples and tables of a payload, not descending into tables."""
+    if isinstance(value, (dict, list, tuple, ColumnTable)):
+        yield value
+    if isinstance(value, (dict, list, tuple)):
+        for item in value.values() if isinstance(value, dict) else value:
+            yield from _containers(item)
+
+
+def _station_csv(tmp_path, seed: int = 31, n: int = 600):
+    """A monthly record like one station of station-batch, and its 0.9 quantile."""
+    rng = np.random.default_rng(seed)
+    level, values = 0.0, []
+    for shock in rng.gumbel(0.0, 25.0, size=n).tolist():
+        level = 0.4 * level + shock
+        values.append(level)
+    values = np.maximum(np.round(120.0 + 0.02 * np.arange(n) + np.array(values), 1), 0.0)
+    path = tmp_path / "station.csv"
+    path.write_text("month,value\n" + "".join(
+        f"{m},{v!r}\n" for m, v in enumerate(values.tolist(), start=1)
+    ))
+    return path, float(np.quantile(values, 0.9))
+
+
+def _report_argvs(tmp_path):
+    station, threshold = _station_csv(tmp_path)
+    return [args for _, args, code in COMMANDS if code == EXIT_OK] + [
+        ["analyze", station, "--threshold", repr(threshold)],
+    ]
+
+
+def test_every_report_table_is_declared_and_written_in_one_call(tmp_path, monkeypatch):
+    tables_seen = 0
+    for argv in _report_argvs(tmp_path):
+        payload = _payload(monkeypatch, argv)
+        nodes = list(_containers(payload))
+        tables = [node for node in nodes if isinstance(node, ColumnTable)]
+        tables_seen += len(tables)
+        for node in nodes:
+            if isinstance(node, (list, tuple)):
+                assert not any(isinstance(item, (dict, list, tuple, ColumnTable))
+                               for item in node), argv
+        for table in tables:
+            for column in table.columns.values():
+                assert cli._column_texts(column) is not None, argv
+        calls = []
+        write_json = cli._write_json
+
+        def recording(value, parts, newline):
+            calls.append(value)
+            write_json(value, parts, newline)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_write_json", recording)
+            _assert_same_text(render(payload, "json", None), _expected(payload))
+        # Each table is written by one call, and no call writes a row of one.
+        assert [call for call in calls if isinstance(call, ColumnTable)] == tables, argv
+        containers = set(map(id, nodes))
+        assert all(id(call) in containers for call in calls
+                   if isinstance(call, (dict, list, tuple, ColumnTable))), argv
+    assert tables_seen > 0
+
+
+def _typed(rows) -> list:
+    """Each row's type, and its items' keys, types and values: True == 1 would hide a bool."""
+    return [
+        (type(row), [(key, type(value), value) for key, value in row.items()]
+         if isinstance(row, dict) else [(type(value), value) for value in row])
+        for row in rows
+    ]
+
+
+def test_record_and_pair_tables_iterate_to_the_rows_of_the_report(tmp_path):
+    path, threshold = _station_csv(tmp_path)
+    config = AnalysisConfig(input_path=str(path),
+                            threshold=peaks.ThresholdSpec(threshold=threshold))
+    report = run_pipeline(parse_csv(str(path)), config)
+    payload = pipeline_to_dict(report)
+    for label, models in (("raw", report.ar_raw), ("detrended", report.ar_detrended)):
+        assert len(models) == 3
+        for p, model in models.items():
+            coefficients = payload["ar"][label][f"p{p}"]["coefficients"]
+            expected = [
+                {"term": c.term, "estimate": c.estimate, "std_error": c.std_error,
+                 "t_stat": c.t_stat, "p_value": c.p_value, "ci_lower_95": c.ci_lower_95,
+                 "ci_upper_95": c.ci_upper_95}
+                for c in model.report.coefficients
+            ]
+            assert len(coefficients) == len(expected) == p + 1
+            assert _typed(coefficients) == _typed(expected)
+        trace = getattr(report, f"order_{label}")
+        steps = payload["order_selection"][label]["steps"]
+        expected = [
+            {"p": step.p, "coefficient": step.coefficient, "std_error": step.std_error,
+             "z": step.z, "z_alpha": step.z_alpha, "decision": step.decision}
+            for step in trace.steps
+        ]
+        assert 1 <= len(steps) == len(expected) <= 3
+        assert _typed(steps) == _typed(expected)
+    events = report.pot_events
+    observations = payload["pot"]["observations"]
+    expected = [[index, value]
+                for index, value in zip(events.indices.tolist(), events.values.tolist())]
+    assert len(observations) == len(expected) == payload["pot"]["n"] > 3
+    assert _typed(observations) == _typed(expected)
+    assert list(observations) == list(observations)  # iterating again gives the rows again
+
+
+def test_gev_pdf_points_iterate_to_lists_of_x_and_density(monkeypatch):
+    xs = [-40.0, 0.0, 60.0, 100.0, 125.5, 200.0, 1e3]
+    payload = _payload(monkeypatch, ["gev-pdf", "--mu", "100", "--sigma", "25", "--xi", "0.2",
+                                     "--x=" + ",".join(map(repr, xs))])
+    params = evt_risk.GevParams(mu=100.0, sigma=25.0, xi=0.2)
+    points = payload["points"]
+    assert isinstance(points, ColumnTable) and points.keys is None
+    expected = [[x, evt_risk.gev_pdf(x, params)] for x in xs]
+    assert len(points) == len(expected)
+    assert _typed(points) == _typed(expected)
+
+
+def test_positional_column_tables_match_json_dumps_of_their_rows(monkeypatch):
+    rng = random.Random(20165)
+    for n in (0, 1, 2, 3, 57):
+        for _ in range(20):
+            kinds = rng.sample(ROW_COLUMN_KINDS, rng.randint(1, 4))
+            table = ColumnTable(*(_scalar_column(rng, kind, n) for kind in kinds))
+            rows = list(table)
+            assert all(type(row) is list and len(row) == len(kinds) for row in rows)
+            _assert_same_text(render({"points": table}, "json", None),
+                              _expected({"points": rows}))
+    with pytest.raises(ValueError, match="all named or all positional"):
+        ColumnTable([1.0], y=[2.0])
+    with pytest.raises(ValueError, match="same length"):
+        ColumnTable([1.0, 2.0], [1.0])
