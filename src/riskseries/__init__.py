@@ -70,6 +70,7 @@ __all__ = [
     "TimeSeries",
     "TrendLine",
     "UsageError",
+    "VulnerabilityCurve",
     "VulnerabilityPoint",
     "block_maxima",
     "build_lagged_design",
@@ -105,6 +106,7 @@ _EVT_RISK = frozenset({
     "GevParams",
     "HazardCurve",
     "RiskCurve",
+    "VulnerabilityCurve",
     "VulnerabilityPoint",
     "build_segments",
     "conditional_exceedance",

@@ -280,7 +280,7 @@ def _hazard_rows(path: str, rows: list[tuple[int, str]]) -> evt_risk.HazardCurve
 
 def parse_vulnerability_csv(
     path: str, hazard: evt_risk.HazardCurve
-) -> tuple[evt_risk.VulnerabilityPoint, ...]:
+) -> evt_risk.VulnerabilityCurve:
     """Read one ``s,mean_loss,cov`` row per intensity of the hazard grid."""
     from . import evt_risk
 
@@ -292,10 +292,7 @@ def parse_vulnerability_csv(
         try:
             s, mean_loss, cov = (list(map(float, column)) for column in columns)
             if s == list(hazard.s) and all(map(math.isfinite, chain(mean_loss, cov))):
-                return tuple(
-                    evt_risk.VulnerabilityPoint(s=s_i, mean_loss=mean_i, cov=cov_i)
-                    for s_i, mean_i, cov_i in zip(s, mean_loss, cov)
-                )
+                return evt_risk.VulnerabilityCurve(s=s, mean_loss=mean_loss, cov=cov)
         except (ValueError, UsageError):
             pass
     return _vulnerability_rows(path, _numbered_rows(lines)[1:], hazard.s)
@@ -303,7 +300,7 @@ def parse_vulnerability_csv(
 
 def _vulnerability_rows(
     path: str, rows: list[tuple[int, str]], grid: tuple[float, ...]
-) -> tuple[evt_risk.VulnerabilityPoint, ...]:
+) -> evt_risk.VulnerabilityCurve:
     from . import evt_risk
 
     points = []
@@ -327,7 +324,7 @@ def _vulnerability_rows(
         raise DataError(f"{path}: no data rows")
     if len(points) != len(grid):
         raise DataError(f"{path}: vulnerability has {len(points)} points, hazard has {len(grid)}")
-    return tuple(points)
+    return evt_risk.VulnerabilityCurve.of(points)
 
 
 def _parse_loss_grid(flag_value: str | None, csv_path: str | None) -> tuple[float, ...]:
@@ -340,7 +337,7 @@ def _parse_loss_grid(flag_value: str | None, csv_path: str | None) -> tuple[floa
         raise DataError(f"{csv_path}: expected header 'x'")
     try:
         losses = tuple(map(float, rows[1:]))
-        if all(map(math.isfinite, losses)) and min(losses, default=0.0) >= 0.0:
+        if losses and all(map(math.isfinite, losses)) and min(losses) >= 0.0:
             return losses
     except ValueError:
         pass
@@ -354,6 +351,8 @@ def _loss_rows(path: str, rows: list[tuple[int, str]]) -> tuple[float, ...]:
         if x < 0.0:
             raise DataError(f"{path}: line {lineno}: loss must be non-negative, got {x!r}")
         losses.append(x)
+    if not losses:
+        raise DataError(f"{path}: no data rows")
     return tuple(losses)
 
 

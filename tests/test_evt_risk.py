@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 import types
 import warnings
@@ -12,6 +13,7 @@ from riskseries.errors import DataError, UsageError
 from riskseries.evt_risk import (
     GevParams,
     HazardCurve,
+    VulnerabilityCurve,
     VulnerabilityPoint,
     build_segments,
     conditional_exceedance,
@@ -505,3 +507,165 @@ def test_risk_curve_memory_stays_within_blocks():
         tracemalloc.stop()
     assert peak < 4 * 2**20  # a full 2000 x 2000 float matrix alone is 32 MB
 
+
+
+# ------------------------------------------------- the vulnerability curve
+
+def largest_accepted_cov():
+    """The largest CoV whose square is finite, so its log-sd is too."""
+    cov = math.sqrt(sys.float_info.max)
+    while cov * cov == math.inf:
+        cov = math.nextafter(cov, 0.0)
+    return cov
+
+
+def smallest_accepted_mean(cov):
+    """The smallest mean loss whose lognormal median does not underflow at ``cov``."""
+    mean = math.ldexp(math.sqrt(1.0 + cov * cov), -1075)
+    while mean / math.sqrt(1.0 + cov * cov) == 0.0:
+        mean = math.nextafter(mean, math.inf)
+    while math.nextafter(mean, 0.0) / math.sqrt(1.0 + cov * cov) != 0.0:
+        mean = math.nextafter(mean, 0.0)
+    return mean
+
+
+def test_the_largest_accepted_cov_has_a_log_sd_below_26_65():
+    cov = largest_accepted_cov()
+    assert 1.34e154 < cov < 1.35e154
+    beta = lognormal_params(1.0, cov)[1]
+    assert beta < 26.65
+    # A ratio that underflows has a log below -1075 ln 2, where erfc is exactly 2.
+    assert -1075 * math.log(2.0) / beta / math.sqrt(2.0) < -19.7
+    assert math.erfc(-19.7) == 2.0
+    with pytest.raises(UsageError, match="log-sd overflows"):
+        lognormal_params(1.0, math.nextafter(cov, math.inf))
+
+
+def test_losses_certainly_exceeded_need_no_mask(monkeypatch):
+    """0, -0 and losses whose ratio to theta underflows reach q = 1 through erfc.
+
+    Medians run up to 7.5e145 (mean 1e300 at the largest accepted CoV), so
+    5e-324 and 1e-300 over many of them underflow to 0. Every cell must be
+    exactly 1.0 and equal the scalar conditional_exceedance, and the step
+    columns (CoV 0) still give x < theta.
+    """
+    cov_max = largest_accepted_cov()
+    rows = ([(1.0, 0.5), (1e10, 0.5), (1e100, 0.5), (1e300, 0.5)]
+            + [(1e160, cov_max), (1e200, cov_max), (1e300, cov_max)]
+            + [(1e-299, 0.0), (1e300, 0.0)])
+    s = [float(i + 1) for i in range(len(rows))]
+    vulnerability = tuple(VulnerabilityPoint(s=a, mean_loss=m, cov=c)
+                          for a, (m, c) in zip(s, rows))
+    hazard = HazardCurve(tuple(zip(s, [2.0 ** -i for i in range(len(rows))])))
+    losses = [0.0, -0.0, 5e-324, 1e-300]
+    assert any(x > 0.0 and x / v.theta == 0.0 for x in losses for v in vulnerability)
+    assert max(v.theta for v in vulnerability if v.beta > 0.0) > 7.4e145
+
+    blocks = []
+
+    def recording(x, *columns):
+        q = exceedance_block(x, *columns)
+        blocks.append(q.copy())
+        return q
+
+    exceedance_block = evt_risk._exceedance_block
+    monkeypatch.setattr(evt_risk, "_exceedance_block", recording)
+    risk_curve(losses, hazard, vulnerability)
+    q = np.concatenate(blocks)
+    assert q.shape == (len(losses), len(vulnerability))
+    assert (q == 1.0).all()
+    for x, row in zip(losses, q.tolist()):
+        assert row == [conditional_exceedance(x, v) for v in vulnerability]
+
+    # The step columns, whose medians are 1e-299 and 1e300, around each median.
+    blocks.clear()
+    steps = [math.nextafter(1e-299, 0.0), 1e-299, math.nextafter(1e300, 0.0), 1e300, 1.7e308]
+    risk_curve(steps, hazard, vulnerability)
+    q = np.concatenate(blocks)
+    for x, row in zip(steps, q.tolist()):
+        assert row[-2:] == [float(x < v.theta) for v in vulnerability[-2:]]
+        assert row == [conditional_exceedance(x, v) for v in vulnerability]
+    assert q[:, -2:].tolist() == [[1.0, 1.0], [0.0, 1.0], [0.0, 1.0], [0.0, 0.0], [0.0, 0.0]]
+
+
+def seeded_vulnerability_rows(seed, n):
+    """(mean_loss, cov) rows of every kind a curve accepts, edge cases first."""
+    rng = np.random.default_rng(seed)
+    cov_max = largest_accepted_cov()
+    rows = [(0.5, 0.0), (0.5, 1e-8), (2.0, cov_max), (1e300, cov_max), (5e-324, 0.0),
+            (smallest_accepted_mean(1e150), 1e150), (smallest_accepted_mean(cov_max), cov_max),
+            (smallest_accepted_mean(3.0), 3.0)]
+    means = 10.0 ** rng.uniform(-300.0, 300.0, n)
+    covs = np.where(rng.random(n) < 0.2, 0.0, 10.0 ** rng.uniform(-10.0, 154.0, n))
+    for mean, cov in zip(means.tolist(), covs.tolist()):
+        try:
+            lognormal_params(mean, cov)
+        except UsageError:
+            continue
+        rows.append((mean, cov))
+    return rows
+
+
+def test_curve_columns_equal_lognormal_params_bit_for_bit():
+    rows = seeded_vulnerability_rows(1807, 3000)
+    assert len(rows) > 2000
+    means, covs = zip(*rows)
+    curve = VulnerabilityCurve(s=np.arange(len(rows), dtype=float), mean_loss=means, cov=covs)
+    expected = [tuple(x.hex() for x in lognormal_params(m, c)) for m, c in rows]
+    assert list(zip(map(float.hex, curve.theta.tolist()),
+                    map(float.hex, curve.beta.tolist()))) == expected
+    assert [(c.hex(), m.hex()) for m, c in rows] == list(
+        zip(map(float.hex, curve.cov.tolist()), map(float.hex, curve.mean_loss.tolist())))
+
+
+def test_curve_columns_are_read_only_float64_copies():
+    s, mean, cov = [1.0, 2.0], [0.5, 0.7], np.array([0.3, 0.0])
+    curve = VulnerabilityCurve(s, mean, cov)
+    cov[0] = 9.0
+    for name in ("s", "mean_loss", "cov", "theta", "beta"):
+        column = getattr(curve, name)
+        assert column.dtype == np.float64 and not column.flags.writeable, name
+    assert curve.cov.tolist() == [0.3, 0.0]
+    assert len(curve) == 2
+    assert [(p.s, p.mean_loss, p.cov) for p in curve] == [(1.0, 0.5, 0.3), (2.0, 0.7, 0.0)]
+    assert VulnerabilityCurve.of(curve) is curve
+    with pytest.raises(UsageError, match="one length"):
+        VulnerabilityCurve([1.0, 2.0], [0.5], [0.3, 0.3])
+
+
+BAD_ROWS = [(0.0, 0.5), (-1.0, 0.5), (math.nan, 0.5), (0.5, -0.3), (0.5, math.nan),
+            (0.5, -math.inf), (1.0, 1.4e154), (math.inf, 1e300), (1e-300, 1e150),
+            (math.nextafter(smallest_accepted_mean(1e150), 0.0), 1e150)]
+
+
+@pytest.mark.parametrize("bad", BAD_ROWS, ids=[f"{m!r},{c!r}" for m, c in BAD_ROWS])
+@pytest.mark.filterwarnings("error")
+def test_a_bad_curve_raises_what_its_first_bad_point_raises(bad):
+    rows = seeded_vulnerability_rows(23, 40)
+    for position in (0, 7, len(rows)):
+        # A second bad row after the first must not be the one reported.
+        placed = rows[:position] + [bad] + rows[position:] + [(0.0, -1.0)]
+        with pytest.raises(UsageError) as from_point:
+            for m, c in placed:
+                VulnerabilityPoint(s=1.0, mean_loss=m, cov=c)
+        means, covs = zip(*placed)
+        with pytest.raises(UsageError) as from_curve:
+            VulnerabilityCurve(s=[0.0] * len(placed), mean_loss=means, cov=covs)
+        assert str(from_curve.value) == str(from_point.value)
+
+
+def test_risk_curve_takes_a_curve_or_its_points_alike():
+    hazard, points, grid = bench_shaped_instance(9, 50, 40)
+    curve = VulnerabilityCurve.of(points)
+    assert list(curve) == list(points)
+    for a, b in zip(build_segments(hazard, curve), build_segments(hazard, points)):
+        assert a.tolist() == b.tolist()
+    assert risk_curve(EDGE_LOSSES + grid, hazard, curve) == risk_curve(
+        EDGE_LOSSES + grid, hazard, points)
+
+
+def test_hazard_columns_are_taken_once():
+    hazard = HazardCurve(((1, 2), (2.0, 1.5), (3.0, 0.5)))
+    assert hazard.s == (1.0, 2.0, 3.0) and hazard.g == (2.0, 1.5, 0.5)
+    assert hazard.s is hazard.s and hazard.g is hazard.g
+    assert HazardCurve(()).s == HazardCurve(()).g == ()

@@ -11,7 +11,7 @@ import math
 import pytest
 
 import row_readers as reference
-from riskseries import cli
+from riskseries import cli, evt_risk
 from riskseries.errors import DataError, UsageError
 
 HEADERS = {"csv": "month,value", "hazard": "s,G", "vulnerability": "s,mean_loss,cov", "losses": "x"}
@@ -56,6 +56,7 @@ def _variants(kind):
     yield "header-extra-column", _text(header + ",extra", rows).encode()
     yield "header-missing", _text("", rows).lstrip("\n").encode()
     yield "header-only", (header + "\n").encode()
+    yield "header-then-blank-lines", (header + "\n\n \n\t\n").encode()
     yield "empty", b""
     yield "blank-only", b"\n \n"
     yield "plus", _text(header, [["+" + c for c in row] for row in rows]).encode()
@@ -106,8 +107,9 @@ def _bits(value):
         return value.indices.tolist(), [v.hex() for v in value.values.tolist()]
     if hasattr(value, "points"):  # HazardCurve
         return _bits(value.points)
-    if hasattr(value, "mean_loss"):  # VulnerabilityPoint
-        return _bits((value.s, value.mean_loss, value.cov, value.theta, value.beta))
+    if hasattr(value, "mean_loss"):  # VulnerabilityCurve: one row of bits per point
+        columns = (value.s, value.mean_loss, value.cov, value.theta, value.beta)
+        return _bits(list(zip(*(column.tolist() for column in columns))))
     if isinstance(value, (tuple, list)):
         return [_bits(item) for item in value]
     return value
@@ -199,3 +201,22 @@ def test_good_files_never_reach_the_per_row_loop(tmp_path, monkeypatch):
     for kind in KINDS:
         assert _bits(_read(cli, kind, paths, cli.DECIMAL_POINT)) == expected[kind]
     assert len(expected["vulnerability"]) == 1000
+
+
+def test_a_good_vulnerability_file_builds_no_point_record(tmp_path, monkeypatch, capsys):
+    paths = {k: tmp_path / f"{k}.csv" for k in KINDS}
+    for kind, path in paths.items():
+        path.write_bytes(_good_file(kind, 2000))
+    paths = {k: str(path) for k, path in paths.items()}
+    argv = _argv("vulnerability", paths, cli.DECIMAL_POINT)
+    assert cli.main(argv) == 0
+    expected = capsys.readouterr()
+
+    def point_record(self):
+        raise AssertionError("a VulnerabilityPoint was built from a good file")
+
+    monkeypatch.setattr(evt_risk.VulnerabilityPoint, "__post_init__", point_record)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr() == expected
+    assert len(cli.parse_vulnerability_csv(paths["vulnerability"],
+                                           cli.parse_hazard_csv(paths["hazard"]))) == 2000

@@ -15,7 +15,7 @@ from riskseries.linreg import RegressionReport
 from riskseries.peaks import STRICTLY_ABOVE, EventSeries, Provenance, ThresholdSpec
 from riskseries.series import TimeSeries
 
-IDENTITY_EQUAL = {"TimeSeries", "EventSeries", "ResidualReport"}
+IDENTITY_EQUAL = {"TimeSeries", "EventSeries", "ResidualReport", "VulnerabilityCurve"}
 
 
 def _record_classes() -> set[type]:
@@ -51,7 +51,9 @@ def _samples(fixture_path) -> dict:
     vulnerability = tuple(evt_risk.VulnerabilityPoint(s=s, mean_loss=m, cov=0.5)
                           for s, m in ((1.0, 0.2), (2.0, 0.5)))
     risk = evt_risk.risk_curve([0.0, 0.5], hazard, vulnerability)
-    _collect([hazard, vulnerability, risk, evt_risk.GevParams(mu=0.0, sigma=1.0, xi=0.1)], samples)
+    curve = evt_risk.VulnerabilityCurve.of(vulnerability)
+    _collect([hazard, vulnerability, curve, risk, evt_risk.GevParams(mu=0.0, sigma=1.0, xi=0.1)],
+             samples)
     return samples
 
 
@@ -67,7 +69,7 @@ def _kwargs(record) -> dict:
 
 
 def test_every_record_class_is_checked(samples):
-    assert len(samples) == 20
+    assert len(samples) == 21
     assert not any(cls.__name__ == "LaggedDesign" for cls in samples)
 
 
