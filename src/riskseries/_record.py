@@ -10,8 +10,13 @@ then they compare by identity, as records holding numpy columns do.
 ``dataclasses`` writes out and ``exec``s each generated method of every
 class, about a millisecond per class at import. ``Record`` reads the
 annotations once in ``__init_subclass__`` and shares one ``__init__``.
+
+``pickle`` and ``copy.deepcopy`` rebuild a record's attributes as they
+were, and a numpy column that was read-only comes back read-only.
 """
 from __future__ import annotations
+
+import numpy as np
 
 
 class Record:
@@ -81,3 +86,19 @@ class Record:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r} of a frozen record")
+
+    def __reduce__(self):
+        # An unpickled or deep-copied array is writeable; the names of the
+        # read-only ones travel with the state, so _rebuild can freeze them.
+        state = vars(self)
+        read_only = tuple(name for name, value in state.items()
+                          if isinstance(value, np.ndarray) and not value.flags.writeable)
+        return _rebuild, (self.__class__, state, read_only)
+
+
+def _rebuild(cls: type[Record], state: dict, read_only: tuple[str, ...]) -> Record:
+    record = object.__new__(cls)
+    record.__dict__.update(state)
+    for name in read_only:
+        state[name].flags.writeable = False
+    return record

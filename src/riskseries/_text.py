@@ -1,8 +1,8 @@
 """Text rendering of the command reports.
 
 Every renderer reads the dictionary the JSON output is written from, so
-the two formats never disagree. ``riskseries.cli`` imports this module
-only for ``--format text``.
+the two formats never disagree. ``riskseries._report.render`` imports
+this module only for ``--format text``.
 """
 from __future__ import annotations
 

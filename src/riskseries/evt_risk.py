@@ -150,6 +150,8 @@ def lognormal_params(mean: float, cov: float) -> tuple[float, float]:
             f"lognormal median underflows to 0 for mean loss {mean!r} "
             f"and coefficient of variation {cov!r}"
         )
+    if mean == math.inf:  # checked last, so each earlier rejection keeps its message
+        raise UsageError(f"mean loss must be finite, got {mean!r}")
     return theta, beta
 
 
@@ -195,7 +197,8 @@ class VulnerabilityCurve(Record, eq=False):
         with np.errstate(over="ignore", invalid="ignore"):
             theta = _lognormal_median(mean, cov, np.sqrt)
         beta = np.fromiter(map(_lognormal_log_sd, cov.tolist()), float, len(cov))
-        accepted = (mean > 0.0) & (cov >= 0.0) & (beta != math.inf) & (theta != 0.0)
+        accepted = ((mean > 0.0) & (cov >= 0.0) & (beta != math.inf) & (theta != 0.0)
+                    & (mean != math.inf))
         if not accepted.all():
             first = int(np.argmin(accepted))
             lognormal_params(mean[first].item(), cov[first].item())  # raises its error

@@ -99,6 +99,20 @@ def test_lognormal_params_keep_the_largest_finite_log_sd():
     assert theta > 0.0 and math.isfinite(beta)
 
 
+@pytest.mark.filterwarnings("error")
+def test_an_infinite_mean_loss_is_rejected_in_point_and_column_form():
+    finite = "^mean loss must be finite, got inf$"
+    with pytest.raises(UsageError, match=finite):
+        lognormal_params(math.inf, 0.5)
+    with pytest.raises(UsageError, match=finite):
+        VulnerabilityPoint(s=1.0, mean_loss=math.inf, cov=0.5)
+    with pytest.raises(UsageError, match=finite):
+        VulnerabilityCurve(s=[1.0, 2.0], mean_loss=[0.5, math.inf], cov=[0.5, 0.5])
+    # A point rejected for another reason keeps that reason's message.
+    with pytest.raises(UsageError, match="^coefficient of variation must be >= 0, got -1.0$"):
+        lognormal_params(math.inf, -1.0)
+
+
 def test_lognormal_mean_round_trip():
     rng = np.random.default_rng(17)
     for _ in range(50):
@@ -634,8 +648,8 @@ def test_curve_columns_are_read_only_float64_copies():
 
 
 BAD_ROWS = [(0.0, 0.5), (-1.0, 0.5), (math.nan, 0.5), (0.5, -0.3), (0.5, math.nan),
-            (0.5, -math.inf), (1.0, 1.4e154), (math.inf, 1e300), (1e-300, 1e150),
-            (math.nextafter(smallest_accepted_mean(1e150), 0.0), 1e150)]
+            (0.5, -math.inf), (1.0, 1.4e154), (math.inf, 1e300), (math.inf, 0.5),
+            (1e-300, 1e150), (math.nextafter(smallest_accepted_mean(1e150), 0.0), 1e150)]
 
 
 @pytest.mark.parametrize("bad", BAD_ROWS, ids=[f"{m!r},{c!r}" for m, c in BAD_ROWS])

@@ -1,4 +1,4 @@
-"""``cli.render``'s JSON writer against ``json.dumps(indent=2, allow_nan=True)``."""
+"""``render``'s JSON writer against ``json.dumps(indent=2, allow_nan=True)``."""
 import hashlib
 import io
 import json
@@ -9,7 +9,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import numpy as np
 import pytest
 
-from riskseries import cli, evt_risk, peaks
+from riskseries import _report, _risk_commands, cli, evt_risk, peaks
 from riskseries.cli import (
     EXIT_OK,
     AnalysisConfig,
@@ -343,14 +343,14 @@ def test_records_with_an_int_key_raise_the_same_type_error(rows):
 
 def _count_write_json_calls(monkeypatch, payload) -> int:
     calls = 0
-    write_json = cli._write_json
+    write_json = _report._write_json
 
     def counting(value, parts, newline):
         nonlocal calls
         calls += 1
         write_json(value, parts, newline)
 
-    monkeypatch.setattr(cli, "_write_json", counting)
+    monkeypatch.setattr(_report, "_write_json", counting)
     _assert_same_text(render(payload, "json", None), _expected(payload))
     return calls
 
@@ -454,7 +454,7 @@ def test_pipeline_residual_rows_iterate_to_the_row_dicts_of_the_report(event_ser
 def _payload(monkeypatch, argv) -> dict:
     """The dict that ``main(argv + ["--format", "json"])`` renders."""
     payloads = []
-    render_ = cli.render
+    render_ = _report.render
 
     def capturing(report_dict, *args):
         payloads.append(report_dict)
@@ -462,7 +462,8 @@ def _payload(monkeypatch, argv) -> dict:
 
     with monkeypatch.context() as patch, redirect_stdout(io.StringIO()), \
             redirect_stderr(io.StringIO()):
-        patch.setattr(cli, "render", capturing)
+        for module in (cli, _risk_commands):  # the modules whose commands call render
+            patch.setattr(module, "render", capturing)
         main([*map(str, argv), "--format", "json"])
     assert len(payloads) == 1, argv
     return payloads[0]
@@ -512,16 +513,16 @@ def test_every_report_table_is_declared_and_written_in_one_call(tmp_path, monkey
                                for item in node), argv
         for table in tables:
             for column in table.columns.values():
-                assert cli._column_texts(column) is not None, argv
+                assert _report._column_texts(column) is not None, argv
         calls = []
-        write_json = cli._write_json
+        write_json = _report._write_json
 
         def recording(value, parts, newline):
             calls.append(value)
             write_json(value, parts, newline)
 
         with monkeypatch.context() as patch:
-            patch.setattr(cli, "_write_json", recording)
+            patch.setattr(_report, "_write_json", recording)
             _assert_same_text(render(payload, "json", None), _expected(payload))
         # Each table is written by one call, and no call writes a row of one.
         assert [call for call in calls if isinstance(call, ColumnTable)] == tables, argv

@@ -7,12 +7,21 @@ input of the corpus below they must return the same bits or raise the same
 error, and the CLI must print the same bytes and exit with the same code.
 """
 import math
+from types import SimpleNamespace
 
 import pytest
 
 import row_readers as reference
-from riskseries import cli, evt_risk
+from riskseries import _readers, _risk_commands, cli, evt_risk
 from riskseries.errors import DataError, UsageError
+
+# The program's readers, by the names the reference module gives them.
+PROGRAM = SimpleNamespace(
+    parse_csv=_readers.parse_csv,
+    parse_hazard_csv=_risk_commands.parse_hazard_csv,
+    parse_vulnerability_csv=_risk_commands.parse_vulnerability_csv,
+    _parse_loss_grid=_risk_commands._parse_loss_grid,
+)
 
 HEADERS = {"csv": "month,value", "hazard": "s,G", "vulnerability": "s,mean_loss,cov", "losses": "x"}
 GOOD_ROWS = {
@@ -154,20 +163,22 @@ def test_reader_matches_the_per_row_reference(tmp_path, capsys, monkeypatch, kin
                                               decimal):
     paths = _files(tmp_path, kind, data)
     expected = _outcome(lambda: _read(reference, kind, paths, decimal))
-    assert _outcome(lambda: _read(cli, kind, paths, decimal)) == expected
+    assert _outcome(lambda: _read(PROGRAM, kind, paths, decimal)) == expected
 
     code = cli.main(_argv(kind, paths, decimal))
     out, err = capsys.readouterr()
-    for reader in ["parse_csv", "parse_hazard_csv", "parse_vulnerability_csv",
-                   "_parse_loss_grid"]:
-        monkeypatch.setattr(cli, reader, getattr(reference, reader))
+    # Each reader is replaced where the commands look it up.
+    for module, reader in [(cli, "parse_csv"), (_risk_commands, "parse_hazard_csv"),
+                           (_risk_commands, "parse_vulnerability_csv"),
+                           (_risk_commands, "_parse_loss_grid")]:
+        monkeypatch.setattr(module, reader, getattr(reference, reader))
     assert (code, out, err) == (cli.main(_argv(kind, paths, decimal)), *capsys.readouterr())
 
 
 def test_corpus_exercises_both_paths_of_every_reader(tmp_path):
     """The corpus is worth running only if it has good and bad files of each kind."""
     for kind in KINDS:
-        outcomes = {_outcome(lambda: _read(cli, kind, _files(tmp_path, kind, data),
+        outcomes = {_outcome(lambda: _read(PROGRAM, kind, _files(tmp_path, kind, data),
                                            cli.DECIMAL_POINT))[0]
                     for k, _, data in CASES if k == kind}
         assert outcomes == {"ok", "DataError"}, kind
@@ -195,11 +206,14 @@ def test_good_files_never_reach_the_per_row_loop(tmp_path, monkeypatch):
     def per_row(*args):
         raise AssertionError("the per-row loop ran on a good file")
 
-    for helper in ["_numbered_rows", "_csv_rows", "_hazard_rows", "_vulnerability_rows",
-                   "_loss_rows", "_finite_row"]:
-        monkeypatch.setattr(cli, helper, per_row)
+    # Each helper is replaced in every reader module that looks it up.
+    for module in (_readers, _risk_commands):
+        for helper in ["_numbered_rows", "_csv_rows", "_hazard_rows", "_vulnerability_rows",
+                       "_loss_rows", "_finite_row"]:
+            if hasattr(module, helper):
+                monkeypatch.setattr(module, helper, per_row)
     for kind in KINDS:
-        assert _bits(_read(cli, kind, paths, cli.DECIMAL_POINT)) == expected[kind]
+        assert _bits(_read(PROGRAM, kind, paths, cli.DECIMAL_POINT)) == expected[kind]
     assert len(expected["vulnerability"]) == 1000
 
 

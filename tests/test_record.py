@@ -187,6 +187,35 @@ def test_pickle_and_deepcopy_round_trip_a_regression_report(event_series):
             clone.n = 0
 
 
+def _value_fields(record) -> list:
+    return [value for value in record._values() if type(value).__name__ not in IDENTITY_EQUAL]
+
+
+@pytest.mark.parametrize("clone", [lambda record: pickle.loads(pickle.dumps(record)),
+                                   copy.deepcopy], ids=["pickle", "deepcopy"])
+def test_round_trips_keep_columns_read_only_and_bit_equal(samples, clone):
+    columns = 0
+    for cls, record in samples.items():
+        copied = clone(record)
+        assert type(copied) is cls and copied is not record
+        if cls is cli.PipelineReport:  # its column records are samples of their own
+            assert _value_fields(copied) == _value_fields(record)
+            continue
+        if cls.__name__ not in IDENTITY_EQUAL:
+            assert copied == record, cls
+            continue
+        assert vars(copied).keys() == vars(record).keys(), cls
+        for name, value in vars(record).items():
+            if isinstance(value, np.ndarray):
+                got = getattr(copied, name)
+                assert got is not value and not got.flags.writeable, (cls, name)
+                assert (got.dtype, got.shape, got.tobytes()) == \
+                    (value.dtype, value.shape, value.tobytes()), (cls, name)
+                columns += 1
+    # TimeSeries 2, EventSeries 2, ResidualReport 6, VulnerabilityCurve 3 fields + theta, beta.
+    assert columns == 15
+
+
 def test_record_to_dict_follows_declaration_order(event_series):
     report = fit_ar(event_series, 2).report
     reversed_anova = type(report.anova)(**dict(reversed(_kwargs(report.anova).items())))
