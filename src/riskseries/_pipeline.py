@@ -20,7 +20,7 @@ class AnalysisConfig(Record):
     outlier_threshold: float = 3.0
 
     def __post_init__(self):
-        _check_alpha(self.alpha)
+        autoreg.z_alpha_threshold(self.alpha)
         _check_max_lag(self.max_lag)
 
 
@@ -82,25 +82,14 @@ def run_pipeline(series: TimeSeries, config: AnalysisConfig) -> PipelineReport:
     except (UsageError, NumericalError) as exc:
         mk_result = str(exc)
 
-    def fit_all(source: TimeSeries, label: str) -> dict[int, autoreg.ARModel | str]:
-        # Orders above max_order(n) cannot fit. Try those up to it (always
-        # AR(1), whose reason the residual report names), then max_lag
-        # alone: its length error is the one skip entry for every order
-        # above the cap, so the report's size follows n, not the flag.
-        top = min(config.max_lag, max(autoreg.max_order(len(source)), 1))
-        orders = list(range(1, top + 1)) + ([config.max_lag] if config.max_lag > top else [])
-        models: dict[int, autoreg.ARModel | str] = {}
-        for p in orders:
-            try:
-                models[p] = autoreg.fit_ar(source, p, fitted_on=label)
-            except (UsageError, NumericalError) as exc:
-                models[p] = str(exc)
-        return models
+    def search(source: TimeSeries, label: str) -> dict[int, autoreg.ARModel | str]:
+        return {p: model if isinstance(model, autoreg.ARModel) else str(model)
+                for p, model in autoreg.fit_orders(source, config.max_lag, label)}
 
-    ar_raw = fit_all(working, autoreg.RAW)
+    ar_raw = search(working, autoreg.RAW)
     ar_detrended: dict[int, autoreg.ARModel | str] | str
     if detrended is not None:
-        ar_detrended = fit_all(detrended, autoreg.DETRENDED)
+        ar_detrended = search(detrended, autoreg.DETRENDED)
     else:
         ar_detrended = DETREND_DISABLED
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -30,6 +30,9 @@ from .series import TimeSeries, _sum_of_squares
 # normal quantile. The 0.02 entry follows the published convention this
 # module reproduces.
 Z_ALPHA_TABLE = {0.1: 1.645, 0.05: 1.960, 0.02: 2.236, 0.01: 2.576, 0.001: 3.291}
+
+# At or below it, 1 - alpha/2 rounds to 1.0 and the normal quantile is infinite.
+_ALPHA_FLOOR = 2.0 ** -53
 
 KEEP = "keep"
 DROP = "drop"
@@ -108,6 +111,26 @@ def fit_ar(series: TimeSeries, p: int, fitted_on: str = RAW) -> ARModel:
     )
 
 
+def fit_orders(
+    series: TimeSeries, max_lag: int, fitted_on: str = RAW
+) -> Iterator[tuple[int, ARModel | UsageError | NumericalError]]:
+    """The order search: (p, AR(p) fit) for p = 1..max_lag of one series.
+
+    Each fit is the order's model or the error it raised, and runs only
+    when the caller asks for the next pair, so a caller that stops at an
+    error fits no higher order. Orders above max_order(n) cannot fit:
+    those up to it are tried (always AR(1)), then max_lag alone, whose
+    length error stands for every order above the cap, so the number of
+    pairs follows n, not max_lag.
+    """
+    top = min(max_lag, max(max_order(len(series)), 1))
+    for p in list(range(1, top + 1)) + ([max_lag] if max_lag > top else []):
+        try:
+            yield p, fit_ar(series, p, fitted_on=fitted_on)
+        except (UsageError, NumericalError) as exc:
+            yield p, exc
+
+
 def predictions(model: ARModel, series: TimeSeries) -> tuple[np.ndarray, np.ndarray]:
     """(observed, predicted) columns of the model on its own fitting data."""
     y, lag_columns = build_lagged_design(series.values, model.p)
@@ -131,8 +154,14 @@ def predictions(model: ARModel, series: TimeSeries) -> tuple[np.ndarray, np.ndar
 
 
 def z_alpha_threshold(alpha: float) -> float:
+    """The two-sided normal threshold Z_alpha; also the check of an order search's alpha."""
     if not 0.0 < alpha < 1.0:
         raise UsageError(f"alpha must be in (0, 1), got {alpha!r}")
+    if alpha <= _ALPHA_FLOOR:
+        raise UsageError(
+            f"alpha must be greater than 2**-53 = {_ALPHA_FLOOR!r}, got {alpha!r}: "
+            "1 - alpha/2 would round to 1"
+        )
     table_value = Z_ALPHA_TABLE.get(alpha)
     if table_value is not None:
         return table_value

@@ -43,10 +43,10 @@ from . import autoreg, peaks, residuals, trend
 from ._pipeline import AnalysisConfig, _check_alpha, _check_max_lag, run_pipeline
 from ._readers import DECIMAL_COMMA, DECIMAL_POINT, parse_csv
 from ._report import (
+    _ar_models_to_dict,
     _record_to_dict,
     event_series_to_dict,
     pipeline_to_dict,
-    regression_to_dict,
     render,
     residuals_to_dict,
 )
@@ -65,6 +65,7 @@ _ELSEWHERE = {
     "ColumnTable": "_report",
     "DETREND_DISABLED": "_pipeline",
     "PipelineReport": "_pipeline",
+    "regression_to_dict": "_report",
     "parse_hazard_csv": "_risk_commands",
     "parse_vulnerability_csv": "_risk_commands",
 }
@@ -241,18 +242,24 @@ def _prepare_ar_series(args) -> tuple[TimeSeries, str]:
 
 
 def _cmd_ar(args) -> str:
-    _check_alpha(args.alpha)
+    autoreg.z_alpha_threshold(args.alpha)
     source, label = _prepare_ar_series(args)
     _check_max_lag(args.max_lag)
     n = len(source)
     if args.max_lag > autoreg.max_order(n):
         # The first order too high for the data fails as its fit would, before any fit runs.
         autoreg.check_length(max(autoreg.max_order(n), 0) + 1, n)
-    models = [autoreg.fit_ar(source, p, fitted_on=label) for p in range(1, args.max_lag + 1)]
+    models = {}
+    for p, model in autoreg.fit_orders(source, args.max_lag, label):
+        if not isinstance(model, autoreg.ARModel):
+            raise model
+        models[p] = model
     payload = {
         "fitted_on": label,
-        "ar": {f"p{model.p}": regression_to_dict(model) for model in models},
-        "order_selection": _record_to_dict(autoreg.select_order(models, args.alpha)),
+        "ar": _ar_models_to_dict(models),
+        "order_selection": _record_to_dict(
+            autoreg.select_order(list(models.values()), args.alpha)
+        ),
     }
     return render(payload, args.format, "ar")
 

@@ -5,11 +5,22 @@ near-collinear lagged designs stay well behaved, and reports the
 coefficient table (estimate, standard error, t, two-sided p, 95% CI)
 plus the ANOVA block (sums of squares, F, significance F) and the R
 statistics exactly as spreadsheet regression output lays them out.
+
+A fit runs in two stages, and fit_ols is ``_report(_solve(y, regressors))``:
+
+- ``_solve`` checks the input, builds the design, tests its rank by SVD,
+  solves by QR and forms the fitted values, the residuals and the three
+  sums of squares;
+- ``_report`` builds the standard errors, t and p, the intervals, the
+  ANOVA block and the R statistics from a solve.
+
+A caller that needs only the coefficients, such as the trend line, takes
+the solve alone and pays for no t quantile or p-value.
 """
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -61,7 +72,8 @@ def _column_label(j: int) -> str:
 def _raise_rank_deficient(x: np.ndarray, singular_values: np.ndarray):
     # Name the last caller column that participates in the null direction;
     # the structural intercept is only blamed when nothing else is involved.
-    _, _, vt = np.linalg.svd(x)
+    # The reduced SVD: a full one would build an n x n U that is thrown away.
+    _, _, vt = np.linalg.svd(x, full_matrices=False)
     null_direction = np.abs(vt[-1])
     involved = np.flatnonzero(null_direction > 0.1 * null_direction.max())
     offending = int(involved[-1])
@@ -85,8 +97,24 @@ def _design(n: int, regressors: Sequence[Sequence[float]]) -> np.ndarray:
     return x
 
 
+class _Solve(NamedTuple):
+    """A least-squares solve: the coefficients and what the report reads of the fit."""
+
+    n: int
+    coef: np.ndarray  # intercept first, then caller order
+    r: np.ndarray  # the R factor of the design's QR
+    total_ss: float
+    regression_ss: float
+    residual_ss: float
+
+
 def fit_ols(y: Sequence[float], regressors: Sequence[Sequence[float]]) -> RegressionReport:
     """Least-squares fit of y on an intercept plus the given regressors."""
+    return _report(_solve(y, regressors))
+
+
+def _solve(y: Sequence[float], regressors: Sequence[Sequence[float]]) -> _Solve:
+    """Check the input, build the design, solve it by QR and form the three sums of squares."""
     if len(regressors) == 0:
         raise UsageError("at least one regressor is required")
     y_vec = np.asarray(y, dtype=float)
@@ -130,7 +158,13 @@ def fit_ols(y: Sequence[float], regressors: Sequence[Sequence[float]]) -> Regres
     total_ss = _sum_of_squares(y_vec - y_mean)
     regression_ss = _sum_of_squares(fitted - y_mean)
     residual_ss = math.fsum(memoryview(residuals * residuals))
+    return _Solve(n, coef, r, total_ss, regression_ss, residual_ss)
 
+
+def _report(solve: _Solve) -> RegressionReport:
+    """Standard errors, t and p, intervals, ANOVA and R statistics of a solve."""
+    n, coef, r, total_ss, regression_ss, residual_ss = solve
+    k = len(coef)
     df_residual = n - k
     df_regression = k - 1
     residual_ms = residual_ss / df_residual

@@ -56,12 +56,9 @@ def fit_trend(series: TimeSeries) -> TrendLine:
     if len(series) < 3:
         raise UsageError(f"trend fit needs at least 3 observations, got {len(series)}")
     numbers = np.arange(1.0, len(series) + 1)
-    report = linreg.fit_ols(series.values, [numbers])
-    return TrendLine(
-        intercept=report.coefficients[0].estimate,
-        slope=report.coefficients[1].estimate,
-        n=len(series),
-    )
+    # The solve alone: no command prints the line's standard errors or p-values.
+    intercept, slope = linreg._solve(series.values, [numbers]).coef.tolist()
+    return TrendLine(intercept=intercept, slope=slope, n=len(series))
 
 
 def detrend(series: TimeSeries, line: TrendLine) -> TimeSeries:

@@ -213,6 +213,27 @@ def test_select_order_only_reads_the_fits(event_series, monkeypatch):
     assert trace.steps[-1].coefficient == models[0].b[0]
 
 
+def _replace(record, **changes):
+    return type(record)(**{**{name: getattr(record, name) for name in record._fields}, **changes})
+
+
+def test_select_order_drops_a_lag_whose_z_equals_the_threshold(event_series):
+    model = fit_ar(event_series, 1)
+    threshold = z_alpha_threshold(0.05)
+
+    def with_top_t(t: float):
+        report = model.report
+        top = _replace(report.coefficients[-1], t_stat=t)
+        return _replace(model, report=_replace(report, coefficients=(*report.coefficients[:-1], top)))
+
+    for t in (threshold, -threshold):
+        trace = select_order([with_top_t(t)], alpha=0.05)
+        assert (trace.steps[0].z, trace.steps[0].decision, trace.selected_order) == (t, DROP, 0)
+    for t in (math.nextafter(threshold, math.inf), math.nextafter(-threshold, -math.inf)):
+        trace = select_order([with_top_t(t)], alpha=0.05)
+        assert (trace.steps[0].z, trace.steps[0].decision, trace.selected_order) == (t, KEEP, 1)
+
+
 def test_select_order_rejects_empty_or_misaligned_models(event_series):
     ar1, ar2, ar3 = (fit_ar(event_series, p) for p in range(1, 4))
     for models in ([], [ar2], [ar1, ar3], [ar2, ar1], [ar1, ar2, ar2]):
@@ -227,6 +248,11 @@ def test_z_alpha_table_and_fallback():
     assert z_alpha_threshold(0.5) == pytest.approx(0.674489750, abs=1e-8)
     with pytest.raises(UsageError):
         z_alpha_threshold(0.0)
+    # At or below 2**-53, 1 - alpha/2 rounds to 1 and has no finite quantile.
+    for alpha in (2.0 ** -53, 1e-17, 5e-324):
+        with pytest.raises(UsageError, match=r"^alpha must be greater than 2\*\*-53 "):
+            z_alpha_threshold(alpha)
+    assert 8.0 < z_alpha_threshold(math.nextafter(2.0 ** -53, 1.0)) < math.inf
 
 
 # ------------------------------------------------------------- correlation

@@ -23,7 +23,7 @@ from riskseries.cli import (
     pipeline_to_dict,
     run_pipeline,
 )
-from riskseries import linreg
+from riskseries import autoreg, linreg
 from riskseries.errors import DataError, UsageError
 from riskseries.peaks import ThresholdSpec
 
@@ -468,24 +468,67 @@ def test_run_pipeline_threshold_removing_everything(event_series):
 
 # ------------------------------------------------- AR fits and order selection
 
-def _count_fits(monkeypatch) -> list:
+def _count_calls(monkeypatch, module, name: str) -> list:
     calls = []
-    fit_ols = linreg.fit_ols
+    function = getattr(module, name)
 
     def counting(*args, **kwargs):
         calls.append(args)
-        return fit_ols(*args, **kwargs)
+        return function(*args, **kwargs)
 
-    monkeypatch.setattr(linreg, "fit_ols", counting)
+    monkeypatch.setattr(module, name, counting)
     return calls
+
+
+def _count_fits(monkeypatch) -> list:
+    return _count_calls(monkeypatch, linreg, "fit_ols")
+
+
+def _count_solves(monkeypatch) -> list:
+    # Every fit_ols takes one _solve; the trend line takes a _solve alone.
+    return _count_calls(monkeypatch, linreg, "_solve")
 
 
 def test_run_pipeline_fits_each_order_once(event_series, monkeypatch):
     calls = _count_fits(monkeypatch)
+    solves = _count_solves(monkeypatch)
     report = run_pipeline(event_series, AnalysisConfig(input_path="fixture", max_lag=3))
-    # one trend line, then AR(1)..AR(3) on the raw and on the detrended series
-    assert len(calls) == 7
+    # AR(1)..AR(3) on the raw and on the detrended series, plus the trend line's solve
+    assert len(calls) == 6
+    assert len(solves) == 7
     assert report.order_raw.selected_order == 0
+
+
+def test_ar_and_analyze_fit_only_through_the_order_search(fixture_path, monkeypatch, capsys):
+    searches, fits_outside = [], []
+    fit_ar, fit_orders = autoreg.fit_ar, autoreg.fit_orders
+    searching = False
+
+    def search(series, max_lag, fitted_on):
+        nonlocal searching
+        searches.append((max_lag, fitted_on))
+        pairs = fit_orders(series, max_lag, fitted_on)
+        while True:
+            searching = True
+            pair = next(pairs, None)
+            searching = False
+            if pair is None:
+                return
+            yield pair
+
+    def fit(series, p, *args, **kwargs):
+        if not searching:
+            fits_outside.append(p)
+        return fit_ar(series, p, *args, **kwargs)
+
+    monkeypatch.setattr(autoreg, "fit_orders", search)
+    monkeypatch.setattr(autoreg, "fit_ar", fit)
+    assert main(["ar", fixture_path, "--max-lag", "4", "--format", "json"]) == EXIT_OK
+    assert main(["ar", fixture_path, "--detrend", "--format", "json"]) == EXIT_OK
+    assert main(["analyze", fixture_path, "--max-lag", "2", "--format", "json"]) == EXIT_OK
+    capsys.readouterr()
+    assert searches == [(4, "raw"), (3, "detrended"), (2, "raw"), (2, "detrended")]
+    assert fits_outside == []
 
 
 def test_ar_fits_each_order_once(fixture_path, monkeypatch, capsys):
@@ -493,6 +536,18 @@ def test_ar_fits_each_order_once(fixture_path, monkeypatch, capsys):
     assert main(["ar", fixture_path, "--max-lag", "4", "--format", "json"]) == EXIT_OK
     assert len(calls) == 4
     assert len(json.loads(capsys.readouterr().out)["order_selection"]["steps"]) == 4
+
+
+def test_ar_fits_no_order_after_the_first_that_fails(tmp_path, monkeypatch, capsys):
+    calls = _count_fits(monkeypatch)
+    path = tmp_path / "constant.csv"
+    path.write_text("month,value\n" + "".join(f"{m},5.0\n" for m in range(1, 401)))
+    assert main(["ar", str(path), "--max-lag", "199"]) == EXIT_NUMERICAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "numerical error: design matrix is rank-deficient near column 'x1'")
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("max_lag", ["0", "-1"])
@@ -519,6 +574,7 @@ def test_ar_max_lag_above_the_data_fails_before_any_fit(tmp_path, monkeypatch, c
                                                         n, max_lag, order, detrend):
     # The message is the one the fit of the first order too high would raise.
     calls = _count_fits(monkeypatch)
+    solves = _count_solves(monkeypatch)
     path = _random_series_csv(tmp_path, n)
     assert main(["ar", path, "--max-lag", str(max_lag), *detrend]) == EXIT_USAGE
     captured = capsys.readouterr()
@@ -526,7 +582,8 @@ def test_ar_max_lag_above_the_data_fails_before_any_fit(tmp_path, monkeypatch, c
     assert captured.err == (
         f"usage error: lag order {order} needs at least {2 * order + 2} values, got {n}\n"
     )
-    assert len(calls) == len(detrend)  # the trend line alone, when detrending
+    assert calls == []
+    assert len(solves) == len(detrend)  # the trend line alone, when detrending
 
 
 @pytest.mark.parametrize("flags", [[], ["--mann-kendall"]], ids=["trend", "mann-kendall"])
@@ -552,6 +609,28 @@ def test_ar_alpha_outside_the_unit_interval_fails_before_any_fit(tmp_path, monke
         assert captured.out == ""
         assert captured.err == f"usage error: alpha must be in (0, 1), got {float(alpha)!r}\n"
     assert calls == []
+
+
+@pytest.mark.parametrize("command", ["ar", "analyze"])
+def test_alpha_at_or_below_two_to_the_minus_53_fails_before_any_fit(tmp_path, monkeypatch,
+                                                                    capsys, command):
+    # 1 - alpha/2 rounds to 1 there, so no Z_alpha threshold exists.
+    calls = _count_fits(monkeypatch)
+    path = _random_series_csv(tmp_path, 400)
+    for alpha in ("1e-17", "1.1102230246251565e-16", "5e-324"):
+        for source in (path, str(tmp_path / "missing.csv")):  # nothing is read either
+            assert main([command, source, "--max-lag", "199", f"--alpha={alpha}"]) == EXIT_USAGE
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                "usage error: alpha must be greater than 2**-53 = 1.1102230246251565e-16, "
+                f"got {float(alpha)!r}: 1 - alpha/2 would round to 1\n"
+            )
+    assert calls == []
+    assert main([command, path, "--alpha=2e-16", "--format", "json"]) == EXIT_OK
+    steps = json.loads(capsys.readouterr().out)["order_selection"]
+    assert (steps if command == "ar" else steps["raw"])["steps"][0]["z_alpha"] > 8.0
+    assert len(calls) == (3 if command == "ar" else 6)
 
 
 def _analyze_json(tmp_path, capsys, values) -> dict:

@@ -131,6 +131,7 @@ def test_names_that_moved_out_of_cli_still_resolve_there():
     assert cli.ColumnTable is _report.ColumnTable
     assert cli.SCHEMA_VERSION == _report.SCHEMA_VERSION == 1
     assert cli.PipelineReport is _pipeline.PipelineReport
+    assert cli.regression_to_dict is _report.regression_to_dict
     assert cli.DETREND_DISABLED == _pipeline.DETREND_DISABLED
     assert cli.parse_hazard_csv is _risk_commands.parse_hazard_csv
     assert cli.parse_vulnerability_csv is _risk_commands.parse_vulnerability_csv

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -111,6 +112,21 @@ def test_rank_deficiency_reports_offending_column():
         fit_ols([1.0, 2.0, 0.5, 3.0, 1.5], [x, duplicate])
     with pytest.raises(NumericalError, match="x1"):
         fit_ols([1.0, 2.0, 0.5, 3.0], [[4.0, 4.0, 4.0, 4.0]])  # clashes with intercept
+
+
+def test_rank_deficient_fit_builds_no_n_by_n_factor():
+    # A full SVD of the n x 2 design would hold an n x n U: 128 MB at n = 4000.
+    n = 4000
+    y = np.random.default_rng(4000).normal(size=n)
+    column = np.full(n, 4.0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(NumericalError, match="near column 'x1'"):
+            fit_ols(y, [column])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1_000_000
 
 
 def test_usage_and_data_errors():

@@ -39,6 +39,17 @@ def test_exactly_one_outlier(raw_ar1_report):
     assert outliers[0] + 1 == 30  # observation ids count from 1
 
 
+def test_outlier_flag_needs_a_standardized_residual_above_the_threshold(event_series,
+                                                                       raw_ar1_report):
+    model = fit_ar(event_series, 1)
+    largest = float(np.abs(raw_ar1_report.standardized).max())
+    at = residual_analysis(model, event_series, largest)
+    assert not at.outlier.any()
+    below = residual_analysis(model, event_series, math.nextafter(largest, 0.0))
+    assert below.outlier.tolist() == (np.abs(below.standardized) == largest).tolist()
+    assert below.outlier.sum() == 1
+
+
 def test_scales(raw_ar1_report):
     # standardization divisor sqrt(RSS/(n-1)); fit scale sqrt(RSS/(n-k))
     assert raw_ar1_report.scale == pytest.approx(

@@ -4,6 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from riskseries import dist, linreg
 from riskseries.errors import UsageError
 from riskseries.series import TimeSeries, summarize
 from riskseries.trend import (
@@ -35,6 +36,25 @@ def test_fit_trend_matches_published_line(event_series):
     assert line.slope == pytest.approx(14.780080645161292, rel=1e-10)
     assert line.intercept == pytest.approx(189.1445161290322, rel=1e-10)
     assert line.n == 31
+
+
+def test_fit_trend_is_the_solve_of_fit_ols_without_its_report(event_series, monkeypatch):
+    calls = []
+    for module, name in ((linreg, "student_t_critical"), (dist, "regularized_incomplete_beta")):
+        function = getattr(module, name)
+
+        def counting(*args, function=function, name=name):
+            calls.append(name)
+            return function(*args)
+
+        monkeypatch.setattr(module, name, counting)
+    line = fit_trend(event_series)
+    assert calls == []
+    report = linreg.fit_ols(event_series.values, [np.arange(1.0, len(event_series) + 1)])
+    assert {"student_t_critical", "regularized_incomplete_beta"} <= set(calls)
+    assert line.intercept.hex() == report.coefficients[0].estimate.hex()
+    assert line.slope.hex() == report.coefficients[1].estimate.hex()
+    assert type(line.intercept) is float and type(line.slope) is float
 
 
 def test_fit_trend_constant_and_exact_line():
@@ -129,6 +149,16 @@ def test_mann_kendall_continuity_correction_at_unit_s():
         assert result.Z == 0.0
         assert result.decision == NO_TREND
     assert mann_kendall(TimeSeries.from_values(series), 0.05).S == 4
+
+
+def test_mann_kendall_rejects_only_when_p_is_below_alpha(event_series):
+    p_value = mann_kendall(event_series).p_value
+    assert 0.0 < p_value < 1.0
+    at = mann_kendall(event_series, alpha=p_value)
+    assert (at.p_value, at.decision) == (p_value, NO_TREND)
+    above = mann_kendall(event_series, alpha=math.nextafter(p_value, 1.0))
+    assert above.p_value == p_value
+    assert above.decision == (INCREASING if above.S > 0 else DECREASING)
 
 
 def test_mann_kendall_requirements():
