@@ -4,11 +4,14 @@ A result record becomes a dict of its fields in declaration order, which
 is the JSON schema; every table in a report is a ``ColumnTable``. The
 JSON writer gives the bytes of ``json.dumps(indent=2, allow_nan=True)``,
 and text comes from ``riskseries._text``, imported only for a text run.
+It formats a float column in which at most half the entries are
+distinct once per distinct value; zeros of both signs in one such column
+send it back to entry-by-entry formatting, since ``0.0 == -0.0``.
 """
 from __future__ import annotations
 
 import math
-from itertools import chain, repeat
+from itertools import chain, filterfalse, repeat
 from json.encoder import encode_basestring_ascii
 
 from . import autoreg, peaks, residuals
@@ -170,15 +173,32 @@ _SCALAR_TEXT = {
 
 
 def _column_texts(column) -> list[str] | None:
-    """The JSON text of each item, if all are scalars of one exact type; else None."""
+    """The JSON text of each item, if all are scalars of one exact type; else None.
+
+    A float column in which at most half the entries are distinct is
+    formatted one distinct value at a time, and mapped through that table;
+    any other float column is formatted entry by entry. The choice reads
+    only the column, and both ways give the same texts. ``0.0`` and
+    ``-0.0`` are one key, which takes the text of the first zero, so a
+    column with zeros of both signs is formatted entry by entry. A NaN key
+    matches only itself, which costs nothing: every NaN is ``NaN``.
+    """
     kinds = set(map(type, column))
     if len(kinds) != 1:
         return None
     kind = kinds.pop()
     if kind is float:
-        texts = list(map(float.__repr__, column))
-        if not all(map(math.isfinite, column)):
+        table = dict.fromkeys(column)
+        repeated = 2 * len(table) <= len(column)
+        if repeated and 0.0 in table:
+            zero_signs = set(map(math.copysign, repeat(1.0), filterfalse(None, column)))
+            repeated = len(zero_signs) == 1
+        values = table if repeated else column
+        texts = list(map(float.__repr__, values))
+        if not all(map(math.isfinite, values)):
             texts = [_FLOAT_SPECIAL.get(text, text) for text in texts]
+        if repeated:
+            return list(map(dict(zip(table, texts)).__getitem__, column))
         return texts
     if kind is int:
         return list(map(int.__repr__, column))

@@ -603,3 +603,55 @@ def test_positional_column_tables_match_json_dumps_of_their_rows(monkeypatch):
         ColumnTable([1.0], y=[2.0])
     with pytest.raises(ValueError, match="same length"):
         ColumnTable([1.0, 2.0], [1.0])
+
+
+# A float column in which at most half the entries are distinct is formatted
+# one distinct value at a time; its text must not change.
+
+_NAN = float("nan")
+REPEATED_FLOAT_COLUMNS = {
+    "both-zeros": [0.0, -0.0] * 50,
+    "both-zeros-and-a-value": [-0.0, 0.0, 1.5] * 40,
+    "one-nan-object": [_NAN, 1.0, 2.0, _NAN] * 25,
+    "distinct-nan-objects": [float("nan") for _ in range(10)] + [0.1, -7.25] * 15,
+    "infinities": [float("inf"), float("-inf"), 1e308, -0.0] * 30,
+    "all-equal": [2.5] * 100,
+    "half-distinct": [x / 7 for x in range(20)] * 2,
+    "one-more-than-half": [x / 7 for x in range(21)] + [x / 7 for x in range(19)],
+}
+
+
+@pytest.mark.parametrize("name", REPEATED_FLOAT_COLUMNS)
+def test_repeated_float_columns_match_json_dumps(name):
+    column = REPEATED_FLOAT_COLUMNS[name]
+    distinct = len(dict.fromkeys(column))
+    if name == "half-distinct":
+        assert 2 * distinct == len(column)
+    if name == "one-more-than-half":
+        assert 2 * distinct == len(column) + 2
+    assert render(column, "json", None) == _expected(column)
+    table = ColumnTable(id=range(len(column)), value=column, neg=[-x for x in column])
+    assert render({"rows": table}, "json", None) == _expected({"rows": list(table)})
+    points = ColumnTable(column, column[::-1])
+    assert render(points, "json", None) == _expected(list(points))
+
+
+@pytest.mark.parametrize("argv", [["residuals", "--lag", "1"], ["analyze"]],
+                         ids=["residuals-lag1", "analyze"])
+def test_signed_zero_record_reports_match_json_dumps(tmp_path, monkeypatch, argv):
+    rng = random.Random(2022)
+    values = [rng.choice([0.0, -0.0, 0.1, 2.5, 12.7]) for _ in range(400)]
+    path = tmp_path / "signed_zeros.csv"
+    path.write_text("month,value\n" + "".join(
+        f"{m},{v!r}\n" for m, v in enumerate(values, start=1)
+    ))
+    payload = _payload(monkeypatch, [argv[0], path, *argv[1:]])
+    rows = (payload if argv[0] == "residuals" else payload["residuals"])["rows"]
+    ys = rows.columns["y"]
+    assert {"0.0", "-0.0"} <= set(map(repr, ys)) and 2 * len(set(ys)) <= len(ys)
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main([argv[0], str(path), *argv[1:], "--format", "json"]) == EXIT_OK
+    text = out.getvalue()
+    assert '"y": -0.0' in text and '"y": 0.0' in text
+    _assert_same_text(text, _expected(payload))
