@@ -24,11 +24,6 @@ class AnalysisConfig(Record):
         _check_max_lag(self.max_lag)
 
 
-def _check_alpha(alpha: float):
-    if not 0.0 < alpha < 1.0:
-        raise UsageError(f"alpha must be in (0, 1), got {alpha!r}")
-
-
 def _check_max_lag(max_lag: int):
     if max_lag < 1:
         raise UsageError(f"max lag must be >= 1, got {max_lag!r}")

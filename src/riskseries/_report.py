@@ -166,7 +166,7 @@ def _float_text(value: float) -> str:
 _SCALAR_TEXT = {
     str: encode_basestring_ascii,
     type(None): lambda _: "null",
-    bool: lambda value: "true" if value else "false",
+    bool: ("false", "true").__getitem__,
     int: int.__repr__,
     float: _float_text,
 }
@@ -200,13 +200,8 @@ def _column_texts(column) -> list[str] | None:
         if repeated:
             return list(map(dict(zip(table, texts)).__getitem__, column))
         return texts
-    if kind is int:
-        return list(map(int.__repr__, column))
-    if kind is bool:
-        return ["true" if item else "false" for item in column]
-    if kind is str:
-        return list(map(encode_basestring_ascii, column))
-    return None
+    formatter = _SCALAR_TEXT.get(kind)
+    return None if formatter is None else list(map(formatter, column))
 
 
 def _rows_text(columns, n: int, inner: str, keys: tuple[str, ...] | None) -> str | None:
@@ -251,9 +246,9 @@ def _write_json(value, parts: list[str], newline: str):
     included, is written by a recursive call.
 
     A list is written in one pass when all its items are scalars of one
-    exact type (``float``, ``int``, ``bool`` or ``str``; a bool is never
-    taken for an int, nor a float subclass for a float), each mapped
-    through the formatter the per-value path applies to that type; any
+    exact type (``float``, ``int``, ``bool``, ``str`` or ``None``; a bool
+    is never taken for an int, nor a float subclass for a float), each
+    mapped through the formatter ``_SCALAR_TEXT`` holds for that type; any
     other list is written item by item. A ``ColumnTable`` is written as
     the list of its rows, one such column at a time, and no row is built;
     if a column does not qualify, the table is written row by row.

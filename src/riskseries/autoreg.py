@@ -22,7 +22,7 @@ import numpy as np
 
 from . import linreg
 from ._record import Record
-from .dist import normal_quantile
+from .dist import _check_alpha, normal_quantile
 from .errors import NumericalError, UsageError
 from .series import TimeSeries, _sum_of_squares
 
@@ -155,8 +155,7 @@ def predictions(model: ARModel, series: TimeSeries) -> tuple[np.ndarray, np.ndar
 
 def z_alpha_threshold(alpha: float) -> float:
     """The two-sided normal threshold Z_alpha; also the check of an order search's alpha."""
-    if not 0.0 < alpha < 1.0:
-        raise UsageError(f"alpha must be in (0, 1), got {alpha!r}")
+    _check_alpha(alpha)
     if alpha <= _ALPHA_FLOOR:
         raise UsageError(
             f"alpha must be greater than 2**-53 = {_ALPHA_FLOOR!r}, got {alpha!r}: "

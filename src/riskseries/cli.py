@@ -40,7 +40,7 @@ from pathlib import Path
 from typing import Sequence
 
 from . import autoreg, peaks, residuals, trend
-from ._pipeline import AnalysisConfig, _check_alpha, _check_max_lag, run_pipeline
+from ._pipeline import AnalysisConfig, _check_max_lag, run_pipeline
 from ._readers import DECIMAL_COMMA, DECIMAL_POINT, parse_csv
 from ._report import (
     _ar_models_to_dict,
@@ -50,6 +50,7 @@ from ._report import (
     render,
     residuals_to_dict,
 )
+from .dist import _check_alpha
 from .errors import DataError, NumericalError, UsageError
 from .series import TimeSeries, summarize
 

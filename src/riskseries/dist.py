@@ -108,6 +108,11 @@ def _check_df(df: int, name: str) -> int:
     return df
 
 
+def _check_alpha(alpha: float):
+    if not 0.0 < alpha < 1.0:
+        raise UsageError(f"alpha must be in (0, 1), got {alpha!r}")
+
+
 def student_t_two_sided_p(t: float, df: int) -> float:
     """Pr{|T| > |t|} for Student t with ``df`` degrees of freedom."""
     _check_df(df, "degrees of freedom")
@@ -137,8 +142,7 @@ def f_upper_tail(f: float, d1: int, d2: int) -> float:
 def student_t_critical(alpha: float, df: int) -> float:
     """t* such that Pr{|T| > t*} = alpha (two sided)."""
     _check_df(df, "degrees of freedom")
-    if not 0.0 < alpha < 1.0:
-        raise UsageError(f"alpha must be in (0, 1), got {alpha!r}")
+    _check_alpha(alpha)
     lo, hi = 0.0, 1.0
     while student_t_two_sided_p(hi, df) > alpha:
         hi *= 2.0

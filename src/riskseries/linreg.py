@@ -8,9 +8,10 @@ statistics exactly as spreadsheet regression output lays them out.
 
 A fit runs in two stages, and fit_ols is ``_report(_solve(y, regressors))``:
 
-- ``_solve`` checks the input, builds the design, tests its rank by SVD,
-  solves by QR and forms the fitted values, the residuals and the three
-  sums of squares;
+- ``_solve`` checks the input, builds the design X, factors it once by
+  QR, tests its rank on the singular values of the k x k factor R (X = QR
+  with orthonormal Q, so they are X's own), solves, and forms the fitted
+  values, the residuals and the three sums of squares;
 - ``_report`` builds the standard errors, t and p, the intervals, the
   ANOVA block and the R statistics from a solve.
 
@@ -69,11 +70,10 @@ def _column_label(j: int) -> str:
     return "intercept" if j == 0 else f"x{j}"
 
 
-def _raise_rank_deficient(x: np.ndarray, singular_values: np.ndarray):
-    # Name the last caller column that participates in the null direction;
+def _raise_rank_deficient(r: np.ndarray, singular_values: np.ndarray):
+    # Name the last caller column in the null direction of R, which is X's;
     # the structural intercept is only blamed when nothing else is involved.
-    # The reduced SVD: a full one would build an n x n U that is thrown away.
-    _, _, vt = np.linalg.svd(x, full_matrices=False)
+    _, _, vt = np.linalg.svd(r)
     null_direction = np.abs(vt[-1])
     involved = np.flatnonzero(null_direction > 0.1 * null_direction.max())
     offending = int(involved[-1])
@@ -114,7 +114,7 @@ def fit_ols(y: Sequence[float], regressors: Sequence[Sequence[float]]) -> Regres
 
 
 def _solve(y: Sequence[float], regressors: Sequence[Sequence[float]]) -> _Solve:
-    """Check the input, build the design, solve it by QR and form the three sums of squares."""
+    """Check the input, factor the design once by QR, test its rank on R, and solve."""
     if len(regressors) == 0:
         raise UsageError("at least one regressor is required")
     y_vec = np.asarray(y, dtype=float)
@@ -135,18 +135,21 @@ def _solve(y: Sequence[float], regressors: Sequence[Sequence[float]]) -> _Solve:
     if not np.all(np.isfinite(x)):
         raise DataError("design matrix contains non-finite entries")
 
-    singular_values = np.linalg.svd(x, compute_uv=False)
-    if not math.isfinite(singular_values[0]):
+    q, r = np.linalg.qr(x)
+    # The R of an overflowing design holds NaN, and numpy's SVD of a matrix
+    # with NaN may raise instead of returning NaN, so R is tested first.
+    overflows = not np.all(np.isfinite(r))
+    singular_values = None if overflows else np.linalg.svd(r, compute_uv=False)
+    if overflows or not math.isfinite(singular_values[0]):
         raise NumericalError(
             "design matrix overflows: its largest singular value is not finite"
         )
     if singular_values[-1] <= RANK_TOLERANCE * singular_values[0]:
-        _raise_rank_deficient(x, singular_values)
+        _raise_rank_deficient(r, singular_values)
     # Before the solve, so a response whose sum overflows raises here
     # instead of after numpy's overflow warnings.
     y_mean = math.fsum(memoryview(y_vec)) / n
 
-    q, r = np.linalg.qr(x)
     coef = np.linalg.solve(r, q.T @ y_vec)
     fitted = x @ coef
     residuals = y_vec - fitted

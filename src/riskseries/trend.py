@@ -27,6 +27,7 @@ import numpy as np
 
 from . import linreg
 from ._record import Record
+from .dist import _check_alpha
 from .errors import UsageError
 from .series import TimeSeries
 
@@ -119,8 +120,7 @@ def mann_kendall(series: TimeSeries, alpha: float = 0.05) -> MKResult:
     """Two-sided Mann-Kendall test for monotone trend at level alpha."""
     if len(series) < 4:
         raise UsageError(f"Mann-Kendall needs at least 4 observations, got {len(series)}")
-    if not 0.0 < alpha < 1.0:
-        raise UsageError(f"alpha must be in (0, 1), got {alpha!r}")
+    _check_alpha(alpha)
     s, var_s = _mk_s_and_variance(series.values)
     if s == 0 or var_s <= 0.0:
         z = 0.0

@@ -45,6 +45,8 @@ MUTANTS = [
     ("src/riskseries/linreg.py", "singular_values[-1] <= RANK_TOLERANCE * singular_values[0]",
      "singular_values[-1] < RANK_TOLERANCE * singular_values[0]",
      "equivalent: fit_ols's rank test differs only at an exact float tie"),
+    ("src/riskseries/linreg.py", "overflows = not np.all(np.isfinite(r))", "overflows = False",
+     "_solve: an overflowing design, whose R holds NaN, is a numerical error at every order"),
     ("src/riskseries/residuals.py", "if scale <= 1e-12 * value_scale:",
      "if scale < 1e-12 * value_scale:",
      "equivalent: the residual degeneracy test differs only at an exact float tie"),

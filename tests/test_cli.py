@@ -137,11 +137,20 @@ def test_finite_input_whose_squares_or_sums_overflow_is_a_numerical_error(
     assert captured.err == f"numerical error: {message}\n"
 
 
-def test_overflowing_design_is_a_numerical_error_not_rank_deficiency(tmp_path, capsys):
+# The R of this design holds NaN. At k >= 3 (residuals --lag 2 and 3),
+# numpy's SVD of such a matrix raises instead of returning NaN. analyze
+# cannot reach the design: its summary overflows first.
+@pytest.mark.parametrize("command, order", [
+    ("ar", ["--max-lag", "1"]),
+    ("residuals", ["--lag", "2"]),
+    ("residuals", ["--lag", "3"]),
+], ids=["ar-1", "residuals-2", "residuals-3"])
+def test_overflowing_design_is_a_numerical_error_not_rank_deficiency(
+        tmp_path, capsys, command, order):
     path = tmp_path / "alternating.csv"
     path.write_text("month,value\n" + "".join(
         f"{m},{1.7e308 if m % 2 else 0}\n" for m in range(1, 21)))
-    assert main(["ar", str(path), "--max-lag", "1"]) == EXIT_NUMERICAL
+    assert main([command, str(path), *order]) == EXIT_NUMERICAL
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (

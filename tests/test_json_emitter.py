@@ -214,8 +214,8 @@ def _scalar_column(rng: random.Random, kind: str, n: int) -> list:
     return [rng.choice(TEXTS) + rng.choice(STRINGS) for _ in range(n)]
 
 
-COLUMN_KINDS = ["float", "special", "int01", "bool", "bigint", "str"]
-ROW_COLUMN_KINDS = COLUMN_KINDS + ["bool-int", "float-int", "float64", "none"]
+COLUMN_KINDS = ["float", "special", "int01", "bool", "bigint", "str", "none"]
+ROW_COLUMN_KINDS = COLUMN_KINDS + ["bool-int", "float-int", "float64"]
 
 
 @pytest.mark.parametrize("kind", COLUMN_KINDS)
@@ -408,7 +408,7 @@ def test_column_table_with_every_special_float_and_escaped_key_matches_json_dump
     assert render({"rows": table}, "json", None) == _expected({"rows": list(table)})
 
 
-@pytest.mark.parametrize("kind", ["bool-int", "float-int", "float64", "none"])
+@pytest.mark.parametrize("kind", ["bool-int", "float-int", "float64"])
 def test_column_table_with_a_mixed_column_is_written_row_by_row(kind, monkeypatch):
     rng = random.Random(f"mixed-{kind}")
     n = 40

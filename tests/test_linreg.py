@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from riskseries import dist, linreg
+from riskseries import autoreg, dist, linreg, trend
 from riskseries.autoreg import Z_ALPHA_TABLE
 from riskseries.errors import DataError, NumericalError, UsageError
 from riskseries.linreg import CI_ALPHA, fit_ols
@@ -127,6 +127,42 @@ def test_rank_deficient_fit_builds_no_n_by_n_factor():
     finally:
         tracemalloc.stop()
     assert peak <= 1_000_000
+
+
+def test_each_solve_makes_one_qr_and_no_svd_of_the_n_row_design(monkeypatch, event_series):
+    calls = []  # (name, shape of the first argument), in call order
+
+    def recorder(name, function):
+        def record(a, *args, **kwargs):
+            calls.append((name, np.shape(a)))
+            return function(a, *args, **kwargs)
+        return record
+
+    monkeypatch.setattr(np.linalg, "qr", recorder("qr", np.linalg.qr))
+    monkeypatch.setattr(np.linalg, "svd", recorder("svd", np.linalg.svd))
+    solve = linreg._solve
+
+    def recorded_solve(y, regressors):
+        calls.append(("solve", (len(y), len(regressors) + 1)))
+        return solve(y, regressors)
+
+    monkeypatch.setattr(linreg, "_solve", recorded_solve)
+    values = event_series.values
+    fit_ols(values[1:], [values[:-1]])
+    trend.fit_trend(event_series)
+    with pytest.raises(NumericalError, match="rank-deficient"):
+        fit_ols(values, [values, 2.0 * values])
+    orders = list(autoreg.fit_orders(event_series, 5))
+    assert [p for p, fit in orders if isinstance(fit, autoreg.ARModel)] == [1, 2, 3, 4, 5]
+
+    solves = [i for i, (name, _) in enumerate(calls) if name == "solve"]
+    assert len(solves) == 8
+    for start, end in zip(solves, solves[1:] + [len(calls)]):
+        n, k = calls[start][1]
+        made = calls[start + 1:end]
+        assert [shape for name, shape in made if name == "qr"] == [(n, k)]
+        assert all(shape == (k, k) for name, shape in made if name == "svd")
+    assert sum(name == "svd" for name, _ in calls) == 8 + 1  # the failure names its column
 
 
 def test_usage_and_data_errors():
