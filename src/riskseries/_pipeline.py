@@ -11,7 +11,7 @@ DETREND_DISABLED = "detrending disabled by configuration"
 
 
 class AnalysisConfig(Record):
-    input_path: str
+    input: str
     decimal: str = DECIMAL_POINT
     threshold: peaks.ThresholdSpec | None = None
     max_lag: int = 3
@@ -30,22 +30,30 @@ def _check_max_lag(max_lag: int):
 
 
 class PipelineReport(Record):
-    """Every pipeline product, or the reason it was skipped (a string)."""
+    """Every pipeline product, or the reason it was skipped (a string).
+
+    ``summary``, ``ar``, ``lag1`` and ``order`` map ``"raw"`` and then
+    ``"detrended"`` to that stage's product on each series.
+    """
 
     config: AnalysisConfig
     series_n: int
     pot_events: peaks.EventSeries | str
-    summary_raw: SummaryStats
-    summary_detrended: SummaryStats | str
+    summary: dict[str, SummaryStats | str]
     trend_line: trend.TrendLine
     mk: trend.MKResult | str
-    ar_raw: dict[int, autoreg.ARModel | str]  # keyed by order
-    ar_detrended: dict[int, autoreg.ARModel | str] | str
-    lag1_raw: float | str
-    lag1_detrended: float | str
-    order_raw: autoreg.OrderSelectionTrace | str
-    order_detrended: autoreg.OrderSelectionTrace | str
+    ar: dict[str, dict[int, autoreg.ARModel | str] | str]  # models keyed by order
+    lag1: dict[str, float | str]
+    order: dict[str, autoreg.OrderSelectionTrace | str]
     residuals_raw_ar1: residuals.ResidualReport | str
+
+
+def _or_reason(stage, *args):
+    """``stage(*args)``, or the message of the usage or numerical error it raises."""
+    try:
+        return stage(*args)
+    except (UsageError, NumericalError) as exc:
+        return str(exc)
 
 
 def run_pipeline(series: TimeSeries, config: AnalysisConfig) -> PipelineReport:
@@ -62,52 +70,40 @@ def run_pipeline(series: TimeSeries, config: AnalysisConfig) -> PipelineReport:
         pot_section = "no threshold configured"
         working = series
 
+    # The raw summary comes before the trend fit, so its errors come first.
     summary_raw = summarize(working)
     trend_line = trend.fit_trend(working)
+    sources = {
+        autoreg.RAW: working,
+        autoreg.DETRENDED: trend.detrend(working, trend_line) if config.detrend else None,
+    }
 
-    if config.detrend:
-        detrended: TimeSeries | None = trend.detrend(working, trend_line)
-        summary_detrended: SummaryStats | str = summarize(detrended)
-    else:
-        detrended = None
-        summary_detrended = DETREND_DISABLED
+    def per_series(stage) -> dict:
+        """``stage(series, label)`` on the raw series, then on the detrended
+        one, or ``DETREND_DISABLED`` in its place when detrending is off."""
+        return {label: DETREND_DISABLED if source is None else stage(source, label)
+                for label, source in sources.items()}
 
-    try:
-        mk_result: trend.MKResult | str = trend.mann_kendall(working, config.alpha)
-    except (UsageError, NumericalError) as exc:
-        mk_result = str(exc)
+    summary = per_series(
+        lambda source, label: summary_raw if label == autoreg.RAW else summarize(source)
+    )
+
+    mk_result = _or_reason(trend.mann_kendall, working, config.alpha)
 
     def search(source: TimeSeries, label: str) -> dict[int, autoreg.ARModel | str]:
         return {p: model if isinstance(model, autoreg.ARModel) else str(model)
                 for p, model in autoreg.fit_orders(source, config.max_lag, label)}
 
-    ar_raw = search(working, autoreg.RAW)
-    ar_detrended: dict[int, autoreg.ARModel | str] | str
-    if detrended is not None:
-        ar_detrended = search(detrended, autoreg.DETRENDED)
-    else:
-        ar_detrended = DETREND_DISABLED
+    def order(source: TimeSeries, label: str) -> autoreg.OrderSelectionTrace | str:
+        models = list(ar[label].values())
+        failed = [model for model in models if isinstance(model, str)]
+        return failed[-1] if failed else autoreg.select_order(models, config.alpha)
 
-    def lag1(source: TimeSeries | None) -> float | str:
-        if source is None:
-            return DETREND_DISABLED
-        try:
-            return autoreg.lag_correlation(source, 1)
-        except (UsageError, NumericalError) as exc:
-            return str(exc)
+    ar = per_series(search)
+    lag1 = per_series(lambda source, label: _or_reason(autoreg.lag_correlation, source, 1))
+    selected = per_series(order)
 
-    def order(models: dict[int, autoreg.ARModel | str] | str):
-        if isinstance(models, str):
-            return models
-        failed = [model for model in models.values() if isinstance(model, str)]
-        return failed[-1] if failed else autoreg.select_order(list(models.values()), config.alpha)
-
-    lag1_raw = lag1(working)
-    lag1_detrended = lag1(detrended)
-    order_raw = order(ar_raw)
-    order_detrended = order(ar_detrended)
-
-    first_raw = ar_raw[1]
+    first_raw = ar[autoreg.RAW][1]
     if isinstance(first_raw, autoreg.ARModel):
         residual_report: residuals.ResidualReport | str = residuals.residual_analysis(
             first_raw, working, config.outlier_threshold
@@ -119,15 +115,11 @@ def run_pipeline(series: TimeSeries, config: AnalysisConfig) -> PipelineReport:
         config=config,
         series_n=len(series),
         pot_events=pot_section,
-        summary_raw=summary_raw,
-        summary_detrended=summary_detrended,
+        summary=summary,
         trend_line=trend_line,
         mk=mk_result,
-        ar_raw=ar_raw,
-        ar_detrended=ar_detrended,
-        lag1_raw=lag1_raw,
-        lag1_detrended=lag1_detrended,
-        order_raw=order_raw,
-        order_detrended=order_detrended,
+        ar=ar,
+        lag1=lag1,
+        order=selected,
         residuals_raw_ar1=residual_report,
     )

@@ -116,39 +116,23 @@ def _ar_models_to_dict(models: dict[int, autoreg.ARModel | str]) -> dict:
     return {f"p{p}": _section(model, regression_to_dict) for p, model in models.items()}
 
 
+def _per_series(stage: dict, convert=_record_to_dict) -> dict:
+    """A per-series stage's sections, keyed by series label in the stage's order."""
+    return {label: _section(value, convert) for label, value in stage.items()}
+
+
 def pipeline_to_dict(report: PipelineReport) -> dict:
-    config = report.config
     return {
         "schema_version": SCHEMA_VERSION,
-        "config": {
-            "input": config.input_path,
-            "decimal": config.decimal,
-            "threshold": None if config.threshold is None else _record_to_dict(config.threshold),
-            "max_lag": config.max_lag,
-            "alpha": config.alpha,
-            "detrend": config.detrend,
-            "outlier_threshold": config.outlier_threshold,
-        },
+        "config": _record_to_dict(report.config),
         "series": {"n": report.series_n},
         "pot": _section(report.pot_events, event_series_to_dict),
-        "summary": {
-            "raw": _record_to_dict(report.summary_raw),
-            "detrended": _section(report.summary_detrended),
-        },
+        "summary": _per_series(report.summary),
         "trend": _record_to_dict(report.trend_line),
         "mann_kendall": _section(report.mk),
-        "lag_correlation": {
-            "raw": _section(report.lag1_raw, float),
-            "detrended": _section(report.lag1_detrended, float),
-        },
-        "ar": {
-            "raw": _ar_models_to_dict(report.ar_raw),
-            "detrended": _section(report.ar_detrended, _ar_models_to_dict),
-        },
-        "order_selection": {
-            "raw": _section(report.order_raw),
-            "detrended": _section(report.order_detrended),
-        },
+        "lag_correlation": _per_series(report.lag1, float),
+        "ar": _per_series(report.ar, _ar_models_to_dict),
+        "order_selection": _per_series(report.order),
         "residuals": _section(report.residuals_raw_ar1, residuals_to_dict),
     }
 

@@ -212,26 +212,21 @@ def pipeline(d: dict) -> str:
         "",
     ]
     lines += _section(d["pot"], "pot extraction", _event_lines)
-    lines += _section(d["summary"]["raw"], "summary (raw)", _summary_lines)
-    lines += _section(d["summary"]["detrended"], "summary (detrended)", _summary_lines)
+    for label, block in d["summary"].items():
+        lines += _section(block, f"summary ({label})", _summary_lines)
     lines += _section(d["trend"], "trend line", _trend_lines)
     lines += _section(d["mann_kendall"], "mann-kendall", _mk_lines)
     lines += [
         "lag-1 correlation",
-        *_table([
-            ["raw", lag1(d["lag_correlation"]["raw"])],
-            ["detrended", lag1(d["lag_correlation"]["detrended"])],
-        ]),
+        *_table([[label, lag1(value)] for label, value in d["lag_correlation"].items()]),
         "",
     ]
-    for label in ("raw", "detrended"):
-        block = d["ar"][label]
+    for label, block in d["ar"].items():
         if "skipped" in block:
             lines += [f"ar ({label}): skipped ({block['skipped']})", ""]
         else:
             lines += _ar_lines(block, label)
-    lines += _section(d["order_selection"]["raw"], "order selection (raw)", _trace_lines)
-    lines += _section(d["order_selection"]["detrended"], "order selection (detrended)",
-                      _trace_lines)
+    for label, block in d["order_selection"].items():
+        lines += _section(block, f"order selection ({label})", _trace_lines)
     lines += _section(d["residuals"], "residuals (raw AR(1))", _residual_lines)
     return _join(lines)

@@ -287,7 +287,7 @@ def _cmd_analyze(args) -> str:
     if args.threshold is not None:
         threshold = peaks.ThresholdSpec(threshold=args.threshold, comparison=args.comparison)
     config = AnalysisConfig(
-        input_path=args.input,
+        input=args.input,
         decimal=_decimal(args),
         threshold=threshold,
         max_lag=args.max_lag,
@@ -295,7 +295,7 @@ def _cmd_analyze(args) -> str:
         detrend=not args.no_detrend,
         outlier_threshold=args.outlier_threshold,
     )
-    series = parse_csv(config.input_path, config.decimal)
+    series = parse_csv(config.input, config.decimal)
     report = run_pipeline(series, config)
     if args.plot_data and not isinstance(report.residuals_raw_ar1, str):
         _write_plot_csvs(args.plot_data, report.residuals_raw_ar1)

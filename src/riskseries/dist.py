@@ -26,22 +26,27 @@ def normal_cdf(z: float) -> float:
     return 0.5 * math.erfc(-z / _SQRT2)
 
 
-def normal_quantile(p: float) -> float:
-    """Inverse standard normal CDF for p in (0, 1)."""
-    if not 0.0 < p < 1.0:
-        raise UsageError(f"normal quantile needs p in (0, 1), got {p!r}")
-    lo, hi = -40.0, 40.0
-    for _ in range(120):
+def _bisect(below, lo: float, hi: float, steps: int) -> float:
+    """Where ``below`` turns from true at ``lo`` to false at ``hi``, by at
+    most ``steps`` halvings of the bracket: the midpoint of the last one."""
+    for _ in range(steps):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
-            # lo only ever holds points with CDF < p and hi points with
-            # CDF >= p, so every further step would leave both unchanged.
+            # lo only ever holds points where below is true and hi points
+            # where it is false, so every further step would leave both unchanged.
             break
-        if normal_cdf(mid) < p:
+        if below(mid):
             lo = mid
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def normal_quantile(p: float) -> float:
+    """Inverse standard normal CDF for p in (0, 1)."""
+    if not 0.0 < p < 1.0:
+        raise UsageError(f"normal quantile needs p in (0, 1), got {p!r}")
+    return _bisect(lambda z: normal_cdf(z) < p, -40.0, 40.0, 120)
 
 
 def _betacf(a: float, b: float, x: float) -> float:
@@ -148,14 +153,4 @@ def student_t_critical(alpha: float, df: int) -> float:
         hi *= 2.0
         if hi > 1e300:
             raise NumericalError(f"t critical value out of range for alpha={alpha}, df={df}")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            # lo only ever holds points with p > alpha and hi points with
-            # p <= alpha, so every further step would leave both unchanged.
-            break
-        if student_t_two_sided_p(mid, df) > alpha:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _bisect(lambda t: student_t_two_sided_p(t, df) > alpha, lo, hi, 200)

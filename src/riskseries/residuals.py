@@ -16,7 +16,7 @@ from ._record import Record
 from .autoreg import ARModel, predictions
 from .errors import UsageError
 from .series import TimeSeries
-from .trend import TrendLine
+from .trend import TrendLine, _line_values
 
 DEFAULT_OUTLIER_THRESHOLD = 3.0
 
@@ -56,13 +56,7 @@ def _observed_and_predicted(model, series: TimeSeries):
         observed, predicted = predictions(model, series)
         return observed, predicted, model.p + 1
     if isinstance(model, TrendLine):
-        if model.n != len(series):
-            raise UsageError(
-                f"trend line was fitted on {model.n} observations, "
-                f"series has {len(series)}"
-            )
-        t = np.arange(1.0, len(series) + 1)
-        return series.values, model.intercept + model.slope * t, 2
+        return series.values, _line_values(model, series), 2
     raise UsageError(f"unsupported model type {type(model).__name__}")
 
 

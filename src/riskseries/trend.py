@@ -62,16 +62,18 @@ def fit_trend(series: TimeSeries) -> TrendLine:
     return TrendLine(intercept=intercept, slope=slope, n=len(series))
 
 
-def detrend(series: TimeSeries, line: TrendLine) -> TimeSeries:
-    """Subtract the fitted line at observation numbers 1..n; indices stay."""
+def _line_values(line: TrendLine, series: TimeSeries) -> np.ndarray:
+    """The fitted line at observation numbers 1..n of the series it was fitted on."""
     if line.n != len(series):
         raise UsageError(
             f"trend line was fitted on {line.n} observations, series has {len(series)}"
         )
-    t = np.arange(1.0, len(series) + 1)
-    return TimeSeries(
-        indices=series.indices, values=series.values - (line.intercept + line.slope * t)
-    )
+    return line.intercept + line.slope * np.arange(1.0, len(series) + 1)
+
+
+def detrend(series: TimeSeries, line: TrendLine) -> TimeSeries:
+    """Subtract the fitted line at observation numbers 1..n; indices stay."""
+    return TimeSeries(indices=series.indices, values=series.values - _line_values(line, series))
 
 
 def _mk_s_and_variance(values: np.ndarray) -> tuple[int, float]:

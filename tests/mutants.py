@@ -3,9 +3,9 @@
 Each entry of ``MUTANTS`` is one textual change to one source file. For
 each, the runner copies ``src/``, ``tests/``, ``README.md`` and
 ``pyproject.toml`` to a temporary directory, applies the change there
-(the old text must occur exactly once), runs Tier-1 with ``-x`` and
-prints KILLED (a test failed), SURVIVED (every test passed) or ERROR
-(pytest itself did not run). A mutant whose note starts with
+(the old text must occur exactly once), runs Tier-1 with ``-x``, less
+``tests/test_mutants.py``, and prints KILLED (a test failed), SURVIVED
+(every test passed) or ERROR (pytest itself did not run). A mutant whose note starts with
 ``equivalent:`` changes nothing a test can see, and the note says why.
 Before the mutants, the unchanged copy must pass, or a broken tree
 would read as a run of kills.
@@ -30,7 +30,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 COPIED = ("src", "tests", "README.md", "pyproject.toml")
-TIER1 = ("-m", "pytest", "-q", "-x", "--continue-on-collection-errors", "-p", "no:cacheprovider")
+# test_mutants.py checks that each old text occurs once, so it would fail on
+# every mutant; the runner checks that count itself before applying one.
+TIER1 = ("-m", "pytest", "-q", "-x", "--continue-on-collection-errors", "-p", "no:cacheprovider",
+         "--ignore=tests/test_mutants.py")
 
 # (file, old text, new text, note)
 MUTANTS = [
@@ -50,7 +53,8 @@ MUTANTS = [
     ("src/riskseries/residuals.py", "if scale <= 1e-12 * value_scale:",
      "if scale < 1e-12 * value_scale:",
      "equivalent: the residual degeneracy test differs only at an exact float tie"),
-    ("src/riskseries/dist.py", "for _ in range(200):", "for _ in range(60):",
+    ("src/riskseries/dist.py", "student_t_two_sided_p(t, df) > alpha, lo, hi, 200)",
+     "student_t_two_sided_p(t, df) > alpha, lo, hi, 60)",
      "equivalent: student_t_critical's bracket closes before 60 bisection steps for "
      "alpha 0.05 to 1e-15 and df 1 to 10,000"),
     ("src/riskseries/trend.py", "if s == 0 or var_s <= 0.0:", "if s == 0 or var_s < 0.0:",
@@ -60,6 +64,9 @@ MUTANTS = [
      "should is ROADMAP item 9's question"),
     ("src/riskseries/_report.py", "repeated = len(zero_signs) == 1", "repeated = True",
      "_column_texts: a repeated float column with zeros of both signs keeps the table"),
+    ("src/riskseries/_pipeline.py", "for label, source in sources.items()}",
+     "for label, source in reversed(sources.items())}",
+     "run_pipeline: each per-series stage runs on the detrended series before the raw one"),
     ("src/riskseries/_report.py", "2 * len(table) <= len(column)", "2 * len(table) < len(column)",
      "equivalent: the half rule picks between two ways that give the same texts; "
      "it changes speed only"),

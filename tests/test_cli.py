@@ -137,6 +137,23 @@ def test_finite_input_whose_squares_or_sums_overflow_is_a_numerical_error(
     assert captured.err == f"numerical error: {message}\n"
 
 
+# Two values are too few for the trend line, whose fit comes after the
+# raw summary: a summary that overflows is reported first.
+@pytest.mark.parametrize("rows, code, message", [
+    ("1,1e200\n2,0\n", EXIT_NUMERICAL, "numerical error: a squared deviation is out of range"),
+    ("1,5\n2,6\n", EXIT_USAGE, "usage error: trend fit needs at least 3 observations, got 2"),
+], ids=["summary-overflows", "too-short-for-trend"])
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_analyze_runs_the_raw_summary_before_the_trend_fit(
+        tmp_path, capsys, rows, code, message, fmt):
+    path = tmp_path / "two.csv"
+    path.write_text("month,value\n" + rows)
+    assert main(["analyze", str(path), "--format", fmt]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message + "\n"
+
+
 # The R of this design holds NaN. At k >= 3 (residuals --lag 2 and 3),
 # numpy's SVD of such a matrix raises instead of returning NaN. analyze
 # cannot reach the design: its summary overflows first.
@@ -456,21 +473,19 @@ def test_plot_data_that_cannot_be_written_is_a_usage_error(fixture_path, tmp_pat
 
 
 def test_run_pipeline_direct(event_series):
-    config = AnalysisConfig(input_path="fixture", max_lag=3, alpha=0.05)
+    config = AnalysisConfig(input="fixture", max_lag=3, alpha=0.05)
     report = run_pipeline(event_series, config)
     payload = pipeline_to_dict(report)
     assert payload["summary"]["raw"]["n"] == 31
     assert payload["ar"]["raw"]["p2"]["n"] == 29
     with pytest.raises(UsageError):
-        AnalysisConfig(input_path="x", alpha=2.0)
+        AnalysisConfig(input="x", alpha=2.0)
     with pytest.raises(UsageError):
-        AnalysisConfig(input_path="x", max_lag=0)
+        AnalysisConfig(input="x", max_lag=0)
 
 
 def test_run_pipeline_threshold_removing_everything(event_series):
-    config = AnalysisConfig(
-        input_path="fixture", threshold=ThresholdSpec(1e9), max_lag=1
-    )
+    config = AnalysisConfig(input="fixture", threshold=ThresholdSpec(1e9), max_lag=1)
     with pytest.raises(DataError):
         run_pipeline(event_series, config)
 
@@ -501,11 +516,11 @@ def _count_solves(monkeypatch) -> list:
 def test_run_pipeline_fits_each_order_once(event_series, monkeypatch):
     calls = _count_fits(monkeypatch)
     solves = _count_solves(monkeypatch)
-    report = run_pipeline(event_series, AnalysisConfig(input_path="fixture", max_lag=3))
+    report = run_pipeline(event_series, AnalysisConfig(input="fixture", max_lag=3))
     # AR(1)..AR(3) on the raw and on the detrended series, plus the trend line's solve
     assert len(calls) == 6
     assert len(solves) == 7
-    assert report.order_raw.selected_order == 0
+    assert report.order["raw"].selected_order == 0
 
 
 def test_ar_and_analyze_fit_only_through_the_order_search(fixture_path, monkeypatch, capsys):

@@ -156,7 +156,7 @@ def _assert_same_text(text: str, expected: str):
 
 def test_long_record_analyze_payload_matches_json_dumps(tmp_path):
     path = _long_record_csv(tmp_path)
-    report = run_pipeline(parse_csv(str(path)), AnalysisConfig(input_path=str(path)))
+    report = run_pipeline(parse_csv(str(path)), AnalysisConfig(input=str(path)))
     payload = pipeline_to_dict(report)
     assert payload["residuals"]["n"] == 9_999
     _assert_same_text(render(payload, "json", None), _expected(payload))
@@ -357,7 +357,7 @@ def _count_write_json_calls(monkeypatch, payload) -> int:
 
 def test_long_record_residual_rows_are_written_column_by_column(tmp_path, monkeypatch):
     path = _long_record_csv(tmp_path)
-    report = run_pipeline(parse_csv(str(path)), AnalysisConfig(input_path=str(path)))
+    report = run_pipeline(parse_csv(str(path)), AnalysisConfig(input=str(path)))
     payload = pipeline_to_dict(report)
     # One call per value would be about 80,000 for the 9,999 residual rows.
     assert _count_write_json_calls(monkeypatch, payload) < 2_000
@@ -429,7 +429,7 @@ def test_column_table_columns_must_share_one_length():
 
 
 def test_pipeline_residual_rows_iterate_to_the_row_dicts_of_the_report(event_series):
-    report = run_pipeline(event_series, AnalysisConfig(input_path="fixture"))
+    report = run_pipeline(event_series, AnalysisConfig(input="fixture"))
     residual = report.residuals_raw_ar1
     rows = pipeline_to_dict(report)["residuals"]["rows"]
     columns = zip(
@@ -543,11 +543,12 @@ def _typed(rows) -> list:
 
 def test_record_and_pair_tables_iterate_to_the_rows_of_the_report(tmp_path):
     path, threshold = _station_csv(tmp_path)
-    config = AnalysisConfig(input_path=str(path),
+    config = AnalysisConfig(input=str(path),
                             threshold=peaks.ThresholdSpec(threshold=threshold))
     report = run_pipeline(parse_csv(str(path)), config)
     payload = pipeline_to_dict(report)
-    for label, models in (("raw", report.ar_raw), ("detrended", report.ar_detrended)):
+    assert list(report.ar) == list(report.order) == ["raw", "detrended"]
+    for label, models in report.ar.items():
         assert len(models) == 3
         for p, model in models.items():
             coefficients = payload["ar"][label][f"p{p}"]["coefficients"]
@@ -559,7 +560,7 @@ def test_record_and_pair_tables_iterate_to_the_rows_of_the_report(tmp_path):
             ]
             assert len(coefficients) == len(expected) == p + 1
             assert _typed(coefficients) == _typed(expected)
-        trace = getattr(report, f"order_{label}")
+        trace = report.order[label]
         steps = payload["order_selection"][label]["steps"]
         expected = [
             {"p": step.p, "coefficient": step.coefficient, "std_error": step.std_error,

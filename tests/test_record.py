@@ -44,7 +44,7 @@ def _collect(value, samples: dict):
 def _samples(fixture_path) -> dict:
     """One real instance of each record class: a pipeline run, a series and the risk types."""
     series = cli.parse_csv(fixture_path)
-    config = cli.AnalysisConfig(input_path=fixture_path, threshold=ThresholdSpec(150.0))
+    config = cli.AnalysisConfig(input=fixture_path, threshold=ThresholdSpec(150.0))
     samples: dict = {TimeSeries: series}
     _collect(cli.run_pipeline(series, config), samples)
     hazard = evt_risk.HazardCurve(points=((1.0, 2.0), (2.0, 1.0)))
