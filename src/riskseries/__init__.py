@@ -48,60 +48,6 @@ from .trend import MKResult, TrendLine, detrend, fit_trend, mann_kendall
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ARModel",
-    "AnovaBlock",
-    "CoefficientStat",
-    "DataError",
-    "EventSeries",
-    "GevParams",
-    "HazardCurve",
-    "MKResult",
-    "NumericalError",
-    "OrderSelectionStep",
-    "OrderSelectionTrace",
-    "Provenance",
-    "RegressionReport",
-    "ResidualReport",
-    "RiskCurve",
-    "RiskSeriesError",
-    "SummaryStats",
-    "ThresholdSpec",
-    "TimeSeries",
-    "TrendLine",
-    "UsageError",
-    "VulnerabilityCurve",
-    "VulnerabilityPoint",
-    "block_maxima",
-    "build_lagged_design",
-    "build_segments",
-    "conditional_exceedance",
-    "conditional_nonexceedance",
-    "detrend",
-    "f_upper_tail",
-    "fit_ar",
-    "fit_ols",
-    "fit_trend",
-    "gev_pdf",
-    "lag_correlation",
-    "lognormal_params",
-    "mann_kendall",
-    "normal_cdf",
-    "normal_quantile",
-    "percentile_column",
-    "plot_data",
-    "pot_compact",
-    "pot_zerofill",
-    "regularized_incomplete_beta",
-    "reindex",
-    "residual_analysis",
-    "risk_curve",
-    "select_order",
-    "student_t_critical",
-    "student_t_two_sided_p",
-    "summarize",
-]
-
 _EVT_RISK = frozenset({
     "GevParams",
     "HazardCurve",
@@ -115,6 +61,50 @@ _EVT_RISK = frozenset({
     "lognormal_params",
     "risk_curve",
 })
+
+__all__ = [
+    "ARModel",
+    "AnovaBlock",
+    "CoefficientStat",
+    "DataError",
+    "EventSeries",
+    "MKResult",
+    "NumericalError",
+    "OrderSelectionStep",
+    "OrderSelectionTrace",
+    "Provenance",
+    "RegressionReport",
+    "ResidualReport",
+    "RiskSeriesError",
+    "SummaryStats",
+    "ThresholdSpec",
+    "TimeSeries",
+    "TrendLine",
+    "UsageError",
+    "block_maxima",
+    "build_lagged_design",
+    "detrend",
+    "f_upper_tail",
+    "fit_ar",
+    "fit_ols",
+    "fit_trend",
+    "lag_correlation",
+    "mann_kendall",
+    "normal_cdf",
+    "normal_quantile",
+    "percentile_column",
+    "plot_data",
+    "pot_compact",
+    "pot_zerofill",
+    "regularized_incomplete_beta",
+    "reindex",
+    "residual_analysis",
+    "select_order",
+    "student_t_critical",
+    "student_t_two_sided_p",
+    "summarize",
+    *sorted(_EVT_RISK),
+]
 
 
 def __getattr__(name: str):

@@ -6,7 +6,6 @@ runs, so no other command compiles it or loads ``evt_risk``.
 from __future__ import annotations
 
 import math
-from itertools import chain
 
 from . import evt_risk
 from ._readers import _columns, _finite_row, _numbered_rows, _read_lines
@@ -77,8 +76,9 @@ def parse_vulnerability_csv(
     columns = _columns(rows[1:], 3)
     if columns:
         try:
+            # Non-finite means and CoVs fail lognormal_params; the row reader names their line.
             s, mean_loss, cov = (list(map(float, column)) for column in columns)
-            if s == list(hazard.s) and all(map(math.isfinite, chain(mean_loss, cov))):
+            if s == list(hazard.s):
                 return evt_risk.VulnerabilityCurve(s=s, mean_loss=mean_loss, cov=cov)
         except (ValueError, UsageError):
             pass

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import linreg
 from ._record import Record
-from .dist import _check_alpha, normal_quantile
+from .dist import _check_alpha, _check_count, normal_quantile
 from .errors import NumericalError, UsageError
 from .series import TimeSeries, _sum_of_squares
 
@@ -90,8 +90,7 @@ def build_lagged_design(
     y is ``values[p:]``, and ``lag_columns[i - 1]`` is y_{t-i}: the values
     shifted down by i.
     """
-    if isinstance(p, bool) or not isinstance(p, int) or p < 1:
-        raise UsageError(f"lag order must be a positive integer, got {p!r}")
+    _check_count(p, "lag order")
     values = np.asarray(values, dtype=np.float64)
     n = len(values)
     check_length(p, n)

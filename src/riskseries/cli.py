@@ -24,29 +24,34 @@ The code is split by concern, and a command loads only what it runs:
 
 Every command loads the first four. ``gev-pdf`` and ``risk-curve`` also
 load ``_risk_commands`` and ``evt_risk``, and ``--format text`` loads
-``_text``; no other command loads any of those three. The public names
-that moved out of this module still resolve here (``ColumnTable``,
-``parse_hazard_csv``, ...), from the module that now holds them.
+``_text``; no other command loads any of those three. This module
+re-exports ``ColumnTable``, ``SCHEMA_VERSION``, ``regression_to_dict``,
+``PipelineReport`` and ``DETREND_DISABLED``; import the risk readers,
+``parse_hazard_csv`` and ``parse_vulnerability_csv``, from ``_risk_commands``.
 """
 from __future__ import annotations
 
 import argparse
 import functools
-import importlib
 import math
 import os
+import re
 import sys
 from pathlib import Path
 from typing import Sequence
 
 from . import autoreg, peaks, residuals, trend
-from ._pipeline import AnalysisConfig, _check_max_lag, run_pipeline
+from ._pipeline import (DETREND_DISABLED, AnalysisConfig, PipelineReport, _check_max_lag,
+                        run_pipeline)
 from ._readers import DECIMAL_COMMA, DECIMAL_POINT, parse_csv
 from ._report import (
+    SCHEMA_VERSION,
+    ColumnTable,
     _ar_models_to_dict,
     _record_to_dict,
     event_series_to_dict,
     pipeline_to_dict,
+    regression_to_dict,
     render,
     residuals_to_dict,
 )
@@ -59,28 +64,6 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERICAL = 3
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a reader that hung up
-
-# Public names that live in another module, served on first use.
-_ELSEWHERE = {
-    "SCHEMA_VERSION": "_report",
-    "ColumnTable": "_report",
-    "DETREND_DISABLED": "_pipeline",
-    "PipelineReport": "_pipeline",
-    "regression_to_dict": "_report",
-    "parse_hazard_csv": "_risk_commands",
-    "parse_vulnerability_csv": "_risk_commands",
-}
-
-
-def __getattr__(name: str):
-    if name in _ELSEWHERE:
-        return getattr(importlib.import_module(f".{_ELSEWHERE[name]}", __package__), name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__() -> list[str]:
-    return sorted(globals().keys() | _ELSEWHERE.keys())
-
 
 def _finite_float(text: str) -> float:
     """argparse type for a single finite float flag."""
@@ -96,6 +79,12 @@ def _finite_float(text: str) -> float:
 # ------------------------------------------------------------- commands
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # A value such as -1,0,1, -1e3 or -.5 is a value, not an option:
+        # argparse alone takes only -5 and -0.5 so. No option starts with a digit.
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     def error(self, message):  # argparse would exit(2); keep our code mapping
         raise UsageError(message)
 

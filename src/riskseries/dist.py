@@ -107,10 +107,9 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
     return 1.0 - front * _betacf(b, a, 1.0 - x) / b
 
 
-def _check_df(df: int, name: str) -> int:
-    if isinstance(df, bool) or not isinstance(df, int) or df < 1:
-        raise UsageError(f"{name} must be a positive integer, got {df!r}")
-    return df
+def _check_count(value: int, name: str):
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise UsageError(f"{name} must be a positive integer, got {value!r}")
 
 
 def _check_alpha(alpha: float):
@@ -120,7 +119,7 @@ def _check_alpha(alpha: float):
 
 def student_t_two_sided_p(t: float, df: int) -> float:
     """Pr{|T| > |t|} for Student t with ``df`` degrees of freedom."""
-    _check_df(df, "degrees of freedom")
+    _check_count(df, "degrees of freedom")
     t = float(t)
     if math.isnan(t):
         raise UsageError("t statistic must not be NaN")
@@ -132,8 +131,8 @@ def student_t_two_sided_p(t: float, df: int) -> float:
 
 def f_upper_tail(f: float, d1: int, d2: int) -> float:
     """Pr{F(d1, d2) > f}."""
-    _check_df(d1, "numerator degrees of freedom")
-    _check_df(d2, "denominator degrees of freedom")
+    _check_count(d1, "numerator degrees of freedom")
+    _check_count(d2, "denominator degrees of freedom")
     f = float(f)
     if math.isnan(f) or f < 0.0:
         raise UsageError(f"F statistic must be non-negative, got {f!r}")
@@ -146,7 +145,7 @@ def f_upper_tail(f: float, d1: int, d2: int) -> float:
 @lru_cache(maxsize=256)
 def student_t_critical(alpha: float, df: int) -> float:
     """t* such that Pr{|T| > t*} = alpha (two sided)."""
-    _check_df(df, "degrees of freedom")
+    _check_count(df, "degrees of freedom")
     _check_alpha(alpha)
     lo, hi = 0.0, 1.0
     while student_t_two_sided_p(hi, df) > alpha:

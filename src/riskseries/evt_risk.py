@@ -41,10 +41,11 @@ Scaling the losses and the mean losses by a power of two changes neither
 the mantissas nor k, so the frequencies are exactly scale-equivariant.
 
 The vulnerability is one VulnerabilityCurve: read-only float64 columns
-s, mean_loss and cov, checked as columns, with the lognormal's theta and
-beta derived once per curve. build_segments and risk_curve read those
-columns; a sequence of VulnerabilityPoints, the one-point form, is
-turned into a curve once, on entry.
+s, mean_loss and cov. Each point goes through lognormal_params, the one
+rule that accepts or rejects a point and gives its lognormal's theta and
+beta, and the curve keeps those as two more columns. build_segments and
+risk_curve read the columns; a sequence of VulnerabilityPoints, the
+one-point form, is turned into a curve once, on entry.
 
 risk_curve evaluates in blocks of losses, each a (losses x points)
 matrix of at most _BLOCK_CELLS cells, so each q is taken once per
@@ -118,33 +119,20 @@ def gev_pdf(x: float, params: GevParams) -> float:
     return t / u * math.exp(-t) / params.sigma
 
 
-def _lognormal_median(mean, cov, sqrt):
-    """theta = mean / sqrt(1 + cov^2), of floats with math.sqrt or float64 columns with np.sqrt.
-
-    Each step is one correctly rounded IEEE operation, so both give the same bits.
-    """
-    return mean / sqrt(1.0 + cov * cov)
-
-
-def _lognormal_log_sd(cov: float) -> float:
-    """beta = sqrt(log1p(cov^2)) of one CoV, through the C library's log1p.
-
-    numpy's log1p does not always round as the C library's does, so a
-    curve takes this per point too.
-    """
-    return math.sqrt(math.log1p(cov * cov))
-
-
 def lognormal_params(mean: float, cov: float) -> tuple[float, float]:
-    """(median theta, log-sd beta) of a lognormal with given mean and CoV."""
+    """(median theta, log-sd beta) of a lognormal with given mean and CoV.
+
+    The one rule for a vulnerability point: VulnerabilityPoint and
+    VulnerabilityCurve take each point's theta and beta, or its UsageError, from here.
+    """
     if not mean > 0.0:
         raise UsageError(f"mean loss must be positive, got {mean!r}")
     if not cov >= 0.0:
         raise UsageError(f"coefficient of variation must be >= 0, got {cov!r}")
-    beta = _lognormal_log_sd(cov)
+    beta = math.sqrt(math.log1p(cov * cov))
     if beta == math.inf:
         raise UsageError(f"lognormal log-sd overflows for coefficient of variation {cov!r}")
-    theta = _lognormal_median(mean, cov, math.sqrt)
+    theta = mean / math.sqrt(1.0 + cov * cov)
     if theta == 0.0:
         raise UsageError(
             f"lognormal median underflows to 0 for mean loss {mean!r} "
@@ -176,10 +164,11 @@ class VulnerabilityCurve(Record, eq=False):
     """Conditional loss distributions over an intensity grid, as columns.
 
     ``s``, ``mean_loss`` and ``cov`` are read-only float64 columns of one
-    length, copied on construction. ``theta`` and ``beta`` are derived
-    columns, not fields: at every point they hold the bits lognormal_params
-    gives, and a rejected point raises its UsageError, the first one in
-    grid order. Iterating a curve gives its VulnerabilityPoints.
+    length, copied on construction. Each point goes through
+    lognormal_params, in grid order, so the first rejected point raises its
+    UsageError. ``theta`` and ``beta``, the columns of what it returns, are
+    derived attributes, not fields. Iterating a curve gives its
+    VulnerabilityPoints.
     """
 
     s: np.ndarray
@@ -193,15 +182,8 @@ class VulnerabilityCurve(Record, eq=False):
                 f"vulnerability columns must be one-dimensional and of one length, "
                 f"got shapes {s.shape}, {mean.shape} and {cov.shape}"
             )
-        # cov^2 = inf gives beta = inf and theta = 0 (or nan), both rejected below.
-        with np.errstate(over="ignore", invalid="ignore"):
-            theta = _lognormal_median(mean, cov, np.sqrt)
-        beta = np.fromiter(map(_lognormal_log_sd, cov.tolist()), float, len(cov))
-        accepted = ((mean > 0.0) & (cov >= 0.0) & (beta != math.inf) & (theta != 0.0)
-                    & (mean != math.inf))
-        if not accepted.all():
-            first = int(np.argmin(accepted))
-            lognormal_params(mean[first].item(), cov[first].item())  # raises its error
+        params = np.array(list(map(lognormal_params, mean.tolist(), cov.tolist())), dtype=float)
+        theta, beta = params.reshape(len(s), 2).T.copy()
         for name, column in zip(("s", "mean_loss", "cov", "theta", "beta"),
                                 (s, mean, cov, theta, beta)):
             column.flags.writeable = False

@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 from ._record import Record
+from .dist import _check_count
 from .errors import DataError, UsageError
 from .series import TimeSeries
 
@@ -60,8 +61,7 @@ def block_maxima(series: TimeSeries, block_size: int) -> EventSeries:
     Blocking is positional (the series is renumbered 1..n first), the
     last block may be short, and ties keep the earliest position.
     """
-    if isinstance(block_size, bool) or not isinstance(block_size, int) or block_size < 1:
-        raise UsageError(f"block_size must be a positive integer, got {block_size!r}")
+    _check_count(block_size, "block_size")
     if len(series) == 0:
         raise DataError("cannot extract block maxima from an empty series")
     # One row per block: the short last block is padded with -inf, which

@@ -14,6 +14,7 @@ import numpy as np
 
 from ._record import Record
 from .autoreg import ARModel, predictions
+from .dist import _check_count
 from .errors import UsageError
 from .series import TimeSeries
 from .trend import TrendLine, _line_values
@@ -46,8 +47,7 @@ def _percentiles(n: int) -> np.ndarray:
 
 def percentile_column(n: int) -> tuple[float, ...]:
     """Probability-plot percentiles: entry k is 100*(2k-1)/(2n)."""
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise UsageError(f"n must be a positive integer, got {n!r}")
+    _check_count(n, "n")
     return tuple(_percentiles(n).tolist())
 
 

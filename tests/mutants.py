@@ -70,6 +70,10 @@ MUTANTS = [
     ("src/riskseries/_report.py", "2 * len(table) <= len(column)", "2 * len(table) < len(column)",
      "equivalent: the half rule picks between two ways that give the same texts; "
      "it changes speed only"),
+    ("src/riskseries/dist.py", "value < 1", "value < 0",
+     "_check_count: 0 passes as a count (a lag order, block size, n or degrees of freedom)"),
+    ("src/riskseries/evt_risk.py", "if mean == math.inf:", "if False:",
+     "lognormal_params: an infinite mean loss is accepted, by a point and by a curve"),
 ]
 
 

@@ -254,6 +254,34 @@ def test_gev_pdf_subcommand(capsys):
     capsys.readouterr()
 
 
+GEV = ["gev-pdf", "--mu", "0", "--sigma", "1", "--xi", "0", "--format", "json"]
+
+
+@pytest.mark.parametrize("flag, value, rest", [
+    ("--x", "-1,0,1", GEV),
+    ("--x", "-.5", GEV),
+    ("--mu", "-1e3", ["gev-pdf", "--sigma", "1", "--xi", "0", "--x", "0"]),
+    ("--threshold", "-1e-3", ["peaks", None]),
+], ids=["x-list", "x-leading-dot", "mu-exponent", "threshold-exponent"])
+def test_a_value_starting_with_minus_and_a_digit_is_the_flag_value(
+        fixture_path, capsys, flag, value, rest):
+    # argparse alone reads -1,0,1 or -1e3 as an option and reports a missing value.
+    rest = [fixture_path if arg is None else arg for arg in rest]
+    assert main([*rest, f"{flag}={value}"]) == EXIT_OK
+    expected = capsys.readouterr()
+    assert main([*rest, flag, value]) == EXIT_OK
+    assert capsys.readouterr() == expected
+
+
+@pytest.mark.parametrize("value, message", [
+    (["-"], "usage error: cannot parse evaluation points '-'\n"),
+    (["--format", "json"], "usage error: argument --x: expected one argument\n"),
+])
+def test_a_dash_or_an_option_after_x_is_still_a_usage_error(capsys, value, message):
+    assert main([*GEV, "--x", *value]) == EXIT_USAGE
+    assert capsys.readouterr() == ("", message)
+
+
 def test_text_mode_smoke(tmp_path, fixture_path, capsys):
     csv = tmp_path / "simple.csv"
     values = [200, 30, 40, 120, 80, 110, 180, 55, 190, 110, 20, 110]

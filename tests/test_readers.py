@@ -232,5 +232,5 @@ def test_a_good_vulnerability_file_builds_no_point_record(tmp_path, monkeypatch,
     monkeypatch.setattr(evt_risk.VulnerabilityPoint, "__post_init__", point_record)
     assert cli.main(argv) == 0
     assert capsys.readouterr() == expected
-    assert len(cli.parse_vulnerability_csv(paths["vulnerability"],
-                                           cli.parse_hazard_csv(paths["hazard"]))) == 2000
+    assert len(_risk_commands.parse_vulnerability_csv(
+        paths["vulnerability"], _risk_commands.parse_hazard_csv(paths["hazard"]))) == 2000

@@ -23,7 +23,7 @@ import pytest
 
 import mp_oracle
 import test_evt_risk
-from riskseries.cli import parse_hazard_csv, parse_vulnerability_csv
+from riskseries._risk_commands import parse_hazard_csv, parse_vulnerability_csv
 from riskseries.evt_risk import VulnerabilityPoint, risk_curve
 from test_evt_risk import bench_shaped_instance
 
