@@ -1,13 +1,14 @@
-"""Reading a ``month,value`` series CSV, and the CSV helpers every reader shares.
+"""The CSV readers: ``parse_csv`` for a ``month,value`` series, and
+``_read_table`` for the hazard, vulnerability and loss files, whose rules
+``riskseries._risk_commands`` passes in as library calls.
 
-The hazard, vulnerability and loss-grid readers, in
-``riskseries._risk_commands``, use the same helpers and the same rule:
-a column pass for the good case, a per-row reader for the errors.
+The series reader keeps its own row loop: its header rule, messages,
+integer months, ``decimal="comma"`` forms and whole-series checks differ.
 """
 from __future__ import annotations
 
 import math
-from itertools import repeat
+from itertools import chain, repeat
 from pathlib import Path
 
 from .errors import DataError, UsageError
@@ -71,11 +72,53 @@ def _split_row(line: str, decimal: str) -> list[str]:
 
 
 # Each reader takes the good case as whole columns through Python's own
-# int and float, which strip the same whitespace str.strip does, or less:
-# a column pass accepts only what the per-row reader accepts, with the
-# same bits. On anything else (a bad cell, a wrong field count, a rejected
-# value) it hands the file to its per-row reader, which alone words the
+# int and float, which strip the same whitespace str.strip does, or less,
+# so a column pass accepts only what its row pass accepts, with the same
+# bits. On anything else (a bad cell, a wrong field count, a rejected
+# value) the file is read again row by row, and that pass alone words the
 # error and numbers its line.
+
+def _read_table(path: str, header: str, what: str, check_row, build):
+    """``build(*columns)`` of the finite floats under a ``header`` such as ``s,G``.
+
+    The row pass splits a row into as many cells as the header has (a
+    one-column row is the whole line, never split, so ``0,1`` cannot be
+    parsed), reads it with _finite_row, calls ``check_row(rows_before,
+    row)`` and names the line of the first rejection. Only then come "no
+    data rows" and ``build``'s whole-table rejections.
+    """
+    lines, rows = _read_lines(path)
+    names = header.lower().split(",")
+    if not rows or [c.strip().lower() for c in rows[0].split(",")] != names:
+        raise DataError(f"{path}: expected header '{header}'")
+    columns = _columns(rows[1:], len(names))
+    if columns:
+        try:
+            columns = [list(map(float, column)) for column in columns]
+            if all(map(math.isfinite, chain.from_iterable(columns))):
+                return build(*columns)
+        except (ValueError, DataError, UsageError):
+            pass
+    table = []
+    for lineno, line in _numbered_rows(lines)[1:]:
+        cells = [c.strip() for c in (line.split(",") if len(names) > 1 else [line])]
+        if len(cells) != len(names):
+            raise DataError(f"{path}: line {lineno}: expected {len(names)} fields")
+        row = _finite_row(path, lineno, cells, what)
+        _prefixed(f"{path}: line {lineno}: ", check_row, table, row)
+        table.append(row)
+    if not table:
+        raise DataError(f"{path}: no data rows")
+    return _prefixed(f"{path}: ", build, *zip(*table))
+
+
+def _prefixed(prefix: str, rule, *args):
+    """``rule(*args)``, whose DataError or UsageError becomes a DataError after ``prefix``."""
+    try:
+        return rule(*args)
+    except (DataError, UsageError) as exc:
+        raise DataError(f"{prefix}{exc}") from None
+
 
 def parse_csv(path: str, decimal: str = DECIMAL_POINT) -> TimeSeries:
     """Read a ``month,value`` CSV into a TimeSeries.
@@ -130,7 +173,4 @@ def _csv_rows(path: str, rows: list[tuple[int, str]], decimal: str) -> TimeSerie
             ) from None
         months.append(month)
         values.append(value)
-    try:
-        return TimeSeries(indices=months, values=values)
-    except DataError as exc:
-        raise DataError(f"{path}: {exc}") from None
+    return _prefixed(f"{path}: ", TimeSeries, months, values)

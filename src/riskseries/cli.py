@@ -16,11 +16,13 @@ mode emits, so the two never disagree.
 The code is split by concern, and a command loads only what it runs:
 
 - this module: the parser, the series commands and ``main``;
-- ``_readers``: the series CSV reader and the CSV helpers;
+- ``_readers``: the series CSV reader, and ``_read_table``, the one reader
+  of the hazard, vulnerability and loss files;
 - ``_pipeline``: ``AnalysisConfig``, ``PipelineReport`` and ``run_pipeline``;
 - ``_report``: the report dicts, the JSON writer and ``render``;
 - ``_risk_commands``: ``gev-pdf``, ``risk-curve`` and the readers of
-  their input files.
+  their input files, each a header and the ``evt_risk`` rules it passes
+  to ``_read_table``.
 
 Every command loads the first four. ``gev-pdf`` and ``risk-curve`` also
 load ``_risk_commands`` and ``evt_risk``, and ``--format text`` loads

@@ -2,7 +2,9 @@
 
 gev_pdf evaluates the generalized extreme value density in its standard
 parameterization (Gumbel at shape 0, Frechet for positive shape, Weibull
-for negative), returning 0 outside the support.
+for negative), returning 0 outside the support and wherever exp(-t)
+underflows to 0. A density above the largest double, which only a
+subnormal scale reaches, is a NumericalError.
 
 risk_curve computes the annual frequency R(x) with which loss exceeds x:
 
@@ -75,7 +77,7 @@ import numpy as np
 
 from ._record import Record
 from .dist import _SQRT2, normal_cdf
-from .errors import DataError, UsageError
+from .errors import DataError, NumericalError, UsageError
 
 # Below this, exp(m*ds) terms lose all precision against 1; use series limits.
 _FLAT_SEGMENT_EPS = 1e-8
@@ -107,16 +109,25 @@ def gev_pdf(x: float, params: GevParams) -> float:
         # Gumbel: exp(-z) * exp(-exp(-z)) / sigma, guarded against overflow.
         if z < -700.0:
             return 0.0
-        return math.exp(-z - math.exp(-z)) / params.sigma
-    u = 1.0 + xi * z
-    if u <= 0.0:
-        return 0.0
-    log_u = math.log1p(xi * z)
-    exponent = -log_u / xi
-    if exponent > 700.0:
-        return 0.0  # t -> inf, exp(-t) dominates
-    t = math.exp(exponent)  # (1 + xi z)^(-1/xi)
-    return t / u * math.exp(-t) / params.sigma
+        density = math.exp(-z - math.exp(-z)) / params.sigma
+    else:
+        u = 1.0 + xi * z
+        if u <= 0.0:
+            return 0.0
+        log_u = math.log1p(xi * z)
+        exponent = -log_u / xi
+        if exponent > 700.0:
+            return 0.0  # t -> inf, exp(-t) dominates
+        t = math.exp(exponent)  # (1 + xi z)^(-1/xi)
+        tail = math.exp(-t)
+        if tail == 0.0:
+            return 0.0  # where u is near 0, t / u may overflow and inf * 0 is NaN
+        density = t / u * tail / params.sigma
+    if density == math.inf:
+        raise NumericalError(
+            f"GEV density at x={x!r} overflows a double for scale {params.sigma!r}"
+        )
+    return density
 
 
 def lognormal_params(mean: float, cov: float) -> tuple[float, float]:
@@ -227,11 +238,16 @@ def conditional_exceedance(x: float, point: VulnerabilityPoint) -> float:
     return 0.5 * math.erfc(_standard_score(x, point) / _SQRT2)
 
 
-def _standard_score(x: float, point: VulnerabilityPoint) -> float:
-    """z = log(x / theta) / beta; -inf where X > x is certain, +inf where X <= x is."""
+def check_loss(x: float) -> float:
+    """``x``, or a UsageError unless it is a non-negative loss (NaN is not)."""
     if not x >= 0.0:
         raise UsageError(f"loss must be non-negative, got {x!r}")
-    if x == 0.0:
+    return x
+
+
+def _standard_score(x: float, point: VulnerabilityPoint) -> float:
+    """z = log(x / theta) / beta; -inf where X > x is certain, +inf where X <= x is."""
+    if check_loss(x) == 0.0:
         return -math.inf
     if point.beta == 0.0:
         return math.inf if x >= point.theta else -math.inf  # deterministic loss
@@ -291,6 +307,18 @@ class HazardCurve(Record):
         return len(self.points)
 
 
+def check_grid(hazard: HazardCurve, s: Sequence[float]) -> None:
+    """Raise UsageError unless ``s`` is the grid of ``hazard``, which has at least 2 points."""
+    if len(hazard) < 2:
+        raise UsageError(f"need at least 2 hazard points, got {len(hazard)}")
+    if len(s) != len(hazard):
+        raise UsageError(f"vulnerability has {len(s)} points, hazard has {len(hazard)}")
+    if not np.array_equal(s, hazard.s):
+        i = int(np.argmax(np.asarray(s) != hazard.s))
+        raise UsageError(f"vulnerability grid is misaligned: "
+                         f"s={float(s[i])} vs hazard s={hazard.s[i]}")
+
+
 def build_segments(
     hazard: HazardCurve, vulnerability: VulnerabilityCurve | Sequence[VulnerabilityPoint]
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -315,16 +343,7 @@ def build_segments(
     column is read here, to check that.
     """
     vulnerability = VulnerabilityCurve.of(vulnerability)
-    if len(hazard) < 2:
-        raise UsageError(f"need at least 2 hazard points, got {len(hazard)}")
-    if len(vulnerability) != len(hazard):
-        raise UsageError(
-            f"vulnerability has {len(vulnerability)} points, hazard has {len(hazard)}"
-        )
-    if not np.array_equal(vulnerability.s, hazard.s):
-        i = int(np.argmax(vulnerability.s != hazard.s))
-        raise UsageError(f"vulnerability grid is misaligned: "
-                         f"s={vulnerability.s[i].item()} vs hazard s={hazard.s[i]}")
+    check_grid(hazard, vulnerability.s)
     g = hazard.g
     a, b = [], []
     for g_prev, g_cur in zip(g, g[1:]):
@@ -394,10 +413,7 @@ def risk_curve(
     """
     vulnerability = VulnerabilityCurve.of(vulnerability)
     a, b = build_segments(hazard, vulnerability)
-    loss_grid = tuple(float(x) for x in losses)
-    for x in loss_grid:
-        if not x >= 0.0:
-            raise UsageError(f"loss must be non-negative, got {x!r}")
+    loss_grid = tuple(check_loss(float(x)) for x in losses)
     d = np.zeros(len(a) + 1)  # the weights build_segments describes, all >= +0.0
     d[:-1] += a - b
     d[1:] += b

@@ -74,6 +74,23 @@ MUTANTS = [
      "_check_count: 0 passes as a count (a lag order, block size, n or degrees of freedom)"),
     ("src/riskseries/evt_risk.py", "if mean == math.inf:", "if False:",
      "lognormal_params: an infinite mean loss is accepted, by a point and by a curve"),
+    ("src/riskseries/_readers.py", '(line.split(",") if len(names) > 1 else [line])',
+     'line.split(",")',
+     "_read_table: a one-column row is split on commas, so the loss row 0,1 has two fields"),
+    ("src/riskseries/_readers.py",
+     """        _prefixed(f"{path}: line {lineno}: ", check_row, table, row)
+        table.append(row)
+    if not table:
+        raise DataError(f"{path}: no data rows")
+    return _prefixed(f"{path}: ", build, *zip(*table))""",
+     """        table.append((lineno, row))
+    if not table:
+        raise DataError(f"{path}: no data rows")
+    built = _prefixed(f"{path}: ", build, *zip(*(row for _, row in table)))
+    for i, (lineno, row) in enumerate(table):
+        _prefixed(f"{path}: line {lineno}: ", check_row, [r for _, r in table[:i]], row)
+    return built""",
+     "_read_table: the rows are checked after no data rows and build, not before"),
 ]
 
 

@@ -7,6 +7,11 @@ Each case writes one series CSV and runs one command on it in process:
   gapped months and, now and then, repeated, shuffled or huge ones;
 - the series commands and ``gev-pdf``, with their flags drawn from the
   ranges the README documents, in text or JSON;
+- then ``risk-curve`` on small hazard, vulnerability and loss files, good
+  or broken (a bad header, a non-finite or out-of-contract cell, rows out
+  of order, off the grid, extra or missing, an extra field, a BOM, blank
+  lines), with ``--losses`` or ``--loss-csv``, drawn from a generator of
+  their own so the series cases do not move;
 - first, the known routes to ``Infinity`` in JSON (ROADMAP item 5).
 
 Every run must keep the contract: no exception escapes ``main``, the exit
@@ -31,16 +36,18 @@ from riskseries.cli import main
 
 SEED = 16
 CASES = 5000
+RISK_SEED = 26
+RISK_CASES = 400
 KINDS = ("constant", "alternating", "step", "trend", "rain", "noise")
 PREFIXES = ("usage error: ", "data error: ", "numerical error: ")
 ITEM_5 = "ROADMAP item 5: JSON output may hold Infinity or NaN"
-# (argv, series values): an exact AR fit gives an infinite t and F, and a
-# Gumbel density at a subnormal scale overflows. Each prints Infinity.
+# (argv, series values): an exact AR fit gives an infinite t and F, which
+# print as Infinity.
 KNOWN_ROUTES = [
     (["analyze"], [0.0, 1e10, 0.0, 1e10, 0.0]),
     (["ar", "--max-lag", "1"], [0.0, 1e10, 0.0, 1e10, 0.0]),
-    (["gev-pdf", "--mu", "0", "--sigma", "1e-320", "--xi", "0", "--x", "0"], None),
 ]
+RISK_HEADERS = {"hazard": "s,G", "vulnerability": "s,mean_loss,cov", "losses": "x"}
 
 
 def _values(rng: random.Random, kind: str, n: int) -> list[float]:
@@ -136,9 +143,77 @@ def _gev_argv(rng: random.Random) -> list[str]:
     return ["gev-pdf", "--mu", mu, "--sigma", sigma, "--xi", xi, "--x", xs]
 
 
+def _risk_tables(rng: random.Random) -> dict[str, list[list[str]]]:
+    """The rows of a good hazard, vulnerability and loss file, as cells."""
+    n = rng.randint(0, 3) if rng.random() < 0.1 else rng.randint(2, 50)
+    s = rng.uniform(-5.0, 5.0)
+    g = 10.0 ** (rng.uniform(-6.0, 2.0) if rng.random() < 0.8 else rng.uniform(-300.0, 300.0))
+    hazard, vulnerability = [], []
+    for _ in range(n):
+        hazard.append([repr(s), repr(g)])
+        cov = rng.choice([0.0, rng.uniform(0.0, 2.0)])
+        vulnerability.append([repr(s), repr(10.0 ** rng.uniform(-3.0, 3.0)), repr(cov)])
+        s += rng.uniform(0.01, 2.0)
+        g *= rng.choice([1.0, rng.uniform(0.05, 1.0)])
+    losses = [[repr(rng.choice([0.0, 10.0 ** rng.uniform(-4.0, 4.0)]))]
+              for _ in range(rng.randint(1, 50))]
+    return {"hazard": hazard, "vulnerability": vulnerability, "losses": losses}
+
+
+def _break_risk_table(rng: random.Random, tables: dict, headers: dict):
+    """One fault in one of the three files."""
+    kind = rng.choice(list(tables))
+    rows = tables[kind]
+    fault = rng.choice(["header", "non-finite", "swap", "cell", "off-grid", "extra-row",
+                        "missing-row", "extra-field"])
+    if fault == "header":
+        headers[kind] = rng.choice(["", "s,G,extra", "s;G", "x,y", "mean_loss", " X ",
+                                    "S,MEAN_LOSS,COV"])
+        return
+    if not rows:
+        return
+    i = rng.randrange(len(rows))
+    j = rng.randrange(len(rows[i]))
+    if fault == "non-finite":
+        rows[i][j] = rng.choice(["nan", "inf", "-inf", "1e400"])
+    elif fault == "swap":  # s not increasing, G rising, or a loss moved
+        rows[i], rows[i - 1] = rows[i - 1], rows[i]
+    elif fault == "cell":  # G <= 0, a negative loss, mean loss or CoV, or no number at all
+        rows[i][j] = rng.choice(["-1", "0", "-0.0", "5e-324", "1e300", "1.4e154", "abc", ""])
+    elif fault == "off-grid":  # one more digit moves s, if it still parses
+        rows[i][0] += rng.choice(["1", "5"])
+    elif fault == "extra-row":
+        rows.insert(i, [repr(rng.uniform(-5.0, 100.0)) for _ in rows[i]])
+    elif fault == "missing-row":
+        del rows[i]
+    else:  # a comma in a loss row makes it "0,1"
+        rows[i] = rows[i] + ["1"]
+
+
+def _write_risk_table(rng: random.Random, path, header: str, rows: list[list[str]]):
+    lines = [header, *(",".join(row) for row in rows)]
+    if rng.random() < 0.1:
+        for _ in range(rng.randint(1, 3)):
+            lines.insert(rng.randint(0, len(lines)), rng.choice(["", " ", "\t"]))
+    data = (rng.choice(["\n", "\r\n"]).join(lines) + "\n").encode()
+    path.write_bytes(b"\xef\xbb\xbf" + data if rng.random() < 0.1 else data)
+
+
+def _risk_argv(rng: random.Random, directory, case: int) -> list[str]:
+    tables, headers = _risk_tables(rng), dict(RISK_HEADERS)
+    for _ in range(rng.choice([0, 0, 1, 1, 2])):
+        _break_risk_table(rng, tables, headers)
+    paths = {kind: directory / f"risk{case}-{kind}.csv" for kind in tables}
+    for kind, path in paths.items():
+        _write_risk_table(rng, path, headers[kind], tables[kind])
+    argv = ["risk-curve", "--hazard", str(paths["hazard"]),
+            "--vulnerability", str(paths["vulnerability"])]
+    if rng.random() < 0.5:
+        return argv + ["--loss-csv", str(paths["losses"])]
+    return argv + ["--losses", ",".join(",".join(row) for row in tables["losses"])]
+
+
 def _route_argv(path, argv: list[str], values) -> list[str]:
-    if values is None:
-        return list(argv)
     path.write_text("month,value\n" + "".join(f"{m},{v!r}\n" for m, v in enumerate(values, 1)))
     return [argv[0], str(path), *argv[1:]]
 
@@ -173,7 +248,7 @@ def sweep(tmp_path_factory) -> list[dict]:
     runs = []
     for route, (argv, values) in enumerate(KNOWN_ROUTES):
         argv = _route_argv(directory / f"route{route}.csv", argv, values)
-        runs.append({**_run([*argv, "--format", "json"]), "n": len(values or ())})
+        runs.append({**_run([*argv, "--format", "json"]), "n": len(values)})
     for case in range(CASES):
         if rng.random() < 0.1:
             argv = _gev_argv(rng)
@@ -188,6 +263,10 @@ def sweep(tmp_path_factory) -> list[dict]:
             argv += ["--decimal-comma"] if comma else []
         argv += ["--format", rng.choice(["text", "json"])]
         runs.append({**_run(argv), "n": n})
+    rng = random.Random(RISK_SEED)
+    for case in range(RISK_CASES):
+        argv = _risk_argv(rng, directory, case) + ["--format", rng.choice(["text", "json"])]
+        runs.append({**_run(argv), "n": None})
     return runs
 
 
@@ -195,7 +274,8 @@ def test_sweep_covers_every_outcome(sweep):
     """The sweep is worth running only if it reaches every exit code and command."""
     assert {run["code"] for run in sweep} == {0, 1, 2, 3}
     assert {run["argv"][0] for run in sweep} == {
-        "summarize", "peaks", "trend", "ar", "residuals", "analyze", "gev-pdf"}
+        "summarize", "peaks", "trend", "ar", "residuals", "analyze", "gev-pdf", "risk-curve"}
+    assert {run["code"] for run in sweep if run["argv"][0] == "risk-curve"} >= {0, 1, 2}
 
 
 def test_every_run_keeps_the_exit_contract(sweep):
@@ -255,10 +335,18 @@ def test_every_json_output_is_standard_json(sweep):
 
 
 @pytest.mark.xfail(strict=True, reason=ITEM_5)
-@pytest.mark.parametrize("argv, values", KNOWN_ROUTES,
-                         ids=["analyze-exact-fit", "ar-exact-fit", "gev-pdf-overflow"])
+@pytest.mark.parametrize("argv, values", KNOWN_ROUTES, ids=["analyze-exact-fit", "ar-exact-fit"])
 def test_known_route_prints_standard_json(tmp_path, argv, values):
     argv = _route_argv(tmp_path / "series.csv", argv, values)
     run = _run([*argv, "--format", "json"])
     assert (run["code"], run["err"]) == (0, "")
     json.loads(run["out"], parse_constant=_non_finite)
+
+
+@pytest.mark.parametrize("xi", ["0", "0.5"])
+def test_gev_pdf_overflow_is_a_numerical_error(xi):
+    # exp(-1) / sigma leaves the doubles; this printed the density Infinity.
+    run = _run(["gev-pdf", "--mu", "0", "--sigma", "1e-320", "--xi", xi, "--x", "0",
+                "--format", "json"])
+    assert (run["code"], run["out"], run["err"]) == (
+        3, "", "numerical error: GEV density at x=0.0 overflows a double for scale 1e-320\n")

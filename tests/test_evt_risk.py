@@ -9,7 +9,7 @@ import pytest
 from scipy import integrate
 
 from riskseries import evt_risk
-from riskseries.errors import DataError, UsageError
+from riskseries.errors import DataError, NumericalError, UsageError
 from riskseries.evt_risk import (
     GevParams,
     HazardCurve,
@@ -57,6 +57,24 @@ def test_gev_pdf_branch_continuity_near_zero_shape():
             a = gev_pdf(x, gumbel)
             b = gev_pdf(x, nearly)
             assert b == pytest.approx(a, rel=1e-6)
+
+
+def test_gev_pdf_is_zero_where_the_tail_underflows_even_if_t_over_u_overflows():
+    # u = 1 + xi * z = 2^-52 and t = e^686.5: t / u overflows, exp(-t) is 0,
+    # and their product was NaN.
+    params = GevParams(0.0, 1.0, 0.0525)
+    x = -19.047619047619044
+    assert 1.0 + params.xi * x == 2.0 ** -52
+    assert gev_pdf(x, params) == 0.0
+
+
+@pytest.mark.parametrize("xi", [0.0, 0.5])
+def test_gev_pdf_above_the_largest_double_is_a_numerical_error(xi):
+    # At x = mu both shapes give exp(-1) / sigma, which overflows at sigma = 1e-320.
+    with pytest.raises(NumericalError, match=r"^GEV density at x=0\.0 overflows a double "
+                                             r"for scale 1e-320$"):
+        gev_pdf(0.0, GevParams(0.0, 1e-320, xi))
+    assert gev_pdf(0.0, GevParams(0.0, 1e-300, xi)) == gev_pdf(0.0, GevParams(0.0, 1.0, xi)) / 1e-300
 
 
 def test_gev_scale_must_be_positive():
