@@ -46,10 +46,12 @@ def _columns(rows: list[str], width: int) -> list[list[str]] | None:
 
     None unless every row has exactly ``width`` fields. The count is taken
     per row: a single total would let the rows ``5`` and ``6,7,8`` pass as
-    two rows of two.
+    two rows of two. One column is the rows themselves.
     """
     if set(map(str.count, rows, repeat(","))) != {width - 1}:
         return None
+    if width == 1:
+        return [rows]
     cells = ",".join(rows).split(",")
     return [cells[j::width] for j in range(width)]
 

@@ -24,7 +24,7 @@ from . import linreg
 from ._record import Record
 from .dist import _check_alpha, _check_count, normal_quantile
 from .errors import NumericalError, UsageError
-from .series import TimeSeries, _sum_of_squares
+from .series import TimeSeries
 
 # Conventional two-sided thresholds; other levels fall back to the
 # normal quantile. The 0.02 entry follows the published convention this
@@ -100,7 +100,7 @@ def build_lagged_design(
 def fit_ar(series: TimeSeries, p: int, fitted_on: str = RAW) -> ARModel:
     """AR(p) by OLS on the lagged design; a thin wrapper over fit_ols."""
     y, lag_columns = build_lagged_design(series.values, p)
-    report = linreg.fit_ols(y, list(lag_columns))
+    report = linreg.fit_ols(y, list(lag_columns), _moments=series._moments(p, len(series)))
     return ARModel(
         p=p,
         b0=report.coefficients[0].estimate,
@@ -208,7 +208,8 @@ def lag_correlation(series: TimeSeries, lag: int) -> float:
     """Pearson correlation of the series with itself shifted by ``lag``.
 
     The overlapping pairs are exactly the AR(lag) design's dependent
-    vector and its deepest lag column.
+    vector and its deepest lag column, so the means and sums of squares
+    of ``values[lag:]`` are those the AR(lag) fit took.
     """
     if isinstance(lag, bool) or not isinstance(lag, int) or lag < 0:
         raise UsageError(f"lag must be a non-negative integer, got {lag!r}")
@@ -217,18 +218,17 @@ def lag_correlation(series: TimeSeries, lag: int) -> float:
         raise UsageError(
             f"lag {lag} leaves {max(n - lag, 0)} overlapping pairs, need at least 3"
         )
-    a = series.values[lag:]
-    b = series.values[:n - lag]
-    m = len(a)
-    mean_a = math.fsum(memoryview(a)) / m
-    mean_b = math.fsum(memoryview(b)) / m
+    a = series._moments(lag, n)
+    b = series._moments(0, n - lag)
+    mean_a = a.mean()
+    mean_b = b.mean()
     # Differences and products round alike in numpy and in Python, and
-    # _sum_of_squares squares through libm's pow, as ``** 2`` does. Finite
-    # variances bound every product, so the covariance cannot overflow.
-    deviation_a = a - mean_a
-    deviation_b = b - mean_b
-    var_a = _sum_of_squares(deviation_a)
-    var_b = _sum_of_squares(deviation_b)
+    # the sums of squares square through libm's pow, as ``** 2`` does.
+    # Finite variances bound every product, so the covariance cannot overflow.
+    deviation_a = a.column - mean_a
+    deviation_b = b.column - mean_b
+    var_a = a.sum_of_squares()
+    var_b = b.sum_of_squares()
     cov = math.fsum(memoryview(deviation_a * deviation_b))
     if var_a <= 0.0 or var_b <= 0.0:
         raise NumericalError("lag correlation is undefined for a constant segment")

@@ -83,9 +83,10 @@ def _finite_float(text: str) -> float:
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # A value such as -1,0,1, -1e3 or -.5 is a value, not an option:
-        # argparse alone takes only -5 and -0.5 so. No option starts with a digit.
-        self._negative_number_matcher = re.compile(r"-\.?\d")
+        # A value such as -1,0,1, -1e3, -.5, -inf or -NaN,1 is a value, not an
+        # option: argparse alone takes only -5 and -0.5 so. No option starts
+        # with a digit, and -h is the one short option.
+        self._negative_number_matcher = re.compile(r"-(\.?\d|(inf|infinity|nan)(,|$))", re.I)
 
     def error(self, message):  # argparse would exit(2); keep our code mapping
         raise UsageError(message)

@@ -10,13 +10,16 @@ A fit runs in two stages, and fit_ols is ``_report(_solve(y, regressors))``:
 
 - ``_solve`` checks the input, builds the design X, factors it once by
   QR, tests its rank on the singular values of the k x k factor R (X = QR
-  with orthonormal Q, so they are X's own), solves, and forms the fitted
-  values, the residuals and the three sums of squares;
-- ``_report`` builds the standard errors, t and p, the intervals, the
-  ANOVA block and the R statistics from a solve.
+  with orthonormal Q, so they are X's own), takes y's mean and solves;
+- ``_report`` takes the three sums of squares of a solve (``_sums``) and
+  builds the standard errors, t and p, the intervals, the ANOVA block and
+  the R statistics from them.
 
 A caller that needs only the coefficients, such as the trend line, takes
-the solve alone and pays for no t quantile or p-value.
+the solve alone and pays for no fitted values, sums, t quantile or
+p-value. y's mean and total sum of squares come from a ``_Moments``: a
+fit on a slice of a series passes the series' own, so a run takes them
+once per slice.
 """
 from __future__ import annotations
 
@@ -28,7 +31,7 @@ import numpy as np
 from ._record import Record
 from .dist import f_upper_tail, student_t_critical, student_t_two_sided_p
 from .errors import DataError, NumericalError, UsageError
-from .series import _sum_of_squares
+from .series import _Moments, _sum_of_squares
 
 RANK_TOLERANCE = 1e-10
 CI_ALPHA = 0.05
@@ -103,17 +106,23 @@ class _Solve(NamedTuple):
     n: int
     coef: np.ndarray  # intercept first, then caller order
     r: np.ndarray  # the R factor of the design's QR
-    total_ss: float
-    regression_ss: float
-    residual_ss: float
+    x: np.ndarray  # the design
+    y: _Moments  # the response, with its mean and total sum of squares
 
 
-def fit_ols(y: Sequence[float], regressors: Sequence[Sequence[float]]) -> RegressionReport:
-    """Least-squares fit of y on an intercept plus the given regressors."""
-    return _report(_solve(y, regressors))
+def fit_ols(
+    y: Sequence[float], regressors: Sequence[Sequence[float]], *, _moments: _Moments | None = None
+) -> RegressionReport:
+    """Least-squares fit of y on an intercept plus the given regressors.
+
+    ``_moments`` are y's, kept by the series y is a slice of.
+    """
+    return _report(_solve(y, regressors, _moments))
 
 
-def _solve(y: Sequence[float], regressors: Sequence[Sequence[float]]) -> _Solve:
+def _solve(
+    y: Sequence[float], regressors: Sequence[Sequence[float]], moments: _Moments | None = None
+) -> _Solve:
     """Check the input, factor the design once by QR, test its rank on R, and solve."""
     if len(regressors) == 0:
         raise UsageError("at least one regressor is required")
@@ -146,27 +155,33 @@ def _solve(y: Sequence[float], regressors: Sequence[Sequence[float]]) -> _Solve:
         )
     if singular_values[-1] <= RANK_TOLERANCE * singular_values[0]:
         _raise_rank_deficient(r, singular_values)
+    if moments is None:
+        moments = _Moments(y_vec)
     # Before the solve, so a response whose sum overflows raises here
     # instead of after numpy's overflow warnings.
-    y_mean = math.fsum(memoryview(y_vec)) / n
-
+    moments.mean()
     coef = np.linalg.solve(r, q.T @ y_vec)
-    fitted = x @ coef
-    residuals = y_vec - fitted
+    return _Solve(n, coef, r, x, moments)
 
+
+def _sums(solve: _Solve) -> tuple[float, float, float]:
+    """The total, regression and residual sums of squares of a solve."""
+    fitted = solve.x @ solve.coef
+    residuals = solve.y.column - fitted
     # The same IEEE operations as Python floats would take: differences and
     # products round alike in numpy, and _sum_of_squares squares through
     # libm's pow, as ``** 2`` does. The squared deviations come first, so
     # finite input whose squares overflow raises OverflowError there.
-    total_ss = _sum_of_squares(y_vec - y_mean)
-    regression_ss = _sum_of_squares(fitted - y_mean)
+    total_ss = solve.y.sum_of_squares()
+    regression_ss = _sum_of_squares(fitted - solve.y.mean())
     residual_ss = math.fsum(memoryview(residuals * residuals))
-    return _Solve(n, coef, r, total_ss, regression_ss, residual_ss)
+    return total_ss, regression_ss, residual_ss
 
 
 def _report(solve: _Solve) -> RegressionReport:
     """Standard errors, t and p, intervals, ANOVA and R statistics of a solve."""
-    n, coef, r, total_ss, regression_ss, residual_ss = solve
+    n, coef, r = solve.n, solve.coef, solve.r
+    total_ss, regression_ss, residual_ss = _sums(solve)
     k = len(coef)
     df_residual = n - k
     df_regression = k - 1

@@ -5,6 +5,14 @@ finite magnitudes such as precipitation in mm (``values``). Indices may
 jump (an event record keeps the time slot it occurred in). Both columns
 are read-only numpy arrays owned by the series and validated once, so a
 series is immutable and safe to share between threads.
+
+A series also keeps the fsum mean and sum of squared deviations of each
+slice ``values[start:stop]`` that a statistic has asked for (the summary
+reads ``0:n``, the AR(p) fit ``p:n``, the lag correlation ``lag:n`` and
+``0:n-lag``), so one run takes each of them once. The memo is derived
+state, not a field: it is not compared, hashed, printed or pickled, and a
+copy takes its moments again on first use. Two threads that fill one
+entry at once compute the same bits.
 """
 from __future__ import annotations
 
@@ -89,6 +97,14 @@ class TimeSeries(Record, eq=False):
     def __len__(self) -> int:
         return len(self.values)
 
+    def _moments(self, start: int, stop: int) -> _Moments:
+        """The moments of ``values[start:stop]``, kept for the next caller."""
+        memo = self.__dict__.setdefault("_memo", {})
+        key = (start, stop)
+        if key not in memo:
+            memo[key] = _Moments(self.values[start:stop])
+        return memo[key]
+
 
 def _sum_of_squares(deviations: np.ndarray) -> float:
     """``math.fsum`` of the squares, each with the bits of Python's ``v ** 2``.
@@ -104,6 +120,29 @@ def _sum_of_squares(deviations: np.ndarray) -> float:
         except FloatingPointError:
             raise OverflowError("a squared deviation is out of range") from None
     return math.fsum(memoryview(squares))
+
+
+class _Moments:
+    """The fsum mean and sum of squared deviations of one column, each taken on first use.
+
+    A sum that raises is not kept, so the next reader raises it again.
+    """
+
+    __slots__ = ("column", "_mean", "_squares")
+
+    def __init__(self, column: np.ndarray):
+        self.column = column
+        self._mean = self._squares = None
+
+    def mean(self) -> float:
+        if self._mean is None:
+            self._mean = math.fsum(memoryview(self.column)) / len(self.column)
+        return self._mean
+
+    def sum_of_squares(self) -> float:
+        if self._squares is None:
+            self._squares = _sum_of_squares(self.column - self.mean())
+        return self._squares
 
 
 class SummaryStats(Record):
@@ -125,11 +164,9 @@ def summarize(series: TimeSeries) -> SummaryStats:
         raise DataError("cannot summarize an empty series")
     values = memoryview(series.values)
     n = len(values)
-    mean = math.fsum(values) / n
-    if n > 1:
-        variance = _sum_of_squares(series.values - mean) / (n - 1)
-    else:
-        variance = 0.0
+    moments = series._moments(0, n)
+    mean = moments.mean()
+    variance = moments.sum_of_squares() / (n - 1) if n > 1 else 0.0
     return SummaryStats(
         n=n,
         mean=mean,

@@ -54,12 +54,16 @@ class MKResult(Record):
 
 
 def fit_trend(series: TimeSeries) -> TrendLine:
-    if len(series) < 3:
-        raise UsageError(f"trend fit needs at least 3 observations, got {len(series)}")
-    numbers = np.arange(1.0, len(series) + 1)
+    n = len(series)
+    if n < 3:
+        raise UsageError(f"trend fit needs at least 3 observations, got {n}")
+    moments = series._moments(0, n)
     # The solve alone: no command prints the line's standard errors or p-values.
-    intercept, slope = linreg._solve(series.values, [numbers]).coef.tolist()
-    return TrendLine(intercept=intercept, slope=slope, n=len(series))
+    intercept, slope = linreg._solve(series.values, [np.arange(1.0, n + 1)], moments).coef.tolist()
+    # A record whose squared deviations overflow has no line, as it has no
+    # summary: the total sum of squares raises its OverflowError here.
+    moments.sum_of_squares()
+    return TrendLine(intercept=intercept, slope=slope, n=n)
 
 
 def _line_values(line: TrendLine, series: TimeSeries) -> np.ndarray:

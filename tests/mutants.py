@@ -91,6 +91,10 @@ MUTANTS = [
         _prefixed(f"{path}: line {lineno}: ", check_row, [r for _, r in table[:i]], row)
     return built""",
      "_read_table: the rows are checked after no data rows and build, not before"),
+    ("src/riskseries/series.py", "key = (start, stop)", "key = stop",
+     "TimeSeries._moments: the memo keys on stop only, so 0:n and p:n share their moments"),
+    ("src/riskseries/autoreg.py", "a = series._moments(lag, n)", "a = series._moments(0, n - lag)",
+     "lag_correlation: the lag:n moments are read from 0:n-lag"),
 ]
 
 

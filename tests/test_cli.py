@@ -9,6 +9,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from riskseries.cli import (
@@ -26,6 +27,7 @@ from riskseries.cli import (
 from riskseries import autoreg, linreg
 from riskseries.errors import DataError, UsageError
 from riskseries.peaks import ThresholdSpec
+from riskseries.series import TimeSeries
 
 
 # ----------------------------------------------------------------- parsing
@@ -273,9 +275,32 @@ def test_a_value_starting_with_minus_and_a_digit_is_the_flag_value(
     assert capsys.readouterr() == expected
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--losses", "-inf,1", "loss grid must be finite, got '-inf,1'"),
+    ("--losses", "-INF", "loss grid must be finite, got '-INF'"),
+    ("--losses", "-Infinity,2", "loss grid must be finite, got '-Infinity,2'"),
+    ("--losses", "-nan", "loss grid must be finite, got '-nan'"),
+    ("--x", "-nan", "evaluation points must be finite, got '-nan'"),
+    ("--x", "-NaN,1", "evaluation points must be finite, got '-NaN,1'"),
+    ("--mu", "-infinity", "argument --mu: must be finite, got '-infinity'"),
+    ("--threshold", "-inf", "argument --threshold: must be finite, got '-inf'"),
+])
+def test_minus_inf_or_nan_is_the_flag_value_and_fails_as_not_finite(
+        tmp_path, fixture_path, capsys, flag, value, message):
+    # argparse alone reads -inf or -nan as an option and reports a missing value.
+    rest = {"--losses": _risk_files(tmp_path),
+            "--x": GEV,
+            "--mu": ["gev-pdf", "--sigma", "1", "--xi", "0", "--x", "0"],
+            "--threshold": ["peaks", fixture_path]}[flag]
+    for argv in ([*rest, flag, value], [*rest, f"{flag}={value}"]):
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr() == ("", f"usage error: {message}\n")
+
+
 @pytest.mark.parametrize("value, message", [
     (["-"], "usage error: cannot parse evaluation points '-'\n"),
     (["--format", "json"], "usage error: argument --x: expected one argument\n"),
+    (["-infx"], "usage error: argument --x: expected one argument\n"),
 ])
 def test_a_dash_or_an_option_after_x_is_still_a_usage_error(capsys, value, message):
     assert main([*GEV, "--x", *value]) == EXIT_USAGE
@@ -549,6 +574,39 @@ def test_run_pipeline_fits_each_order_once(event_series, monkeypatch):
     assert len(calls) == 6
     assert len(solves) == 7
     assert report.order["raw"].selected_order == 0
+
+
+def test_run_pipeline_takes_each_moment_of_a_series_slice_once(monkeypatch):
+    rng = np.random.default_rng(27)
+    wet = rng.random(10_000) < 0.4
+    series = TimeSeries.from_values(np.where(wet, np.round(rng.gamma(0.7, 9.0, 10_000), 1), 0.0))
+    fsum = math.fsum
+    moments, stacks = [], []
+
+    def counting(iterable):
+        frames = [sys._getframe(1)]
+        while frames[-1].f_back is not None:
+            frames.append(frames[-1].f_back)
+        stacks.append([frame.f_code.co_name for frame in frames])
+        # A mean sums in _Moments.mean, a sum of squares in _sum_of_squares
+        # under _Moments.sum_of_squares: name the slice by its first byte and length.
+        for frame in frames[:2]:
+            if frame.f_code.co_name in ("mean", "sum_of_squares"):
+                column = frame.f_locals["self"].column
+                moments.append((frame.f_code.co_name, column.ctypes.data, len(column)))
+        return fsum(iterable)
+
+    monkeypatch.setattr(math, "fsum", counting)
+    run_pipeline(series, AnalysisConfig(input="seeded"))
+    # On each of the raw and the detrended series, the mean and the sum of
+    # squares of five slices: 0:n (summary and trend line), p:n (AR(p),
+    # p = 1..3, and lag:n of the lag-1 correlation) and 0:n-1 (its 0:n-lag).
+    assert len(moments) == len(set(moments)) == 20
+    # Per AR fit a regression and a residual sum, then the lag-1 covariance
+    # of each series and the residual report's sum of squares.
+    assert len(stacks) == 20 + 2 * 6 + 2 + 1
+    # The trend line reads the summary's moments and takes no sum of its own.
+    assert not [stack for stack in stacks if "fit_trend" in stack]
 
 
 def test_ar_and_analyze_fit_only_through_the_order_search(fixture_path, monkeypatch, capsys):

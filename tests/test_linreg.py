@@ -142,9 +142,9 @@ def test_each_solve_makes_one_qr_and_no_svd_of_the_n_row_design(monkeypatch, eve
     monkeypatch.setattr(np.linalg, "svd", recorder("svd", np.linalg.svd))
     solve = linreg._solve
 
-    def recorded_solve(y, regressors):
+    def recorded_solve(y, regressors, moments=None):
         calls.append(("solve", (len(y), len(regressors) + 1)))
-        return solve(y, regressors)
+        return solve(y, regressors, moments)
 
     monkeypatch.setattr(linreg, "_solve", recorded_solve)
     values = event_series.values

@@ -57,6 +57,16 @@ def test_fit_trend_is_the_solve_of_fit_ols_without_its_report(event_series, monk
     assert type(line.intercept) is float and type(line.slope) is float
 
 
+def test_fit_trend_of_a_huge_constant_series_takes_no_regression_sum():
+    # The line's slope is rounding noise of about 1e210 here, and the squared
+    # deviations of its fitted values from the mean overflow. The line takes
+    # no regression sum, so it is returned; the data's own deviations are 0.
+    value = 1.224238054497639e228
+    line = fit_trend(TimeSeries.from_values([value] * 92))
+    assert line.intercept == pytest.approx(value, rel=1e-14)
+    assert abs(line.slope) <= 1e-17 * value
+
+
 def test_fit_trend_constant_and_exact_line():
     constant = fit_trend(TimeSeries.from_values([4.0] * 6))
     assert constant.slope == pytest.approx(0.0, abs=1e-12)
