@@ -4,15 +4,18 @@ A result record becomes a dict of its fields in declaration order, which
 is the JSON schema; every table in a report is a ``ColumnTable``. The
 JSON writer gives the bytes of ``json.dumps(indent=2, allow_nan=True)``,
 and text comes from ``riskseries._text``, imported only for a text run.
-It formats a float column in which at most half the entries are
-distinct once per distinct value; zeros of both signs in one such column
-send it back to entry-by-entry formatting, since ``0.0 == -0.0``.
+A table column may be a float64 array, as the residual table's and the
+POT observations' are; the writer formats it once per distinct bit
+pattern and gathers the texts back into row order. A list column is
+formatted entry by entry.
 """
 from __future__ import annotations
 
 import math
-from itertools import chain, filterfalse, repeat
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
+
+import numpy as np
 
 from . import autoreg, peaks, residuals
 from ._pipeline import PipelineReport
@@ -58,9 +61,11 @@ class ColumnTable:
     Named columns (``ColumnTable(y=..., z=...)``) hold rows that are
     dicts, keys in column order; positional ones (``ColumnTable(xs, ys)``)
     hold rows that are lists. ``columns`` maps each name, or position, to
-    its column. Iterating yields the rows, so ``list(table)`` builds the
-    list the table stands for. The JSON writer formats it column by column
-    and builds no row.
+    its column: a sequence of scalars, or a one-dimensional numpy array.
+    ``column(key)`` and iterating read a column as Python scalars (an
+    array through ``tolist()``); iterating yields the rows, so
+    ``list(table)`` builds the list the table stands for. The JSON writer
+    formats it column by column and builds no row.
     """
 
     __slots__ = ("columns", "keys")
@@ -77,8 +82,13 @@ class ColumnTable:
     def __len__(self) -> int:
         return len(next(iter(self.columns.values()), ()))
 
+    def column(self, key):
+        """Column ``key`` as a sequence of Python scalars."""
+        column = self.columns[key]
+        return column.tolist() if isinstance(column, np.ndarray) else column
+
     def __iter__(self):
-        rows = zip(*self.columns.values())
+        rows = zip(*map(self.column, self.columns))
         if self.keys is None:
             return map(list, rows)
         keys = self.keys
@@ -94,11 +104,11 @@ def residuals_to_dict(report: residuals.ResidualReport) -> dict:
         "outliers": (report.outlier.nonzero()[0] + 1).tolist(),
         "rows": ColumnTable(
             observation_id=range(1, len(report.y) + 1),
-            y=report.y.tolist(),
-            y_predicted=report.y_predicted.tolist(),
-            residual=report.residual.tolist(),
-            standardized=report.standardized.tolist(),
-            percentile=report.percentile.tolist(),
+            y=report.y,
+            y_predicted=report.y_predicted,
+            residual=report.residual,
+            standardized=report.standardized,
+            percentile=report.percentile,
             outlier=report.outlier.tolist(),
         ),
     }
@@ -108,7 +118,7 @@ def event_series_to_dict(events: peaks.EventSeries) -> dict:
     return {
         "provenance": _record_to_dict(events.provenance),
         "n": len(events),
-        "observations": ColumnTable(events.indices.tolist(), events.values.tolist()),
+        "observations": ColumnTable(events.indices.tolist(), events.values),
     }
 
 
@@ -156,34 +166,50 @@ _SCALAR_TEXT = {
 }
 
 
+def _float_texts(values: list[float]) -> list[str]:
+    """The JSON text of each float: one ``float.__repr__`` each, and
+    ``NaN``, ``Infinity`` or ``-Infinity`` for the non-finite ones."""
+    texts = list(map(float.__repr__, values))
+    if not all(map(math.isfinite, values)):
+        texts = [_FLOAT_SPECIAL.get(text, text) for text in texts]
+    return texts
+
+
+def _array_texts(column: np.ndarray) -> list[str]:
+    """The JSON text of each entry of a float64 array, one repr per distinct double.
+
+    The entries are sorted by their bits read as int64, so each run of
+    equal bits is one double: ``0.0`` and ``-0.0`` are two runs, and so
+    are NaNs of two payloads, each of which reads ``NaN``. The first entry
+    of each run is formatted, and each entry takes the text of its run.
+    """
+    bits = column.view(np.int64)
+    order = bits.argsort()
+    ordered = bits[order]
+    starts = np.empty(len(ordered), dtype=bool)
+    starts[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    texts = np.array(_float_texts(column[order[starts]].tolist()), dtype=object)
+    runs = np.empty(len(ordered), dtype=np.intp)
+    runs[order] = starts.cumsum() - 1
+    return texts[runs].tolist()
+
+
 def _column_texts(column) -> list[str] | None:
     """The JSON text of each item, if all are scalars of one exact type; else None.
 
-    A float column in which at most half the entries are distinct is
-    formatted one distinct value at a time, and mapped through that table;
-    any other float column is formatted entry by entry. The choice reads
-    only the column, and both ways give the same texts. ``0.0`` and
-    ``-0.0`` are one key, which takes the text of the first zero, so a
-    column with zeros of both signs is formatted entry by entry. A NaN key
-    matches only itself, which costs nothing: every NaN is ``NaN``.
+    A float64 array is formatted once per distinct bit pattern, by
+    ``_array_texts``; a sequence is formatted entry by entry. Both ways
+    give each double the text of its own ``float.__repr__``.
     """
+    if isinstance(column, np.ndarray) and column.dtype == np.float64:
+        return _array_texts(column)
     kinds = set(map(type, column))
     if len(kinds) != 1:
         return None
     kind = kinds.pop()
     if kind is float:
-        table = dict.fromkeys(column)
-        repeated = 2 * len(table) <= len(column)
-        if repeated and 0.0 in table:
-            zero_signs = set(map(math.copysign, repeat(1.0), filterfalse(None, column)))
-            repeated = len(zero_signs) == 1
-        values = table if repeated else column
-        texts = list(map(float.__repr__, values))
-        if not all(map(math.isfinite, values)):
-            texts = [_FLOAT_SPECIAL.get(text, text) for text in texts]
-        if repeated:
-            return list(map(dict(zip(table, texts)).__getitem__, column))
-        return texts
+        return _float_texts(column)
     formatter = _SCALAR_TEXT.get(kind)
     return None if formatter is None else list(map(formatter, column))
 

@@ -124,8 +124,8 @@ def _trace_lines(d: dict, title: str) -> list[str]:
 
 def _residual_lines(d: dict, title: str) -> list[str]:
     rows = [["obs", "y", "predicted", "residual", "standardized", "percentile", "outlier"]]
-    columns = d["rows"].columns
-    rows += zip(*(map(_fmt, columns[key]) for key in (
+    table = d["rows"]
+    rows += zip(*(map(_fmt, table.column(key)) for key in (
         "observation_id", "y", "y_predicted", "residual", "standardized", "percentile", "outlier",
     )))
     return [

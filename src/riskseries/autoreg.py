@@ -220,15 +220,15 @@ def lag_correlation(series: TimeSeries, lag: int) -> float:
         )
     a = series._moments(lag, n)
     b = series._moments(0, n - lag)
-    mean_a = a.mean()
-    mean_b = b.mean()
     # Differences and products round alike in numpy and in Python, and
     # the sums of squares square through libm's pow, as ``** 2`` does.
     # Finite variances bound every product, so the covariance cannot overflow.
-    deviation_a = a.column - mean_a
-    deviation_b = b.column - mean_b
-    var_a = a.sum_of_squares()
-    var_b = b.sum_of_squares()
+    # Each slice's deviations are taken once, for its sum of squares (if
+    # not yet kept) and for the covariance.
+    deviation_a = a.deviations()
+    deviation_b = b.deviations()
+    var_a = a.sum_of_squares(deviation_a)
+    var_b = b.sum_of_squares(deviation_b)
     cov = math.fsum(memoryview(deviation_a * deviation_b))
     if var_a <= 0.0 or var_b <= 0.0:
         raise NumericalError("lag correlation is undefined for a constant segment")

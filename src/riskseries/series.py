@@ -139,9 +139,16 @@ class _Moments:
             self._mean = math.fsum(memoryview(self.column)) / len(self.column)
         return self._mean
 
-    def sum_of_squares(self) -> float:
+    def deviations(self) -> np.ndarray:
+        """The column less its mean, taken anew on each call."""
+        return self.column - self.mean()
+
+    def sum_of_squares(self, deviations: np.ndarray | None = None) -> float:
+        """The sum of squared deviations; ``deviations``, if given, are ``deviations()``'s."""
         if self._squares is None:
-            self._squares = _sum_of_squares(self.column - self.mean())
+            if deviations is None:
+                deviations = self.deviations()
+            self._squares = _sum_of_squares(deviations)
         return self._squares
 
 

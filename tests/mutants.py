@@ -62,14 +62,16 @@ MUTANTS = [
     ("src/riskseries/evt_risk.py", "_FLAT_SEGMENT_EPS = 1e-8", "_FLAT_SEGMENT_EPS = 1e-6",
      "equivalent: no segment of the accuracy corpus tells 1e-8 from 1e-6; whether one "
      "should is ROADMAP item 9's question"),
-    ("src/riskseries/_report.py", "repeated = len(zero_signs) == 1", "repeated = True",
-     "_column_texts: a repeated float column with zeros of both signs keeps the table"),
+    ("src/riskseries/_report.py", "bits = column.view(np.int64)", "bits = column",
+     "_column_texts: a float64 array is sorted and split into runs by value, not by bits, "
+     "so 0.0 and -0.0 take one text"),
     ("src/riskseries/_pipeline.py", "for label, source in sources.items()}",
      "for label, source in reversed(sources.items())}",
      "run_pipeline: each per-series stage runs on the detrended series before the raw one"),
-    ("src/riskseries/_report.py", "2 * len(table) <= len(column)", "2 * len(table) < len(column)",
-     "equivalent: the half rule picks between two ways that give the same texts; "
-     "it changes speed only"),
+    ("src/riskseries/_report.py", "runs[order] = starts.cumsum() - 1",
+     "runs[:] = starts.cumsum() - 1",
+     "_column_texts: a float64 array's texts are left in sorted order, not scattered "
+     "back into row order"),
     ("src/riskseries/dist.py", "value < 1", "value < 0",
      "_check_count: 0 passes as a count (a lag order, block size, n or degrees of freedom)"),
     ("src/riskseries/evt_risk.py", "if mean == math.inf:", "if False:",

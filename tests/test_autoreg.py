@@ -15,7 +15,7 @@ from riskseries.autoreg import (
     select_order,
     z_alpha_threshold,
 )
-from riskseries import linreg
+from riskseries import linreg, series as series_module
 from riskseries.errors import NumericalError, UsageError
 from riskseries.linreg import fit_ols
 from riskseries.series import TimeSeries
@@ -315,6 +315,32 @@ def test_lag_correlation_bits_match_the_generator_form(seed):
     for lag in range(min(4, len(values) - 3)):
         assert lag_correlation(series, lag).hex() == \
             _lag_correlation_generators(values, lag).hex()
+
+
+def test_lag_correlation_takes_each_slice_deviations_once(monkeypatch):
+    taken = []
+    deviations = series_module._Moments.deviations
+
+    def counting(moments):
+        taken.append(len(moments.column))
+        return deviations(moments)
+
+    monkeypatch.setattr(series_module._Moments, "deviations", counting)
+    values = _seeded_series(1)
+    n = len(values)
+    fresh = lag_correlation(TimeSeries.from_values(values), 2)
+    # One deviation array per slice, lag:n and 0:n-lag, shared by the
+    # slice's sum of squares and the covariance.
+    assert taken == [n - 2, n - 2]
+    series = TimeSeries.from_values(values)
+    fit_ar(series, 2)  # keeps the lag:n sum of squares
+    taken.clear()
+    kept = lag_correlation(series, 2)
+    assert taken == [n - 2, n - 2]
+    taken.clear()
+    assert lag_correlation(series, 2) == kept  # both sums kept; the covariance needs both
+    assert taken == [n - 2, n - 2]
+    assert kept.hex() == fresh.hex() == _lag_correlation_generators(values, 2).hex()
 
 
 def test_lag_correlation_squares_round_as_python_pow(squares_that_differ):

@@ -606,8 +606,9 @@ def test_positional_column_tables_match_json_dumps_of_their_rows(monkeypatch):
         ColumnTable([1.0, 2.0], [1.0])
 
 
-# A float column in which at most half the entries are distinct is formatted
-# one distinct value at a time; its text must not change.
+# Float columns with repeated values, signed zeros and NaNs, as lists and as
+# float64 arrays: an array is formatted one distinct double at a time, and
+# its text must not change.
 
 _NAN = float("nan")
 REPEATED_FLOAT_COLUMNS = {
@@ -635,6 +636,9 @@ def test_repeated_float_columns_match_json_dumps(name):
     assert render({"rows": table}, "json", None) == _expected({"rows": list(table)})
     points = ColumnTable(column, column[::-1])
     assert render(points, "json", None) == _expected(list(points))
+    array = np.array(column)
+    table = ColumnTable(id=range(len(column)), value=array, neg=-array, listed=column)
+    assert render({"rows": table}, "json", None) == _expected({"rows": list(table)})
 
 
 @pytest.mark.parametrize("argv", [["residuals", "--lag", "1"], ["analyze"]],
@@ -648,7 +652,7 @@ def test_signed_zero_record_reports_match_json_dumps(tmp_path, monkeypatch, argv
     ))
     payload = _payload(monkeypatch, [argv[0], path, *argv[1:]])
     rows = (payload if argv[0] == "residuals" else payload["residuals"])["rows"]
-    ys = rows.columns["y"]
+    ys = rows.columns["y"].tolist()
     assert {"0.0", "-0.0"} <= set(map(repr, ys)) and 2 * len(set(ys)) <= len(ys)
     out = io.StringIO()
     with redirect_stdout(out):
@@ -656,3 +660,90 @@ def test_signed_zero_record_reports_match_json_dumps(tmp_path, monkeypatch, argv
     text = out.getvalue()
     assert '"y": -0.0' in text and '"y": 0.0' in text
     _assert_same_text(text, _expected(payload))
+
+
+# Float64 array columns, as the residual table and the POT observations hold.
+
+def _doubles(bits) -> np.ndarray:
+    return np.array(bits, dtype=np.uint64).view(np.float64)
+
+
+NAN_PAYLOADS = _doubles([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000001,
+                         0x7FF0000000000001, 0xFFFFFFFFFFFFFFFF])
+FLOAT64_POOLS = {
+    "signed-zeros-and-nans": np.concatenate(([0.0, -0.0, 1.5, -1.5], NAN_PAYLOADS)),
+    "infinities-and-subnormals": np.array([np.inf, -np.inf, 5e-324, -5e-324, 1e-310,
+                                           2.2250738585072009e-308, 2.2250738585072014e-308,
+                                           1.7976931348623157e308, -0.0, 0.1]),
+}
+
+
+def _float64_column(rng: np.random.Generator, kind: str, n: int) -> np.ndarray:
+    if kind in FLOAT64_POOLS:
+        return rng.choice(FLOAT64_POOLS[kind], n)
+    if kind == "all-equal":
+        return np.full(n, rng.choice(FLOAT64_POOLS["signed-zeros-and-nans"]))
+    if kind == "all-distinct":  # any bit pattern, NaNs and subnormals included
+        return np.unique(rng.integers(0, 2**64, n, dtype=np.uint64, endpoint=False)) \
+            [rng.permutation(n)].view(np.float64) if n else np.empty(0)
+    return rng.choice(rng.normal(0.0, 1e3, 7), n)  # few distinct values
+
+
+FLOAT64_KINDS = [*FLOAT64_POOLS, "all-equal", "all-distinct", "few-distinct"]
+
+
+def _layouts(column: np.ndarray) -> dict[str, np.ndarray]:
+    """The column as a read-only copy, a strided view and a reversed view."""
+    read_only = column.copy()
+    read_only.flags.writeable = False
+    spread = np.zeros(3 * len(column))
+    spread[::3] = column
+    return {"read-only": read_only, "strided": spread[::3], "reversed": column[::-1].copy()[::-1]}
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 1_000])
+@pytest.mark.parametrize("kind", FLOAT64_KINDS)
+def test_float64_array_columns_match_json_dumps_of_their_rows(kind, n):
+    rng = np.random.default_rng([len(kind), n])
+    column = _float64_column(rng, kind, n)
+    assert len(column) == n
+    if kind == "all-distinct":
+        assert len(np.unique(column.view(np.int64))) == n
+    for layout, array in _layouts(column).items():
+        assert array.view(np.int64).tolist() == column.view(np.int64).tolist(), layout
+        table = ColumnTable(id=range(n), value=array, again=array[::-1],
+                            listed=column.tolist())
+        rows = list(table)
+        assert all(type(row["value"]) is float for row in rows)
+        _assert_same_text(render({"rows": table, "n": n}, "json", None),
+                          _expected({"rows": rows, "n": n}))
+        points = ColumnTable(range(n), array)
+        _assert_same_text(render(points, "json", None), _expected(list(points)))
+        assert _report._column_texts(array) == list(map(_report._float_text, column.tolist()))
+
+
+def test_float64_array_column_keeps_signed_zeros_and_nan_payloads_apart():
+    column = np.concatenate(([-0.0, 0.0, 0.0, -0.0], NAN_PAYLOADS, NAN_PAYLOADS[::-1]))
+    texts = _report._column_texts(column)
+    assert texts == ["-0.0", "0.0", "0.0", "-0.0", *["NaN"] * 2 * len(NAN_PAYLOADS)]
+
+
+def test_long_record_residual_floats_are_formatted_once_per_distinct_double(tmp_path,
+                                                                             monkeypatch):
+    path = _long_record_csv(tmp_path)
+    report = run_pipeline(parse_csv(str(path)), AnalysisConfig(input=str(path)))
+    table = pipeline_to_dict(report)["residuals"]["rows"]
+    keys = ["y", "y_predicted", "residual", "standardized", "percentile"]
+    distinct = [len(np.unique(table.columns[key].view(np.int64))) for key in keys]
+    assert distinct == [342, 342, 2_047, 2_047, 9_999]
+    formatted = []
+    float_texts = _report._float_texts
+
+    def counting(values):
+        formatted.append(len(values))
+        return float_texts(values)
+
+    monkeypatch.setattr(_report, "_float_texts", counting)
+    _assert_same_text(render({"rows": table}, "json", None), _expected({"rows": list(table)}))
+    # 14,777 reprs for the 49,995 float entries of the table.
+    assert formatted == distinct
