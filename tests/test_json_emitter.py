@@ -684,8 +684,8 @@ def _float64_column(rng: np.random.Generator, kind: str, n: int) -> np.ndarray:
     if kind == "all-equal":
         return np.full(n, rng.choice(FLOAT64_POOLS["signed-zeros-and-nans"]))
     if kind == "all-distinct":  # any bit pattern, NaNs and subnormals included
-        return np.unique(rng.integers(0, 2**64, n, dtype=np.uint64, endpoint=False)) \
-            [rng.permutation(n)].view(np.float64) if n else np.empty(0)
+        bits = np.unique(rng.integers(0, 2**64, n, dtype=np.uint64, endpoint=False))
+        return rng.permutation(bits).view(np.float64)
     return rng.choice(rng.normal(0.0, 1e3, 7), n)  # few distinct values
 
 
