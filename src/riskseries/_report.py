@@ -4,10 +4,9 @@ A result record becomes a dict of its fields in declaration order, which
 is the JSON schema; every table in a report is a ``ColumnTable``. The
 JSON writer gives the bytes of ``json.dumps(indent=2, allow_nan=True)``,
 and text comes from ``riskseries._text``, imported only for a text run.
-A table column may be a float64 array, as the residual table's and the
-POT observations' are; the writer formats it once per distinct bit
-pattern and gathers the texts back into row order. A list column is
-formatted entry by entry.
+The writer formats a list, and each table column, in one call: a float64
+array once per distinct bit pattern, a list of one exact scalar type
+through that type's formatter, and any other list item by item.
 """
 from __future__ import annotations
 
@@ -155,8 +154,8 @@ def _float_text(value: float) -> str:
     return _FLOAT_SPECIAL.get(text, text)
 
 
-# The JSON text of a scalar of exactly this type; subclasses take the
-# isinstance chain in _write_json.
+# The JSON text of a scalar of exactly this type; _write_json gives a
+# subclass of str, int or float its base type's.
 _SCALAR_TEXT = {
     str: encode_basestring_ascii,
     type(None): lambda _: "null",
@@ -195,109 +194,82 @@ def _array_texts(column: np.ndarray) -> list[str]:
     return texts[runs].tolist()
 
 
-def _column_texts(column) -> list[str] | None:
-    """The JSON text of each item, if all are scalars of one exact type; else None.
+def _column_texts(column, newline: str) -> list[str]:
+    """The JSON text of each item of a list or table column, each item at ``newline``.
 
     A float64 array is formatted once per distinct bit pattern, by
-    ``_array_texts``; a sequence is formatted entry by entry. Both ways
-    give each double the text of its own ``float.__repr__``.
+    ``_array_texts``, and any other array is read as Python scalars. A
+    column of one exact scalar type is mapped through that type's
+    formatter, floats through ``_float_texts``; every way gives a double
+    the text of its own ``float.__repr__``. Any other column is written
+    item by item.
     """
-    if isinstance(column, np.ndarray) and column.dtype == np.float64:
-        return _array_texts(column)
+    if isinstance(column, np.ndarray):
+        if column.dtype == np.float64:
+            return _array_texts(column)
+        column = column.tolist()
     kinds = set(map(type, column))
-    if len(kinds) != 1:
-        return None
-    kind = kinds.pop()
-    if kind is float:
+    formatter = _SCALAR_TEXT.get(kinds.pop()) if len(kinds) == 1 else None
+    if formatter is _float_text:
         return _float_texts(column)
-    formatter = _SCALAR_TEXT.get(kind)
-    return None if formatter is None else list(map(formatter, column))
+    if formatter is not None:
+        return list(map(formatter, column))
+    texts = []
+    for item in column:
+        _write_json(item, parts := [], newline)
+        texts.append("".join(parts))
+    return texts
 
 
-def _rows_text(columns, n: int, inner: str, keys: tuple[str, ...] | None) -> str | None:
-    """``n`` rows given as columns, joined into the text between a list's brackets.
+def _rows_text(table: ColumnTable, inner: str) -> str:
+    """A table's rows, joined into the text between a list's brackets.
 
-    The rows are records with ``keys`` or, if ``keys`` is None, flat lists. Each
-    row is opening bracket, value (after its key prefix, for a record),
-    comma, value, ..., closing bracket, taken from per-column lists in one
-    join. None if a column fails ``_column_texts``.
+    A named table's rows are records, keys in column order, and a
+    positional table's are flat lists. Each row is opening bracket, value
+    (after its key prefix, for a record), comma, value, ..., closing
+    bracket, taken from per-column lists in one join.
     """
-    if keys is None:
-        prefixes = repeat("")
-        opener, closer = "[", "]"
-    else:
-        prefixes = [encode_basestring_ascii(key) + ": " for key in keys]
-        opener, closer = "{", "}"
+    keys = table.keys
+    prefixes = repeat("") if keys is None else [encode_basestring_ascii(k) + ": " for k in keys]
+    opener, closer = "[]" if keys is None else "{}"
     row_inner = inner + "  "
     fields = []
     separator = opener
-    for prefix, column in zip(prefixes, columns):
-        texts = _column_texts(column)
-        if texts is None:
-            return None
-        fields += (repeat(separator + row_inner + prefix), texts)
+    for prefix, column in zip(prefixes, table.columns.values()):
+        fields += (repeat(separator + row_inner + prefix), _column_texts(column, row_inner))
         separator = ","
-    closes = chain(repeat(inner + closer + "," + inner, n - 1), (inner + closer,))
+    closes = chain(repeat(inner + closer + "," + inner, len(table) - 1), (inner + closer,))
     return "".join(chain.from_iterable(zip(*fields, closes)))
 
 
 def _write_json(value, parts: list[str], newline: str):
     """Append the text of ``json.dumps(value, indent=2, allow_nan=True)`` to parts.
 
-    Types are tested in the order of the standard library's pure-Python
-    encoder, which ``json.dumps`` uses whenever ``indent`` is set, so the
-    bytes are the same; writing them here skips that encoder's generator
-    chain. ``newline`` is the line break plus the current indentation.
+    The bytes are those of the standard library's pure-Python encoder,
+    which ``json.dumps`` uses whenever ``indent`` is set; writing them here
+    skips that encoder's generator chain. ``newline`` is the line break
+    plus the current indentation.
 
-    A dict value whose exact type is ``str``, ``int``, ``float``, ``bool``
-    or ``None`` is written in the dict's own loop, by the formatter that
-    ``_SCALAR_TEXT`` holds for its type, which gives the text of the
-    scalar branches below; any other value, a float or int subclass
-    included, is written by a recursive call.
-
-    A list is written in one pass when all its items are scalars of one
-    exact type (``float``, ``int``, ``bool``, ``str`` or ``None``; a bool
-    is never taken for an int, nor a float subclass for a float), each
-    mapped through the formatter ``_SCALAR_TEXT`` holds for that type; any
-    other list is written item by item. A ``ColumnTable`` is written as
-    the list of its rows, one such column at a time, and no row is built;
-    if a column does not qualify, the table is written row by row.
+    A scalar is written by the formatter ``_SCALAR_TEXT`` holds for its
+    exact type or else for the first of ``str``, ``int`` and ``float`` it
+    subclasses, so an ``IntEnum`` reads as its int; no class subclasses
+    one of those and a container, so these tests give ``json.dumps``'s
+    choice. A dict value of an exact scalar type is written in the dict's
+    own loop. A list, or a ``ColumnTable``'s rows, is written from
+    ``_column_texts`` of the list, or of each table column.
     """
-    if isinstance(value, str):
-        parts.append(encode_basestring_ascii(value))
-    elif value is None:
-        parts.append("null")
-    elif value is True:
-        parts.append("true")
-    elif value is False:
-        parts.append("false")
-    elif isinstance(value, int):
-        parts.append(int.__repr__(value))
-    elif isinstance(value, float):
-        parts.append(_float_text(value))
+    formatter = _SCALAR_TEXT.get(type(value))
+    if formatter is not None:
+        parts.append(formatter(value))
     elif isinstance(value, (list, tuple, ColumnTable)):
+        inner = newline + "  "
         if not value:
             parts.append("[]")
-            return
-        inner = newline + "  "
-        if isinstance(value, ColumnTable):
-            text = _rows_text(value.columns.values(), len(value), inner, value.keys)
+        elif isinstance(value, ColumnTable):
+            parts += ("[" + inner, _rows_text(value, inner), newline + "]")
         else:
-            texts = _column_texts(value)
-            text = None if texts is None else ("," + inner).join(texts)
-        if text is not None:
-            parts += ("[" + inner, text, newline + "]")
-            return
-        separator = "[" + inner
-        for item in value:
-            parts.append(separator)
-            _write_json(item, parts, inner)
-            separator = "," + inner
-        parts.append(newline + "]")
+            parts += ("[" + inner, ("," + inner).join(_column_texts(value, inner)), newline + "]")
     elif isinstance(value, dict):
-        if not value:
-            parts.append("{}")
-            return
         inner = newline + "  "
         separator = "{" + inner
         scalar_text = _SCALAR_TEXT.get
@@ -312,8 +284,12 @@ def _write_json(value, parts: list[str], newline: str):
             else:
                 parts.append(prefix + formatter(item))
             separator = "," + inner
-        parts.append(newline + "}")
+        parts.append(newline + "}" if value else "{}")
     else:
+        for base in (str, int, float):
+            if isinstance(value, base):
+                parts.append(_SCALAR_TEXT[base](value))
+                return
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 

@@ -135,8 +135,12 @@ class _Moments:
         self._mean = self._squares = None
 
     def mean(self) -> float:
+        """The fsum mean, clamped into the column's range: the rounded mean
+        of equal values can fall one ulp outside them."""
         if self._mean is None:
-            self._mean = math.fsum(memoryview(self.column)) / len(self.column)
+            column = self.column
+            mean = math.fsum(memoryview(column)) / len(column)
+            self._mean = float(min(max(mean, column.min()), column.max()))
         return self._mean
 
     def deviations(self) -> np.ndarray:

@@ -65,6 +65,18 @@ MUTANTS = [
     ("src/riskseries/_report.py", "bits = column.view(np.int64)", "bits = column",
      "_column_texts: a float64 array is sorted and split into runs by value, not by bits, "
      "so 0.0 and -0.0 take one text"),
+    ("src/riskseries/_report.py", "_write_json(item, parts := [], newline)",
+     '_write_json(item, parts := [], "\\n")',
+     "_column_texts: a nested item of a list or table column is written at the top "
+     "level's indentation, not its row's"),
+    ("src/riskseries/_report.py", "for base in (str, int, float):",
+     "for base in (str, float):",
+     "_write_json: an int subclass such as an IntEnum, alone, in a dict or in a "
+     "_column_texts column, finds no base type's formatter and raises TypeError"),
+    ("src/riskseries/series.py",
+     "self._mean = float(min(max(mean, column.min()), column.max()))", "self._mean = mean",
+     "_Moments.mean: the fsum mean is not clamped into the column's range, so five equal "
+     "values of 1.2e228 square their deviations past the largest double"),
     ("src/riskseries/_pipeline.py", "for label, source in sources.items()}",
      "for label, source in reversed(sources.items())}",
      "run_pipeline: each per-series stage runs on the detrended series before the raw one"),

@@ -139,6 +139,25 @@ def test_finite_input_whose_squares_or_sums_overflow_is_a_numerical_error(
     assert captured.err == f"numerical error: {message}\n"
 
 
+# Five equal huge values: their fsum mean is an ulp off the value unless it is
+# clamped into the record's range, and every deviation then squares past
+# the largest double.
+@pytest.mark.parametrize("command", [["summarize"], ["trend", "--mann-kendall"]],
+                         ids=["summarize", "trend"])
+def test_constant_record_of_huge_values_has_its_value_as_mean(tmp_path, capsys, command):
+    value = 1.224238054497639e228
+    path = tmp_path / "constant.csv"
+    path.write_text("month,value\n" + "".join(f"{m},{value!r}\n" for m in range(1, 6)))
+    assert main([command[0], str(path), *command[1:], "--format", "json"]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    moments = parse_csv(str(path))._moments(0, 5)
+    assert (moments.mean(), moments.sum_of_squares()) == (value, 0.0)
+    if command[0] == "summarize":
+        assert (report["mean"], report["variance"], report["std_dev"]) == (value, 0.0, 0.0)
+    else:
+        assert (report["mann_kendall"]["S"], report["mann_kendall"]["var_S"]) == (0, 0.0)
+
+
 # Two values are too few for the trend line, whose fit comes after the
 # raw summary: a summary that overflows is reported first.
 @pytest.mark.parametrize("rows, code, message", [

@@ -1,4 +1,5 @@
 """``render``'s JSON writer against ``json.dumps(indent=2, allow_nan=True)``."""
+import enum
 import hashlib
 import io
 import json
@@ -417,7 +418,8 @@ def test_column_table_with_a_mixed_column_is_written_row_by_row(kind, monkeypatc
     if kind in ("bool-int", "float-int"):  # make sure both types are present
         table.columns["mixed"][:2] = [True, 1] if kind == "bool-int" else [1.0, 1]
     assert render(table, "json", None) == _expected(list(table))
-    # One call for the table, then at least one per row: the item-by-item fallback.
+    # One call for the table, then one per item of the mixed column, which is
+    # written item by item.
     assert _count_write_json_calls(monkeypatch, {"rows": table}) >= 2 + n
 
 
@@ -426,6 +428,57 @@ def test_column_table_columns_must_share_one_length():
         ColumnTable(a=[1.0, 2.0], b=[1.0])
     assert list(ColumnTable()) == [] and len(ColumnTable()) == 0
     assert render({"rows": ColumnTable(a=[], b=[])}, "json", None) == _expected({"rows": []})
+
+
+def test_column_table_of_nested_values_at_depth_matches_json_dumps(monkeypatch):
+    inner = ColumnTable(k=[1, 2], v=[[0.5, {"deep": [None, "x"]}], []])
+    nested = [[1.0, [2, [3.0, "s"]]], {"a": {"b": [True, None]}, "c": {}}, inner, [], {},
+              ColumnTable([[1], {"z": -0.0}], [inner, ()]), (float("nan"), {"t": (1, 2)})]
+    n = len(nested)
+    table = ColumnTable(id=range(n), nested=nested, again=nested[::-1], value=[0.25] * n)
+    points = ColumnTable(nested, [str(i) for i in range(n)])
+    for payload in ({"outer": [{"rows": table}]}, [[points, table]], {"a": {"b": points}}):
+        _assert_same_text(render(payload, "json", None), _expected(payload))
+    # Each nested item is written by a call of its own, at its row's depth.
+    assert _count_write_json_calls(monkeypatch, [[table]]) >= 3 + 2 * n
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+    HUGE = 2**70
+
+
+class Label(str):
+    pass
+
+
+class Reading(float):
+    pass
+
+
+SUBCLASS_SCALARS = [Level.LOW, Level.HUGE, Label(""), Label('é "quoted"\n'),
+                    Reading(0.1), Reading(-0.0), Reading("nan"), Reading("inf"), Reading("-inf")]
+
+
+@pytest.mark.parametrize("value", SUBCLASS_SCALARS, ids=repr)
+def test_int_str_and_float_subclasses_take_their_base_types_text(value):
+    same_type = [value, type(value)(value)]
+    n = len(same_type)
+    payloads = [value, {"k": value}, [value], [value, 0, "s", 0.5], same_type,
+                {"rows": ColumnTable(id=range(n), value=same_type, mixed=[value, 1.5])},
+                ColumnTable(same_type, [value, None])]
+    for payload in payloads:
+        _assert_same_text(render(payload, "json", None), _expected(payload))
+    base = next(base for base in (str, int, float) if isinstance(value, base))
+    assert render(value, "json", None) == _expected(base(value))
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int32, np.bool_, np.float32])
+def test_array_columns_of_other_dtypes_are_written_as_python_scalars(dtype):
+    column = np.array([0, 1, 1, 0, 7, 2], dtype=dtype)
+    table = ColumnTable(id=range(len(column)), value=column, again=column[::-1])
+    assert all(type(row["value"]) is type(column.tolist()[0]) for row in table)
+    _assert_same_text(render({"rows": table}, "json", None), _expected({"rows": list(table)}))
 
 
 def test_pipeline_residual_rows_iterate_to_the_row_dicts_of_the_report(event_series):
@@ -511,9 +564,14 @@ def test_every_report_table_is_declared_and_written_in_one_call(tmp_path, monkey
             if isinstance(node, (list, tuple)):
                 assert not any(isinstance(item, (dict, list, tuple, ColumnTable))
                                for item in node), argv
-        for table in tables:
-            for column in table.columns.values():
-                assert _report._column_texts(column) is not None, argv
+        # Each report table column is formatted with no _write_json call.
+        column_calls = []
+        with monkeypatch.context() as patch:
+            patch.setattr(_report, "_write_json", lambda value, *_: column_calls.append(value))
+            for table in tables:
+                for column in table.columns.values():
+                    assert len(_report._column_texts(column, "\n")) == len(table), argv
+        assert column_calls == [], argv
         calls = []
         write_json = _report._write_json
 
@@ -719,12 +777,13 @@ def test_float64_array_columns_match_json_dumps_of_their_rows(kind, n):
                           _expected({"rows": rows, "n": n}))
         points = ColumnTable(range(n), array)
         _assert_same_text(render(points, "json", None), _expected(list(points)))
-        assert _report._column_texts(array) == list(map(_report._float_text, column.tolist()))
+        assert _report._column_texts(array, "\n") == list(map(_report._float_text,
+                                                              column.tolist()))
 
 
 def test_float64_array_column_keeps_signed_zeros_and_nan_payloads_apart():
     column = np.concatenate(([-0.0, 0.0, 0.0, -0.0], NAN_PAYLOADS, NAN_PAYLOADS[::-1]))
-    texts = _report._column_texts(column)
+    texts = _report._column_texts(column, "\n")
     assert texts == ["-0.0", "0.0", "0.0", "-0.0", *["NaN"] * 2 * len(NAN_PAYLOADS)]
 
 

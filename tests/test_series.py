@@ -127,6 +127,29 @@ def test_variance_that_overflows_raises_overflow_error():
         summarize(TimeSeries.from_values([1.7e308, 0.0, 1.7e308, 0.0]))
 
 
+def test_mean_of_equal_huge_values_is_clamped_to_the_value():
+    # fsum rounds the sum of five copies, so the plain mean is an ulp off
+    # and each deviation would square past the largest double.
+    value = 1.224238054497639e228
+    assert math.fsum([value] * 5) / 5 != value
+    for n in (1, 2, 5, 12, 92):
+        for sign in (1.0, -1.0):
+            stats = summarize(TimeSeries.from_values([sign * value] * n))
+            assert (type(stats.mean), stats.mean) == (float, sign * value)
+            assert (stats.variance, stats.std_dev) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_mean_in_range_keeps_the_bits_of_the_fsum_mean(seed):
+    rng = np.random.default_rng(seed)
+    values = rng.normal(0.0, 10.0 ** rng.integers(-100, 100), size=200)
+    series = TimeSeries.from_values(values)
+    for start, stop in ((0, 200), (1, 200), (0, 199), (5, 6)):
+        mean = series._moments(start, stop).mean()
+        expected = math.fsum(values[start:stop].tolist()) / (stop - start)
+        assert (type(mean), mean.hex()) == (float, expected.hex())
+
+
 def test_summarize_is_permutation_invariant_and_reindex_stable():
     rng = random.Random(11)
     values = [rng.uniform(0, 100) for _ in range(20)]
