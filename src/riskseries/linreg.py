@@ -18,8 +18,9 @@ A fit runs in two stages, and fit_ols is ``_report(_solve(y, regressors))``:
 A caller that needs only the coefficients, such as the trend line, takes
 the solve alone and pays for no fitted values, sums, t quantile or
 p-value. y's mean and total sum of squares come from a ``_Moments``: a
-fit on a slice of a series passes the series' own, so a run takes them
-once per slice.
+fit on a slice of a series passes the series' own, whose mean comes from
+the series' one exact total, so a run takes them once per slice; a fit
+on a bare column takes the exact total of y alone.
 """
 from __future__ import annotations
 
@@ -157,9 +158,9 @@ def _solve(
         _raise_rank_deficient(r, singular_values)
     if moments is None:
         moments = _Moments(y_vec)
-    # Before the solve, so a response whose sum overflows raises here
-    # instead of after numpy's overflow warnings.
-    moments.mean()
+    # Before the solve, so a response whose sum or squared deviations
+    # overflow raises here instead of after numpy's overflow warnings.
+    moments.sum_of_squares()
     coef = np.linalg.solve(r, q.T @ y_vec)
     return _Solve(n, coef, r, x, moments)
 

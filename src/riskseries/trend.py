@@ -59,10 +59,9 @@ def fit_trend(series: TimeSeries) -> TrendLine:
         raise UsageError(f"trend fit needs at least 3 observations, got {n}")
     moments = series._moments(0, n)
     # The solve alone: no command prints the line's standard errors or p-values.
-    intercept, slope = linreg._solve(series.values, [np.arange(1.0, n + 1)], moments).coef.tolist()
     # A record whose squared deviations overflow has no line, as it has no
-    # summary: the total sum of squares raises its OverflowError here.
-    moments.sum_of_squares()
+    # summary: the solve takes the total sum of squares first and raises.
+    intercept, slope = linreg._solve(series.values, [np.arange(1.0, n + 1)], moments).coef.tolist()
     return TrendLine(intercept=intercept, slope=slope, n=n)
 
 

@@ -75,8 +75,27 @@ MUTANTS = [
      "_column_texts column, finds no base type's formatter and raises TypeError"),
     ("src/riskseries/series.py",
      "self._mean = float(min(max(mean, column.min()), column.max()))", "self._mean = mean",
-     "_Moments.mean: the fsum mean is not clamped into the column's range, so five equal "
+     "_Moments.mean: the mean is not clamped into the column's range, so five equal "
      "values of 1.2e228 square their deviations past the largest double"),
+    ("src/riskseries/series.py", "if abs(mean - column[0].item()) > 2 * (n + 1) * math.ulp(mean):",
+     "if abs(mean - column[0].item()) > 0.0:",
+     "_Moments.mean: the clamp is skipped for any mean off the first value, so a series of "
+     "equal huge values keeps a mean one ulp outside them"),
+    ("src/riskseries/series.py",
+     "total += ((int(whole) << 26) + int(fraction * 2.0 ** 26)) << shift",
+     "total += (int(whole) << 26) << shift",
+     "_exact_total: the low 26 bits of each mantissa are dropped, so a series total "
+     "is not its exact sum"),
+    ("src/riskseries/series.py", "bounded=self._total[2] <= 510)", "bounded=self._total[2] <= 1022)",
+     "_Moments.sum_of_squares: squares of a series' deviations up to 2**1023 skip the "
+     "overflow check, so a square past the largest double warns and gives inf"),
+    ("src/riskseries/series.py", "if self._total[2] <= 1022:", "if True:",
+     "_Moments.deviations: a deviation of a series past the largest double warns and "
+     "gives inf instead of raising OverflowError"),
+    ("src/riskseries/series.py", "for i in (*range(start), *range(stop, len(values))):",
+     "for i in range(stop, len(values)):",
+     "_slice_total: the head values are not subtracted, so the p:n slice of a "
+     "series takes the mean of 0:n's total over n - p"),
     ("src/riskseries/_pipeline.py", "for label, source in sources.items()}",
      "for label, source in reversed(sources.items())}",
      "run_pipeline: each per-series stage runs on the detrended series before the raw one"),

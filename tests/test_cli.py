@@ -25,6 +25,7 @@ from riskseries.cli import (
     run_pipeline,
 )
 from riskseries import autoreg, linreg
+from riskseries import series as series_module
 from riskseries.errors import DataError, UsageError
 from riskseries.peaks import ThresholdSpec
 from riskseries.series import TimeSeries
@@ -137,6 +138,21 @@ def test_finite_input_whose_squares_or_sums_overflow_is_a_numerical_error(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"numerical error: {message}\n"
+
+
+# fsum overflowed on the partial sum 1.7e308 + 1.7e308; the exact total is
+# 1.7e308, so the mean is finite and the squared deviations overflow instead.
+@pytest.mark.parametrize("command", [["summarize"], ["trend", "--mann-kendall"], ["analyze"]],
+                         ids=["summarize", "trend", "analyze"])
+def test_sum_that_overflows_only_in_part_is_a_squared_deviation_error(tmp_path, capsys, command):
+    path = tmp_path / "huge.csv"
+    path.write_text("month,value\n1,1.7e308\n2,1.7e308\n3,-1.7e308\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy overflow warning fails the test
+        assert main([command[0], str(path), *command[1:], "--format", "json"]) == EXIT_NUMERICAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "numerical error: a squared deviation is out of range\n"
 
 
 # Five equal huge values: their fsum mean is an ulp off the value unless it is
@@ -599,31 +615,46 @@ def test_run_pipeline_takes_each_moment_of_a_series_slice_once(monkeypatch):
     rng = np.random.default_rng(27)
     wet = rng.random(10_000) < 0.4
     series = TimeSeries.from_values(np.where(wet, np.round(rng.gamma(0.7, 9.0, 10_000), 1), 0.0))
-    fsum = math.fsum
-    moments, stacks = [], []
+    fsum, exact_total, rounded = math.fsum, series_module._exact_total, series_module._rounded
+    moments, stacks, totals = [], [], []
 
     def counting(iterable):
         frames = [sys._getframe(1)]
         while frames[-1].f_back is not None:
             frames.append(frames[-1].f_back)
         stacks.append([frame.f_code.co_name for frame in frames])
-        # A mean sums in _Moments.mean, a sum of squares in _sum_of_squares
-        # under _Moments.sum_of_squares: name the slice by its first byte and length.
+        # A sum of squares sums in _sum_of_squares under _Moments.sum_of_squares:
+        # name the slice by its first byte and length.
         for frame in frames[:2]:
-            if frame.f_code.co_name in ("mean", "sum_of_squares"):
+            if frame.f_code.co_name == "sum_of_squares":
                 column = frame.f_locals["self"].column
                 moments.append((frame.f_code.co_name, column.ctypes.data, len(column)))
         return fsum(iterable)
 
+    def counting_total(values):
+        totals.append((values.ctypes.data, len(values)))
+        return exact_total(values)
+
+    def counting_rounded(total, exponent):
+        # A mean rounds its slice's exact total once, in _Moments.mean.
+        column = sys._getframe(1).f_locals["self"].column
+        moments.append(("mean", column.ctypes.data, len(column)))
+        return rounded(total, exponent)
+
     monkeypatch.setattr(math, "fsum", counting)
+    monkeypatch.setattr(series_module, "_exact_total", counting_total)
+    monkeypatch.setattr(series_module, "_rounded", counting_rounded)
     run_pipeline(series, AnalysisConfig(input="seeded"))
     # On each of the raw and the detrended series, the mean and the sum of
     # squares of five slices: 0:n (summary and trend line), p:n (AR(p),
     # p = 1..3, and lag:n of the lag-1 correlation) and 0:n-1 (its 0:n-lag).
     assert len(moments) == len(set(moments)) == 20
-    # Per AR fit a regression and a residual sum, then the lag-1 covariance
-    # of each series and the residual report's sum of squares.
-    assert len(stacks) == 20 + 2 * 6 + 2 + 1
+    # Every mean comes from one exact total per series, not from an fsum.
+    assert len(totals) == len(set(totals)) == 2
+    # The ten sums of squares, per AR fit a regression and a residual sum,
+    # then the lag-1 covariance of each series and the residual report's
+    # sum of squares.
+    assert len(stacks) == 10 + 2 * 6 + 2 + 1
     # The trend line reads the summary's moments and takes no sum of its own.
     assert not [stack for stack in stacks if "fit_trend" in stack]
 

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from riskseries import series as series_module
 from riskseries.errors import DataError
 from riskseries.series import TimeSeries, reindex, summarize
 from riskseries.trend import detrend, fit_trend
@@ -148,6 +149,133 @@ def test_mean_in_range_keeps_the_bits_of_the_fsum_mean(seed):
         mean = series._moments(start, stop).mean()
         expected = math.fsum(values[start:stop].tolist()) / (stop - start)
         assert (type(mean), mean.hex()) == (float, expected.hex())
+
+
+def _exact_units(values: list[float]) -> int:
+    """The sum as an integer count of 2**-1074, from each double's integer ratio."""
+    total = 0
+    for value in values:
+        numerator, denominator = value.as_integer_ratio()
+        total += numerator << (1074 - denominator.bit_length() + 1)
+    return total
+
+
+def _fsum_text(values: list[float]) -> str:
+    try:
+        return math.fsum(values).hex()
+    except OverflowError as error:
+        return str(error)
+
+
+def _rounded_text(total: int, exponent: int) -> str:
+    try:
+        return series_module._rounded(total, exponent).hex()
+    except OverflowError as error:
+        return str(error)
+
+
+def _adversarial_columns():
+    rng = np.random.default_rng(30)
+    specials = [0.0, -0.0, 5e-324, -5e-324, sys.float_info.min, -sys.float_info.min,
+                sys.float_info.max, -sys.float_info.max, 1.0, -1.5]
+    columns = [np.array([value]) for value in specials]
+    for n in (1, 2, 3, 7, 64, 1000):
+        bits = np.frombuffer(rng.bytes(8 * n), dtype=np.float64)  # any finite bit pattern
+        columns.append(np.where(np.isfinite(bits), bits, -0.0))
+        # Exponents over the whole range, subnormals and underflow to zero included.
+        spread = np.ldexp(rng.uniform(0.5, 1.0, n), rng.integers(-1100, 1025, n))
+        columns.append(spread * rng.choice([-1.0, 1.0], n))
+        columns.append(rng.normal(0.0, 1.0, n) * 2.0 ** -1060)  # subnormals and their edge
+        columns.append(rng.choice(specials, n))
+        # Mixed signs that cancel to a remainder far below the largest value.
+        wide = rng.normal(0.0, 1.0, n) * 10.0 ** rng.uniform(-300, 300, n)
+        columns.append(np.concatenate([wide, -wide[::-1], [3e-320]]))
+    return columns
+
+
+def test_exact_total_is_the_exact_sum_and_rounds_as_fsum():
+    for column in _adversarial_columns():
+        values = column.tolist()
+        total, exponent, top = series_module._exact_total(column)
+        # total * 2**exponent == units * 2**-1074, compared as integers.
+        assert total << (exponent + 1126) == _exact_units(values) << 52
+        assert max(math.frexp(value)[1] for value in values) <= top  # |value| < 2**top
+        expected = _fsum_text(values)
+        if expected == "intermediate overflow in fsum":
+            # fsum also raises when only a partial sum overflows; the
+            # exact total rounds as the exact sum does.
+            try:
+                expected = (_exact_units(values) / (1 << 1074)).hex()
+            except OverflowError:
+                pass
+        assert _rounded_text(total, exponent) == expected, values[:8]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_every_slice_total_rounds_as_the_fsum_of_the_slice(seed):
+    rng = np.random.default_rng([30, seed])
+    n = 40
+    values = [
+        rng.normal(0.0, 1.0, n) * 10.0 ** rng.uniform(-300, 300, n),
+        np.where(rng.random(n) < 0.4, np.round(rng.gamma(0.7, 9.0, n), 1), 0.0),
+        np.frombuffer(rng.bytes(8 * n), dtype=np.float64),
+    ][seed]
+    values = np.where(np.isfinite(values), values, 0.0)
+    series = TimeSeries.from_values(values)
+    whole = series_module._exact_total(series.values)
+    for start in range(n):
+        for stop in range(start + 1, n + 1):
+            piece = values[start:stop].tolist()
+            exact = series_module._slice_total(series.values, whole, start, stop)
+            assert _rounded_text(*exact[:2]) == _fsum_text(piece)
+            if _fsum_text(piece).startswith("0x") and len(set(piece)) > 1:
+                mean = series._moments(start, stop).mean()
+                assert mean.hex() == (math.fsum(piece) / len(piece)).hex()
+
+
+def test_mean_whose_fsum_overflows_only_in_a_partial_sum_is_finite():
+    values = [1.7e308, 1.7e308, -1.7e308]
+    with pytest.raises(OverflowError, match="intermediate overflow in fsum"):
+        math.fsum(values)
+    assert TimeSeries.from_values(values)._moments(0, 3).mean() == 1.7e308 / 3
+
+
+def _near_constant_columns():
+    rng = np.random.default_rng(31)
+    for _ in range(300):
+        n = int(rng.integers(1, 60))
+        value = float(rng.normal(0.0, 1.0) * 10.0 ** rng.integers(-320, 308))
+        steps = rng.integers(-3 * n, 3 * n + 1, n) if rng.random() < 0.7 else np.zeros(n, int)
+        column = [value] * n
+        for i, step in enumerate(steps.tolist()):
+            for _ in range(abs(step)):
+                column[i] = math.nextafter(column[i], math.copysign(math.inf, step))
+        if rng.random() < 0.3:
+            column[0] = float(np.mean(column))  # the first value at the mean
+        yield np.array(column)
+
+
+def test_mean_takes_the_bits_of_the_reductions_clamp():
+    # The clamp skips its two reductions when the first value is far from
+    # the mean; the bits must be those of clamping every mean.
+    reached = set()
+    for column in _near_constant_columns():
+        moments = series_module._Moments(column)
+        mean = math.fsum(column.tolist()) / len(column)
+        expected = float(min(max(mean, column.min()), column.max()))
+        assert moments.mean().hex() == expected.hex()
+        reached.add(expected != mean)
+    assert reached == {False, True}  # both a moved and an unmoved mean
+
+
+@pytest.mark.parametrize("values", [
+    [0.0, -0.0], [-0.0, 0.0], [1.0, -0.0, 0.0, 2.0], [1.0, 0.0, -0.0],
+    [-1.0, 0.0, -0.0], [-1.0, -0.0, 0.0], [-0.0, -0.0, 0.0, 0.0],
+])
+def test_summary_min_and_max_are_the_first_of_equal_zeros(values):
+    stats = summarize(TimeSeries.from_values(values))
+    assert (type(stats.min), type(stats.max)) == (float, float)
+    assert (stats.min.hex(), stats.max.hex()) == (min(values).hex(), max(values).hex())
 
 
 def test_summarize_is_permutation_invariant_and_reindex_stable():
