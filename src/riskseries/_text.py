@@ -2,9 +2,14 @@
 
 Every renderer reads the dictionary the JSON output is written from, so
 the two formats never disagree. ``riskseries._report.render`` imports
-this module only for ``--format text``.
+this module only for ``--format text``. Every table is built from its
+columns, a report table's read from its ``ColumnTable``: each column is
+padded to its widest cell in one ``map`` and the rows are the padded
+columns zipped, with no Python loop per cell.
 """
 from __future__ import annotations
+
+from itertools import repeat
 
 
 def _fmt(value) -> str:
@@ -17,12 +22,31 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _table(rows: list[list[str]], indent: str = "  ") -> list[str]:
-    widths = [max(len(row[c]) for row in rows) for c in range(len(rows[0]))]
-    return [
-        indent + "  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip()
-        for row in rows
-    ]
+def _table(columns: list[list[str]], indent: str = "  ") -> list[str]:
+    """Lines of a table given as columns of cell texts, header first.
+
+    Each column is padded to its widest cell, cells are joined by two
+    spaces, and each row loses its trailing blanks: ANOVA rows end in
+    empty cells.
+    """
+    padded = [map(str.ljust, column, repeat(max(map(len, column)))) for column in columns]
+    return [indent + line for line in map(str.rstrip, map("  ".join, zip(*padded)))]
+
+
+def _grid(headers, columns, indent: str = "  ") -> list[str]:
+    """Lines of a table whose columns of values are formatted under their headers."""
+    return _table([[header, *map(_fmt, column)] for header, column in zip(headers, columns)],
+                  indent)
+
+
+def _columns(table):
+    """A ``ColumnTable``'s columns, in schema order, as Python scalars."""
+    return map(table.column, table.columns)
+
+
+def _fields(d: dict, labels: dict[str, str]) -> list[str]:
+    """A label/value table of the fields of d that labels names, in labels' order."""
+    return _table([list(labels.values()), [_fmt(d[key]) for key in labels]])
 
 
 def _join(lines: list[str]) -> str:
@@ -38,105 +62,60 @@ def _section(d: dict, title: str, body) -> list[str]:
 
 def _regression_lines(d: dict, title: str) -> list[str]:
     anova = d["anova"]
-    coefficient_rows = [["term", "estimate", "std error", "t stat", "p value",
-                         "lower 95%", "upper 95%"]]
-    for c in d["coefficients"]:
-        coefficient_rows.append([
-            c["term"], _fmt(c["estimate"]), _fmt(c["std_error"]), _fmt(c["t_stat"]),
-            _fmt(c["p_value"]), _fmt(c["ci_lower_95"]), _fmt(c["ci_upper_95"]),
-        ])
     return [
         title,
-        *_table([
-            ["r multiple", _fmt(d["r_multiple"])],
-            ["r squared", _fmt(d["r_squared"])],
-            ["r squared adjusted", _fmt(d["r_squared_adj"])],
-            ["standard error", _fmt(d["std_error_regression"])],
-            ["observations", _fmt(d["n"])],
-        ]),
+        *_fields(d, {"r_multiple": "r multiple", "r_squared": "r squared",
+                     "r_squared_adj": "r squared adjusted",
+                     "std_error_regression": "standard error", "n": "observations"}),
         "  anova",
-        *_table([
-            ["source", "df", "ss", "ms", "f", "significance f"],
-            ["regression", _fmt(anova["df_regression"]), _fmt(anova["regression_ss"]),
-             _fmt(anova["regression_ms"]), _fmt(anova["f_stat"]),
-             _fmt(anova["significance_f"])],
-            ["residual", _fmt(anova["df_residual"]), _fmt(anova["residual_ss"]),
-             _fmt(anova["residual_ms"]), "", ""],
-            ["total", _fmt(anova["df_regression"] + anova["df_residual"]),
-             _fmt(anova["total_ss"]), "", "", ""],
+        *_grid(["source", "df", "ss", "ms", "f", "significance f"], [
+            ["regression", "residual", "total"],
+            [anova["df_regression"], anova["df_residual"],
+             anova["df_regression"] + anova["df_residual"]],
+            [anova["regression_ss"], anova["residual_ss"], anova["total_ss"]],
+            [anova["regression_ms"], anova["residual_ms"], ""],
+            [anova["f_stat"], "", ""],
+            [anova["significance_f"], "", ""],
         ], indent="    "),
         "  coefficients",
-        *_table(coefficient_rows, indent="    "),
+        *_grid(["term", "estimate", "std error", "t stat", "p value", "lower 95%", "upper 95%"],
+               _columns(d["coefficients"]), indent="    "),
     ]
 
 
 def _summary_lines(d: dict, title: str) -> list[str]:
-    return [
-        title,
-        *_table([
-            ["n", _fmt(d["n"])],
-            ["mean", _fmt(d["mean"])],
-            ["variance", _fmt(d["variance"])],
-            ["std dev", _fmt(d["std_dev"])],
-            ["min", _fmt(d["min"])],
-            ["max", _fmt(d["max"])],
-        ]),
-    ]
+    return [title, *_fields(d, {"n": "n", "mean": "mean", "variance": "variance",
+                                "std_dev": "std dev", "min": "min", "max": "max"})]
 
 
 def _trend_lines(d: dict, title: str) -> list[str]:
-    return [
-        title,
-        *_table([
-            ["intercept", _fmt(d["intercept"])],
-            ["slope", _fmt(d["slope"])],
-            ["observations", _fmt(d["n"])],
-        ]),
-    ]
+    return [title, *_fields(d, {"intercept": "intercept", "slope": "slope", "n": "observations"})]
 
 
 def _mk_lines(d: dict, title: str) -> list[str]:
-    return [
-        title,
-        *_table([
-            ["S", _fmt(d["S"])],
-            ["var(S)", _fmt(d["var_S"])],
-            ["Z", _fmt(d["Z"])],
-            ["p value", _fmt(d["p_value"])],
-            ["decision", f"{d['decision']} (alpha {_fmt(d['alpha'])})"],
-        ]),
-    ]
+    decision = f"{d['decision']} (alpha {_fmt(d['alpha'])})"
+    return [title, *_fields({**d, "decision": decision}, {
+        "S": "S", "var_S": "var(S)", "Z": "Z", "p_value": "p value", "decision": "decision"})]
 
 
 def _trace_lines(d: dict, title: str) -> list[str]:
-    rows = [["p", "coefficient", "std error", "z", "z_alpha", "decision"]]
-    for step in d["steps"]:
-        rows.append([
-            _fmt(step["p"]), _fmt(step["coefficient"]), _fmt(step["std_error"]),
-            _fmt(step["z"]), _fmt(step["z_alpha"]), step["decision"],
-        ])
     return [
         f"{title} (alpha {_fmt(d['alpha'])})",
-        *_table(rows),
+        *_grid(["p", "coefficient", "std error", "z", "z_alpha", "decision"],
+               _columns(d["steps"])),
         f"  selected order: {d['selected_order']}",
     ]
 
 
 def _residual_lines(d: dict, title: str) -> list[str]:
-    rows = [["obs", "y", "predicted", "residual", "standardized", "percentile", "outlier"]]
-    table = d["rows"]
-    rows += zip(*(map(_fmt, table.column(key)) for key in (
-        "observation_id", "y", "y_predicted", "residual", "standardized", "percentile", "outlier",
-    )))
+    outliers = ", ".join(map(str, d["outliers"])) or "none"
     return [
         title,
-        *_table([
-            ["scale (rss/(n-1))", _fmt(d["scale"])],
-            ["regression std error", _fmt(d["regression_std_error"])],
-            ["outlier threshold", _fmt(d["outlier_threshold"])],
-            ["outliers", ", ".join(str(i) for i in d["outliers"]) or "none"],
-        ]),
-        *_table(rows),
+        *_fields({**d, "outliers": outliers}, {
+            "scale": "scale (rss/(n-1))", "regression_std_error": "regression std error",
+            "outlier_threshold": "outlier threshold", "outliers": "outliers"}),
+        *_grid(["obs", "y", "predicted", "residual", "standardized", "percentile", "outlier"],
+               _columns(d["rows"])),
     ]
 
 
@@ -149,17 +128,13 @@ def _event_lines(d: dict, title: str) -> list[str]:
             f"pot, threshold {_fmt(provenance['threshold'])} ({provenance['comparison']}"
             f"{', zero-filled' if provenance['zero_filled'] else ''})"
         )
-    rows = [["index", "value"]]
-    for index, value in d["observations"]:
-        rows.append([_fmt(index), _fmt(value)])
-    return [f"{title} ({detail}, {d['n']} events)", *_table(rows)]
+    return [f"{title} ({detail}, {d['n']} events)",
+            *_grid(["index", "value"], _columns(d["observations"]))]
 
 
 def _ar_lines(models: dict, label: str) -> list[str]:
-    lines = []
-    for key in sorted(models, key=lambda k: int(k[1:])):
-        lines += _section(models[key], f"ar ({label}) order {key[1:]}", _regression_lines)
-    return lines
+    return [line for key, model in models.items()
+            for line in _section(model, f"ar ({label}) order {key[1:]}", _regression_lines)]
 
 
 # One renderer per command, each taking the command's report dictionary.
@@ -192,20 +167,19 @@ def residuals(d: dict) -> str:
 
 
 def gev_pdf(d: dict) -> str:
-    rows = [["x", "density"]] + [[_fmt(x), _fmt(density)] for x, density in d["points"]]
-    return _join(_table(rows, indent=""))
+    return _join(_grid(["x", "density"], _columns(d["points"]), indent=""))
 
 
 def risk_curve(d: dict) -> str:
-    rows = [["loss", "exceedance frequency"]]
-    rows += [[_fmt(x), _fmt(r)] for x, r in zip(d["losses"], d["frequencies"])]
-    return _join(_table(rows, indent=""))
+    return _join(_grid(["loss", "exceedance frequency"], [d["losses"], d["frequencies"]],
+                       indent=""))
 
 
 def pipeline(d: dict) -> str:
     def lag1(value) -> str:
         return _fmt(value) if not isinstance(value, dict) else f"skipped ({value['skipped']})"
 
+    lags = d["lag_correlation"]
     lines = [
         f"riskseries analysis report (schema {d['schema_version']})",
         f"input: {d['config']['input']} ({d['series']['n']} observations)",
@@ -216,11 +190,7 @@ def pipeline(d: dict) -> str:
         lines += _section(block, f"summary ({label})", _summary_lines)
     lines += _section(d["trend"], "trend line", _trend_lines)
     lines += _section(d["mann_kendall"], "mann-kendall", _mk_lines)
-    lines += [
-        "lag-1 correlation",
-        *_table([[label, lag1(value)] for label, value in d["lag_correlation"].items()]),
-        "",
-    ]
+    lines += ["lag-1 correlation", *_table([list(lags), list(map(lag1, lags.values()))]), ""]
     for label, block in d["ar"].items():
         if "skipped" in block:
             lines += [f"ar ({label}): skipped ({block['skipped']})", ""]

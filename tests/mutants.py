@@ -128,6 +128,15 @@ MUTANTS = [
      "TimeSeries._moments: the memo keys on stop only, so 0:n and p:n share their moments"),
     ("src/riskseries/autoreg.py", "a = series._moments(lag, n)", "a = series._moments(0, n - lag)",
      "lag_correlation: the lag:n moments are read from 0:n-lag"),
+    ("src/riskseries/_text.py", 'map(str.rstrip, map("  ".join, zip(*padded)))',
+     'map("  ".join, zip(*padded))',
+     "_text._table: rows keep their trailing blanks, the last column's padding and the "
+     "ANOVA rows' empty cells"),
+    ("src/riskseries/_text.py", "repeat(max(map(len, column)))", "repeat(len(column[0]))",
+     "_text._table: each column is padded to its header's width, not its widest cell"),
+    ("src/riskseries/_text.py", "for key, model in models.items()",
+     "for key, model in reversed(models.items())",
+     "_text._ar_lines: AR orders are printed highest first, not in the report's order"),
 ]
 
 

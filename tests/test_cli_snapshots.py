@@ -22,6 +22,7 @@ import hashlib
 import io
 import json
 import random
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -85,6 +86,11 @@ CASES = [
 ]
 
 SEEDED_DIGESTS = SNAPSHOT_DIR / "seeded_record.json"
+# Calls per value that ``analyze --format text`` adds between a 1,000- and
+# an 8,000-value seeded record: 19.97 measured, against 51.0 when text
+# tables were padded cell by cell. Most are ``_fmt`` and its two
+# ``isinstance`` tests, once per residual-table cell.
+TEXT_CALLS_PER_VALUE = 20
 # (case name, command and the flags after the seeded record's path)
 SEEDED_COMMANDS = [
     ("seeded_analyze", ["analyze"]),
@@ -158,6 +164,34 @@ def test_seeded_record_output_matches_its_digest(seeded_record, name, fmt, args)
     assert (exit_code, err) == (EXIT_OK, "")
     expected = json.loads(SEEDED_DIGESTS.read_text(encoding="utf-8"))[f"{name}.{fmt}"]
     assert _digest(out) == expected
+
+
+def _calls(argv: list[str]) -> int:
+    """Function and builtin calls that one in-process run makes, as cProfile counts them."""
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event in ("call", "c_call"):
+            count += 1
+
+    with redirect_stdout(io.StringIO()):
+        sys.setprofile(profile)
+        try:
+            main(argv)
+        finally:
+            sys.setprofile(None)
+    return count
+
+
+def test_text_analyze_calls_per_value_are_bounded(tmp_path):
+    """Counts, not times: the text tables' Python work per value does not creep back."""
+    counts = []
+    for n in (1_000, 8_000):
+        argv = ["analyze", str(_write_seeded_record(tmp_path / f"{n}.csv", n)), "--format", "text"]
+        _calls(argv)  # the first run fills the t-quantile cache
+        counts.append(_calls(argv))
+    assert (counts[1] - counts[0]) / 7_000 <= TEXT_CALLS_PER_VALUE
 
 
 def _regenerate():
