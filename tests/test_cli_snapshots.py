@@ -12,7 +12,9 @@ covered, down to the last digit.
 A seeded 2,000-value daily record guards the writers beyond the case
 study's 29 residual rows. Its ``analyze`` and ``residuals --lag 2``
 outputs run to hundreds of kilobytes, so only their length and sha256
-are kept, in ``data/snapshots/seeded_record.json``.
+are kept, in ``data/snapshots/seeded_record.json``. The same generator, at
+1,000 and 8,000 values, bounds the Python calls that ``analyze --format
+text`` makes per added value.
 
 To regenerate after a deliberate change of output:
 
