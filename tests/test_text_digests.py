@@ -1,10 +1,11 @@
-"""Byte-identity of every ``--format text`` command on a seeded corpus.
+"""Byte-identity of every command, in both output formats, on a seeded corpus.
 
 Each case writes its input files into one temporary directory and runs one
-command in process with ``--format text``. Its exit code, the sha256 of
-its stdout and its stderr, with the directory replaced by ``<DIR>``, are
-compared to ``data/snapshots/text_digests.json``. The corpus covers all
-eight commands:
+command in process, once with ``--format text`` and once with ``--format
+json``. Its exit code, the sha256 of its stdout and its stderr, with the
+directory replaced by ``<DIR>``, are compared to
+``data/snapshots/text_digests.json`` and ``data/snapshots/json_digests.json``.
+The corpus covers all eight commands:
 
 - seeded records of four shapes (rain-like amounts with ties, Gumbel,
   60% dry days, near-constant) at several lengths, every other one with
@@ -17,14 +18,18 @@ eight commands:
   ``residuals --lag 1`` and ``--lag 3``, and ``analyze`` plain, with
   ``--threshold``, ``--no-detrend`` and ``--max-lag 6``;
 - ``gev-pdf`` on seeded parameters and points, and ``risk-curve`` on the
-  bundled hazard and vulnerability files with seeded loss grids.
+  bundled hazard and vulnerability files with seeded loss grids;
+- ``risk-curve`` on the contract sweep's generated hazard, vulnerability
+  and loss files (``test_contract_sweep._risk_argv``), good or with one or
+  two faults, drawn from a generator of their own, so that every hazard,
+  grid and vulnerability message is pinned byte for byte.
 
-Failing runs stay in the corpus, so a rewrite of the text renderer is
+Failing runs stay in the corpus, so a rewrite of a renderer or a reader is
 checked against every exit code, not only against successful reports.
 Only ``random.Random`` and arithmetic draw the inputs, so every platform
 writes the same files.
 
-To regenerate after a deliberate change of text output:
+To regenerate after a deliberate change of output:
 
     PYTHONPATH=src python tests/test_text_digests.py
 """
@@ -41,9 +46,11 @@ from pathlib import Path
 import pytest
 
 from riskseries.cli import main
+from test_contract_sweep import _risk_argv as _sweep_risk_argv
 
 DATA_DIR = Path(__file__).parent / "data"
-DIGESTS = DATA_DIR / "snapshots" / "text_digests.json"
+FORMATS = ("text", "json")
+DIGESTS = {fmt: DATA_DIR / "snapshots" / f"{fmt}_digests.json" for fmt in FORMATS}
 PLACEHOLDER = "<DIR>"
 SEED = 31
 SHAPES = ("rain", "gumbel", "dry", "flat")
@@ -51,6 +58,8 @@ SIZES = (7, 13, 30, 75, 160)
 RECORDS_PER_SHAPE_AND_SIZE = 3
 GEV_CASES = 60
 RISK_CASES = 40
+SWEEP_RISK_SEED = 32
+SWEEP_RISK_CASES = 200
 # (name, months, value cells): records every series command refuses.
 BROKEN = [
     ("repeated-month", [1, 2, 2, 3, 4], ["2.0", "3.5", "4.0", "1.0", "2.5"]),
@@ -128,7 +137,7 @@ def _risk_argv(rng: random.Random, directory: Path) -> list[str]:
 
 
 def _cases(directory: Path) -> list[list[str]]:
-    """Every case's argv, less ``--format text``, after writing its inputs into directory."""
+    """Every case's argv, less ``--format``, after writing its inputs into directory."""
     for name in ("extreme_precipitation.csv", "hazard.csv", "vulnerability.csv", "losses.csv"):
         shutil.copy(DATA_DIR / name, directory / name)
     rng = random.Random(SEED)
@@ -158,13 +167,15 @@ def _cases(directory: Path) -> list[list[str]]:
                 record += 1
     argvs += [_gev_argv(rng) for _ in range(GEV_CASES)]
     argvs += [_risk_argv(rng, directory) for _ in range(RISK_CASES)]
+    sweep_rng = random.Random(SWEEP_RISK_SEED)
+    argvs += [_sweep_risk_argv(sweep_rng, directory, case) for case in range(SWEEP_RISK_CASES)]
     return argvs
 
 
-def _run(argv: list[str], directory: Path) -> dict:
+def _run(argv: list[str], directory: Path, fmt: str) -> dict:
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        code = main([*argv, "--format", "text"])
+        code = main([*argv, "--format", fmt])
     stdout = out.getvalue().replace(str(directory), PLACEHOLDER)
     return {
         "argv": [arg.replace(str(directory), PLACEHOLDER) for arg in argv],
@@ -174,35 +185,50 @@ def _run(argv: list[str], directory: Path) -> dict:
     }
 
 
-def _corpus(directory: Path) -> list[dict]:
-    return [_run(argv, directory) for argv in _cases(directory)]
+def _corpus(directory: Path, fmt: str) -> list[dict]:
+    return [_run(argv, directory, fmt) for argv in _cases(directory)]
 
 
 @pytest.fixture(scope="module")
-def committed() -> list[dict]:
-    return json.loads(DIGESTS.read_text(encoding="utf-8"))["cases"]
+def committed() -> dict[str, list[dict]]:
+    return {fmt: json.loads(path.read_text(encoding="utf-8"))["cases"]
+            for fmt, path in DIGESTS.items()}
 
 
 def test_corpus_reaches_every_command_and_exit_code(committed):
-    assert {case["code"] for case in committed} == {0, 1, 2, 3}
-    assert {case["argv"][0] for case in committed} == {
-        "summarize", "peaks", "trend", "ar", "residuals", "analyze", "gev-pdf", "risk-curve"}
+    for fmt, cases in committed.items():
+        assert {case["code"] for case in cases} == {0, 1, 2, 3}, fmt
+        assert {case["argv"][0] for case in cases} == {
+            "summarize", "peaks", "trend", "ar", "residuals", "analyze", "gev-pdf", "risk-curve"}
+        risk = [case for case in cases if case["argv"][0] == "risk-curve"]
+        assert len(risk) == RISK_CASES + SWEEP_RISK_CASES, fmt
+        assert {case["code"] for case in risk} == {0, 1, 2}, fmt
+    assert [case["argv"] for case in committed["text"]] == [
+        case["argv"] for case in committed["json"]]
 
 
-def test_text_output_matches_committed_digests(committed, tmp_path):
-    runs = _corpus(tmp_path)
+def _changed(runs: list[dict], committed: list[dict]) -> list:
     assert [run["argv"] for run in runs] == [case["argv"] for case in committed]
-    changed = [
+    return [
         (" ".join(run["argv"]), {key: (case[key], run[key]) for key in run if run[key] != case[key]})
         for run, case in zip(runs, committed) if run != case
     ]
-    assert changed == []
+
+
+def test_text_output_matches_committed_digests(committed, tmp_path):
+    assert _changed(_corpus(tmp_path, "text"), committed["text"]) == []
+
+
+def test_json_output_matches_committed_digests(committed, tmp_path):
+    assert _changed(_corpus(tmp_path, "json"), committed["json"]) == []
 
 
 if __name__ == "__main__":
-    with tempfile.TemporaryDirectory() as scratch:
-        cases = _corpus(Path(scratch))
-    DIGESTS.write_text(json.dumps({"seed": SEED, "cases": cases}, indent=1) + "\n",
-                       encoding="utf-8")
-    codes = [case["code"] for case in cases]
-    print(f"{len(cases)} cases, exit codes", {code: codes.count(code) for code in sorted(set(codes))})
+    for fmt, path in DIGESTS.items():
+        with tempfile.TemporaryDirectory() as scratch:
+            cases = _corpus(Path(scratch), fmt)
+        path.write_text(json.dumps({"seed": SEED, "cases": cases}, indent=1) + "\n",
+                        encoding="utf-8")
+        codes = [case["code"] for case in cases]
+        print(f"{fmt}: {len(cases)} cases, exit codes",
+              {code: codes.count(code) for code in sorted(set(codes))})
