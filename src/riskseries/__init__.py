@@ -53,7 +53,6 @@ _EVT_RISK = frozenset({
     "HazardCurve",
     "RiskCurve",
     "VulnerabilityCurve",
-    "VulnerabilityPoint",
     "build_segments",
     "conditional_exceedance",
     "conditional_nonexceedance",

@@ -30,7 +30,7 @@ def parse_hazard_csv(path: str) -> evt_risk.HazardCurve:
         evt_risk.check_hazard_point(before[-1] if before else (-math.inf, math.inf), point)
 
     def build(s, g):
-        hazard = evt_risk.HazardCurve(points=tuple(zip(s, g)))
+        hazard = evt_risk.HazardCurve(s=s, g=g)
         evt_risk.check_grid(hazard, hazard.s)  # on its own grid, so only its size can fail
         return hazard
 
@@ -39,7 +39,7 @@ def parse_hazard_csv(path: str) -> evt_risk.HazardCurve:
 
 def parse_vulnerability_csv(path: str, hazard: evt_risk.HazardCurve) -> evt_risk.VulnerabilityCurve:
     """Read one ``s,mean_loss,cov`` row per intensity of the hazard grid."""
-    grid = hazard.s
+    grid = hazard.s.tolist()
 
     def check_row(before, row):
         s, mean_loss, cov = row

@@ -42,12 +42,12 @@ per loss mantissa and once per median mantissa, not once per cell.
 Scaling the losses and the mean losses by a power of two changes neither
 the mantissas nor k, so the frequencies are exactly scale-equivariant.
 
-The vulnerability is one VulnerabilityCurve: read-only float64 columns
-s, mean_loss and cov. Each point goes through lognormal_params, the one
-rule that accepts or rejects a point and gives its lognormal's theta and
-beta, and the curve keeps those as two more columns. build_segments and
-risk_curve read the columns; a sequence of VulnerabilityPoints, the
-one-point form, is turned into a curve once, on entry.
+Each risk input is one record of read-only float64 columns. A
+HazardCurve holds s and g, each point checked by check_hazard_point in
+grid order. A VulnerabilityCurve holds s, mean_loss and cov; each point
+goes through lognormal_params, the one rule that accepts or rejects a
+point and gives its lognormal's theta and beta, and the curve keeps those
+as two more columns. build_segments and risk_curve read the columns.
 
 risk_curve evaluates in blocks of losses, each a (losses x points)
 matrix of at most _BLOCK_CELLS cells, so each q is taken once per
@@ -61,12 +61,12 @@ round as the C library's log does. A loss of 0 takes the mantissa log
 ratio to theta underflows needs no branch either: its log ratio is below
 -745 and every accepted beta is below 26.65, so z / sqrt 2 < -19.7,
 where erfc is exactly 2 and q again 1. Every cell then equals, bit for
-bit, the scalar conditional_exceedance. Each loss's frequency is the row sum
-(q * d).sum(axis=1): numpy's pairwise sum in a fixed order along the
-row, which depends neither on the block a row falls in nor on a BLAS
-build, its CPU kernel or its thread count. It is not an exactly rounded
-sum, so frequencies may differ from a sum in another order in the last
-digits.
+bit, the scalar conditional_exceedance(x, theta, beta). Each loss's
+frequency is the row sum (q * d).sum(axis=1): numpy's pairwise sum in a
+fixed order along the row, which depends neither on the block a row
+falls in nor on a BLAS build, its CPU kernel or its thread count. It is
+not an exactly rounded sum, so frequencies may differ from a sum in
+another order in the last digits.
 """
 from __future__ import annotations
 
@@ -133,8 +133,9 @@ def gev_pdf(x: float, params: GevParams) -> float:
 def lognormal_params(mean: float, cov: float) -> tuple[float, float]:
     """(median theta, log-sd beta) of a lognormal with given mean and CoV.
 
-    The one rule for a vulnerability point: VulnerabilityPoint and
-    VulnerabilityCurve take each point's theta and beta, or its UsageError, from here.
+    The one rule for a vulnerability point: VulnerabilityCurve takes each
+    point's theta and beta, or its UsageError, from here, and the scalar
+    conditional probabilities take the pair it returns.
     """
     if not mean > 0.0:
         raise UsageError(f"mean loss must be positive, got {mean!r}")
@@ -154,23 +155,6 @@ def lognormal_params(mean: float, cov: float) -> tuple[float, float]:
     return theta, beta
 
 
-class VulnerabilityPoint(Record):
-    """Conditional loss distribution at excitation intensity s.
-
-    ``theta`` and ``beta``, the lognormal's median and log-sd, are derived
-    attributes set from the fields; they are not fields themselves.
-    """
-
-    s: float
-    mean_loss: float
-    cov: float
-
-    def __post_init__(self):
-        theta, beta = lognormal_params(self.mean_loss, self.cov)
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "beta", beta)
-
-
 class VulnerabilityCurve(Record, eq=False):
     """Conditional loss distributions over an intensity grid, as columns.
 
@@ -178,8 +162,7 @@ class VulnerabilityCurve(Record, eq=False):
     length, copied on construction. Each point goes through
     lognormal_params, in grid order, so the first rejected point raises its
     UsageError. ``theta`` and ``beta``, the columns of what it returns, are
-    derived attributes, not fields. Iterating a curve gives its
-    VulnerabilityPoints.
+    derived attributes, not fields.
     """
 
     s: np.ndarray
@@ -200,33 +183,22 @@ class VulnerabilityCurve(Record, eq=False):
             column.flags.writeable = False
             object.__setattr__(self, name, column)
 
-    @classmethod
-    def of(cls, vulnerability) -> "VulnerabilityCurve":
-        """A curve as it is, or a sequence of VulnerabilityPoints as a curve."""
-        if isinstance(vulnerability, cls):
-            return vulnerability
-        return cls(s=[p.s for p in vulnerability], mean_loss=[p.mean_loss for p in vulnerability],
-                   cov=[p.cov for p in vulnerability])
-
     def __len__(self) -> int:
         return len(self.s)
 
-    def __iter__(self):
-        return map(VulnerabilityPoint, self.s.tolist(), self.mean_loss.tolist(), self.cov.tolist())
 
-
-def conditional_nonexceedance(x: float, point: VulnerabilityPoint) -> float:
-    """P[X <= x | S = s] for the lognormal vulnerability at that point.
+def conditional_nonexceedance(x: float, theta: float, beta: float) -> float:
+    """P[X <= x | S = s] for the lognormal of median theta and log-sd beta at s.
 
     This is normal_cdf(log(x / theta) / beta), with the log taken from the
     frexp parts of x and theta as the module docstring describes. A loss
     of 0, or one whose ratio to theta underflows to 0, gives 0; at
     beta = 0 the loss is deterministic and P steps from 0 to 1 at theta.
     """
-    return normal_cdf(_standard_score(x, point))
+    return normal_cdf(_standard_score(x, theta, beta))
 
 
-def conditional_exceedance(x: float, point: VulnerabilityPoint) -> float:
+def conditional_exceedance(x: float, theta: float, beta: float) -> float:
     """P[X > x | S = s], taken directly as erfc(z / sqrt 2) / 2.
 
     z is the standard score of conditional_nonexceedance, so this is
@@ -235,7 +207,7 @@ def conditional_exceedance(x: float, point: VulnerabilityPoint) -> float:
     gives 1, and at beta = 0 it steps from 1 to 0 at theta. Every cell of
     risk_curve equals this, bit for bit.
     """
-    return 0.5 * math.erfc(_standard_score(x, point) / _SQRT2)
+    return 0.5 * math.erfc(_standard_score(x, theta, beta) / _SQRT2)
 
 
 def check_loss(x: float) -> float:
@@ -245,17 +217,17 @@ def check_loss(x: float) -> float:
     return x
 
 
-def _standard_score(x: float, point: VulnerabilityPoint) -> float:
+def _standard_score(x: float, theta: float, beta: float) -> float:
     """z = log(x / theta) / beta; -inf where X > x is certain, +inf where X <= x is."""
     if check_loss(x) == 0.0:
         return -math.inf
-    if point.beta == 0.0:
-        return math.inf if x >= point.theta else -math.inf  # deterministic loss
-    if x / point.theta == 0.0:
+    if beta == 0.0:
+        return math.inf if x >= theta else -math.inf  # deterministic loss
+    if x / theta == 0.0:
         return -math.inf  # x / theta underflowed; P -> 0 as x -> 0
     m_x, e_x = math.frexp(x)
-    m_t, e_t = math.frexp(point.theta)
-    return _log_ratio(e_x - e_t, math.log(m_x), math.log(m_t)) / point.beta
+    m_t, e_t = math.frexp(theta)
+    return _log_ratio(e_x - e_t, math.log(m_x), math.log(m_t)) / beta
 
 
 def _log_ratio(k, log_m_x, log_m_t):
@@ -283,28 +255,31 @@ def check_hazard_point(previous: tuple[float, float], point: tuple[float, float]
         raise DataError(f"hazard frequencies must be non-increasing at s={s}")
 
 
-class HazardCurve(Record):
-    """Intensity grid with mean annual exceedance frequencies.
+class HazardCurve(Record, eq=False):
+    """Intensity grid with mean annual exceedance frequencies, as columns.
 
-    ``s`` and ``g``, the tuples of the points' intensities and
-    frequencies, are derived attributes; they are not fields themselves.
+    ``s`` and ``g`` are read-only float64 columns of one length, copied on
+    construction. Each point (s_i, g_i) goes through check_hazard_point, in
+    grid order, so the first rejected point raises its DataError.
     """
 
-    points: tuple[tuple[float, float], ...]  # (s, G) pairs
+    s: np.ndarray
+    g: np.ndarray
 
     def __post_init__(self):
-        points = tuple((float(s), float(g)) for s, g in self.points)
-        object.__setattr__(self, "points", points)
-        previous = (-math.inf, math.inf)
-        for point in points:
+        s, g = np.array(self.s, dtype=float), np.array(self.g, dtype=float)
+        if not (s.ndim == 1 and s.shape == g.shape):
+            raise UsageError(f"hazard columns must be one-dimensional and of one length, "
+                             f"got shapes {s.shape} and {g.shape}")
+        points = list(zip(s.tolist(), g.tolist()))
+        for previous, point in zip([(-math.inf, math.inf), *points], points):
             check_hazard_point(previous, point)
-            previous = point
-        s, g = tuple(zip(*points)) or ((), ())
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "g", g)
+        for name, column in (("s", s), ("g", g)):
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.s)
 
 
 def check_grid(hazard: HazardCurve, s: Sequence[float]) -> None:
@@ -316,11 +291,11 @@ def check_grid(hazard: HazardCurve, s: Sequence[float]) -> None:
     if not np.array_equal(s, hazard.s):
         i = int(np.argmax(np.asarray(s) != hazard.s))
         raise UsageError(f"vulnerability grid is misaligned: "
-                         f"s={float(s[i])} vs hazard s={hazard.s[i]}")
+                         f"s={float(s[i])} vs hazard s={float(hazard.s[i])}")
 
 
 def build_segments(
-    hazard: HazardCurve, vulnerability: VulnerabilityCurve | Sequence[VulnerabilityPoint]
+    hazard: HazardCurve, vulnerability: VulnerabilityCurve
 ) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form quadrature weights ``(a, b)``, one entry per hazard segment.
 
@@ -338,13 +313,11 @@ def build_segments(
     with segment j running from point j-1 to point j, so the first point
     takes a_1 - b_1 and the last b_{n-1}, and R(x) = sum of d_j * q_j(x).
 
-    ``vulnerability``, a VulnerabilityCurve or a sequence of
-    VulnerabilityPoints, must lie on the hazard's grid; only its ``s``
+    ``vulnerability`` must lie on the hazard's grid; only its ``s``
     column is read here, to check that.
     """
-    vulnerability = VulnerabilityCurve.of(vulnerability)
     check_grid(hazard, vulnerability.s)
-    g = hazard.g
+    g = hazard.g.tolist()
     a, b = [], []
     for g_prev, g_cur in zip(g, g[1:]):
         ratio = g_cur / g_prev
@@ -404,14 +377,13 @@ class RiskCurve(Record):
 def risk_curve(
     losses: Sequence[float],
     hazard: HazardCurve,
-    vulnerability: VulnerabilityCurve | Sequence[VulnerabilityPoint],
+    vulnerability: VulnerabilityCurve,
 ) -> RiskCurve:
     """Annual loss-exceedance frequencies over a loss grid.
 
     Contributions outside [s_1, s_n] are truncated, so a loss of 0 maps
     to the total in-range frequency G_1 - G_n.
     """
-    vulnerability = VulnerabilityCurve.of(vulnerability)
     a, b = build_segments(hazard, vulnerability)
     loss_grid = tuple(check_loss(float(x)) for x in losses)
     d = np.zeros(len(a) + 1)  # the weights build_segments describes, all >= +0.0

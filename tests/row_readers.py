@@ -6,11 +6,12 @@ on its own, and the first bad row raises. ``test_readers.py`` runs every
 input of its corpus through both and requires the same result or the same
 error. Do not edit this file to follow the CLI; it is the reference.
 
-Two edits since follow changes of contract, not of reading: the
-vulnerability reader still checks each row as a ``VulnerabilityPoint``
-but returns the points as one ``VulnerabilityCurve``, the type the
-library now takes, and a loss file with a header and no rows is a data
-error, as it is for the other three readers.
+Three edits since follow changes of contract, not of reading: the
+hazard and vulnerability readers return their rows as the column records
+``HazardCurve`` and ``VulnerabilityCurve``, the types the library now
+takes; the vulnerability reader checks each row by ``lognormal_params``,
+the rule the retired one-point record applied; and a loss file with a
+header and no rows is a data error, as it is for the other three readers.
 """
 from __future__ import annotations
 
@@ -21,8 +22,8 @@ from riskseries.errors import DataError, UsageError
 from riskseries.evt_risk import (
     HazardCurve,
     VulnerabilityCurve,
-    VulnerabilityPoint,
     check_hazard_point,
+    lognormal_params,
 )
 from riskseries.series import TimeSeries
 
@@ -145,20 +146,20 @@ def parse_hazard_csv(path: str) -> HazardCurve:
         raise DataError(f"{path}: no data rows")
     if len(points) < 2:
         raise DataError(f"{path}: need at least 2 hazard points, got {len(points)}")
-    return HazardCurve(points=tuple(points))
+    return HazardCurve(*zip(*points))
 
 
 def parse_vulnerability_csv(path: str, hazard: HazardCurve) -> VulnerabilityCurve:
     """Read one ``s,mean_loss,cov`` row per intensity of the hazard grid.
 
-    Each row is checked as a ``VulnerabilityPoint``; the points are then
+    Each row is checked by ``lognormal_params``; the rows are then
     returned as one curve, the type the CLI's reader returns.
     """
     rows = _read_rows(path)
     expected = ["s", "mean_loss", "cov"]
     if not rows or [c.strip().lower() for c in rows[0][1].split(",")] != expected:
         raise DataError(f"{path}: expected header 's,mean_loss,cov'")
-    grid = hazard.s
+    grid = hazard.s.tolist()
     points = []
     for i, (lineno, line) in enumerate(rows[1:]):
         cells = [c.strip() for c in line.split(",")]
@@ -166,9 +167,10 @@ def parse_vulnerability_csv(path: str, hazard: HazardCurve) -> VulnerabilityCurv
             raise DataError(f"{path}: line {lineno}: expected 3 fields")
         s, mean_loss, cov = _finite_row(path, lineno, cells, "vulnerability point")
         try:
-            points.append(VulnerabilityPoint(s=s, mean_loss=mean_loss, cov=cov))
+            lognormal_params(mean_loss, cov)
         except UsageError as exc:
             raise DataError(f"{path}: line {lineno}: {exc}") from None
+        points.append((s, mean_loss, cov))
         if i == len(grid):
             raise DataError(f"{path}: line {lineno}: row beyond the {len(grid)}-point hazard grid")
         if s != grid[i]:
@@ -180,7 +182,7 @@ def parse_vulnerability_csv(path: str, hazard: HazardCurve) -> VulnerabilityCurv
         raise DataError(f"{path}: no data rows")
     if len(points) != len(grid):
         raise DataError(f"{path}: vulnerability has {len(points)} points, hazard has {len(grid)}")
-    return VulnerabilityCurve.of(points)
+    return VulnerabilityCurve(*zip(*points))
 
 
 def _parse_loss_grid(flag_value: str | None, csv_path: str | None) -> tuple[float, ...]:

@@ -325,7 +325,7 @@ def test_c12_risk_curve_oracle():
             hazard, vulnerability = make_instance(
                 rng, n_points=n_points, flat_segment=(instance % 7 == 0)
             )
-            top = float(np.max([v.mean_loss for v in vulnerability]))
+            top = float(vulnerability.mean_loss.max())
             losses = np.linspace(0.0, 3.0 * top, 10).tolist()
             start = time.perf_counter()
             curve = risk_curve(losses, hazard, vulnerability)

@@ -1,4 +1,7 @@
+import copy
 import math
+import pickle
+import re
 import sys
 import tracemalloc
 import types
@@ -14,8 +17,8 @@ from riskseries.evt_risk import (
     GevParams,
     HazardCurve,
     VulnerabilityCurve,
-    VulnerabilityPoint,
     build_segments,
+    check_hazard_point,
     conditional_exceedance,
     conditional_nonexceedance,
     gev_pdf,
@@ -109,7 +112,7 @@ def test_lognormal_params_reject_a_zero_median_or_an_infinite_log_sd(mean, cov):
         with pytest.raises(UsageError, match="^lognormal (median underflows|log-sd overflows)"):
             lognormal_params(mean, cov)
         with pytest.raises(UsageError):
-            VulnerabilityPoint(s=1.0, mean_loss=mean, cov=cov)
+            VulnerabilityCurve(s=[1.0], mean_loss=[mean], cov=[cov])
 
 
 def test_lognormal_params_keep_the_largest_finite_log_sd():
@@ -123,7 +126,7 @@ def test_an_infinite_mean_loss_is_rejected_in_point_and_column_form():
     with pytest.raises(UsageError, match=finite):
         lognormal_params(math.inf, 0.5)
     with pytest.raises(UsageError, match=finite):
-        VulnerabilityPoint(s=1.0, mean_loss=math.inf, cov=0.5)
+        VulnerabilityCurve(s=[1.0], mean_loss=[math.inf], cov=[0.5])
     with pytest.raises(UsageError, match=finite):
         VulnerabilityCurve(s=[1.0, 2.0], mean_loss=[0.5, math.inf], cov=[0.5, 0.5])
     # A point rejected for another reason keeps that reason's message.
@@ -141,61 +144,61 @@ def test_lognormal_mean_round_trip():
 
 
 def test_conditional_nonexceedance_basics():
-    point = VulnerabilityPoint(s=1.0, mean_loss=0.4, cov=0.5)
-    assert conditional_nonexceedance(point.theta, point) == pytest.approx(0.5, abs=1e-12)
-    assert conditional_nonexceedance(0.0, point) == 0.0
-    assert conditional_nonexceedance(1e-12, point) == pytest.approx(0.0, abs=1e-9)
+    theta, beta = params = lognormal_params(0.4, 0.5)
+    assert conditional_nonexceedance(theta, *params) == pytest.approx(0.5, abs=1e-12)
+    assert conditional_nonexceedance(0.0, *params) == 0.0
+    assert conditional_nonexceedance(1e-12, *params) == pytest.approx(0.0, abs=1e-9)
     with pytest.raises(UsageError):
-        conditional_nonexceedance(-1.0, point)
-    assert conditional_exceedance(point.theta, point) == pytest.approx(0.5, abs=1e-12)
-    assert conditional_exceedance(0.0, point) == 1.0
+        conditional_nonexceedance(-1.0, *params)
+    assert conditional_exceedance(theta, *params) == pytest.approx(0.5, abs=1e-12)
+    assert conditional_exceedance(0.0, *params) == 1.0
     for x in (0.05, 0.4, 2.0):
-        assert conditional_exceedance(x, point) == pytest.approx(
-            1.0 - conditional_nonexceedance(x, point), abs=1e-15
+        assert conditional_exceedance(x, *params) == pytest.approx(
+            1.0 - conditional_nonexceedance(x, *params), abs=1e-15
         )
     # Far above the median, 1 - P cancels to 0 and the exceedance does not.
-    assert conditional_nonexceedance(1e6, point) == 1.0
-    assert 0.0 < conditional_exceedance(1e6, point) < 1e-200
+    assert conditional_nonexceedance(1e6, *params) == 1.0
+    assert 0.0 < conditional_exceedance(1e6, *params) < 1e-200
     with pytest.raises(UsageError):
-        conditional_exceedance(-1.0, point)
+        conditional_exceedance(-1.0, *params)
 
 
 def test_conditional_nonexceedance_matches_quadrature():
-    point = VulnerabilityPoint(s=1.0, mean_loss=0.4, cov=0.7)
+    theta, beta = lognormal_params(0.4, 0.7)
     phi = lambda u: math.exp(-u * u / 2.0) / math.sqrt(2.0 * math.pi)
     for x in (0.05, 0.2, 0.4, 0.8, 2.0):
-        z = math.log(x / point.theta) / point.beta
+        z = math.log(x / theta) / beta
         expected, _ = integrate.quad(phi, -math.inf, z, limit=200)
-        assert conditional_nonexceedance(x, point) == pytest.approx(expected, abs=1e-10)
+        assert conditional_nonexceedance(x, theta, beta) == pytest.approx(expected, abs=1e-10)
 
 
 def test_conditional_nonexceedance_monotone_and_scale_invariant():
-    point = VulnerabilityPoint(s=1.0, mean_loss=1.0, cov=0.9)
-    values = [conditional_nonexceedance(x, point) for x in np.linspace(0.0, 5.0, 60)]
+    params = lognormal_params(1.0, 0.9)
+    values = [conditional_nonexceedance(x, *params) for x in np.linspace(0.0, 5.0, 60)]
     assert all(a <= b + 1e-15 for a, b in zip(values, values[1:]))
-    scaled = VulnerabilityPoint(s=1.0, mean_loss=7.0, cov=0.9)  # theta scales by 7
+    scaled = lognormal_params(7.0, 0.9)  # theta scales by 7
     for x in (0.3, 1.0, 2.5):
-        assert conditional_nonexceedance(x, point) == pytest.approx(
-            conditional_nonexceedance(7.0 * x, scaled), rel=1e-12
+        assert conditional_nonexceedance(x, *params) == pytest.approx(
+            conditional_nonexceedance(7.0 * x, *scaled), rel=1e-12
         )
 
 
 def test_deterministic_vulnerability_is_step():
-    point = VulnerabilityPoint(s=1.0, mean_loss=0.5, cov=0.0)
-    assert point.beta == 0.0 and point.theta == 0.5
-    assert conditional_nonexceedance(0.49, point) == 0.0
-    assert conditional_nonexceedance(0.5, point) == 1.0
-    assert conditional_exceedance(0.49, point) == 1.0
-    assert conditional_exceedance(0.5, point) == 0.0
+    params = lognormal_params(0.5, 0.0)
+    assert params == (0.5, 0.0)
+    assert conditional_nonexceedance(0.49, *params) == 0.0
+    assert conditional_nonexceedance(0.5, *params) == 1.0
+    assert conditional_exceedance(0.49, *params) == 1.0
+    assert conditional_exceedance(0.5, *params) == 0.0
 
 
 def test_conditional_nonexceedance_of_an_underflowing_ratio_is_zero():
-    point = VulnerabilityPoint(s=1.0, mean_loss=10.0, cov=0.5)
-    assert 5e-324 / point.theta == 0.0  # math.log of it used to raise
-    assert conditional_nonexceedance(5e-324, point) == 0.0
-    assert conditional_exceedance(5e-324, point) == 1.0
-    hazard = HazardCurve(((1.0, 2.0), (2.0, 1.0)))
-    vulnerability = (point, VulnerabilityPoint(s=2.0, mean_loss=12.0, cov=0.5))
+    theta, beta = params = lognormal_params(10.0, 0.5)
+    assert 5e-324 / theta == 0.0  # math.log of it used to raise
+    assert conditional_nonexceedance(5e-324, *params) == 0.0
+    assert conditional_exceedance(5e-324, *params) == 1.0
+    hazard = HazardCurve([1.0, 2.0], [2.0, 1.0])
+    vulnerability = VulnerabilityCurve(s=[1.0, 2.0], mean_loss=[10.0, 12.0], cov=[0.5, 0.5])
     assert risk_curve([0.0, 5e-324], hazard, vulnerability).frequencies == (1.0, 1.0)
 
 
@@ -211,21 +214,30 @@ def make_instance(rng, n_points=5, flat_segment=False):
     g = g1 * np.exp(-decay * (s - s[0])) * jitter
     if flat_segment:
         g[2] = g[1]  # zero log-slope segment
-    hazard = HazardCurve(tuple(zip(s.tolist(), g.tolist())))
+    hazard = HazardCurve(s, g)
     mean_loss = np.sort(rng.uniform(0.05, 2.0, size=n_points))
     cov = rng.uniform(0.1, 1.5, size=n_points)
-    vulnerability = tuple(
-        VulnerabilityPoint(s=float(si), mean_loss=float(m), cov=float(c))
-        for si, m, c in zip(s, mean_loss, cov)
-    )
-    return hazard, vulnerability
+    return hazard, VulnerabilityCurve(s, mean_loss, cov)
+
+
+def point_params(vulnerability):
+    """Each point's (theta, beta), from lognormal_params of its row, for the scalar reference."""
+    return list(map(lognormal_params, vulnerability.mean_loss.tolist(),
+                    vulnerability.cov.tolist()))
+
+
+def sub_curve(vulnerability, points):
+    """The vulnerability at a slice of its points."""
+    return VulnerabilityCurve(vulnerability.s[points], vulnerability.mean_loss[points],
+                              vulnerability.cov[points])
 
 
 def trapezoid_oracle(x, hazard, vulnerability, points=100_000):
     """Fine-grid trapezoid of (1 - P) * (-dG/ds) with the same interpolants."""
-    s = np.asarray(hazard.s)
-    g = np.asarray(hazard.g)
-    p_knots = np.array([conditional_nonexceedance(x, v) for v in vulnerability])
+    s = hazard.s
+    g = hazard.g
+    p_knots = np.array([conditional_nonexceedance(x, *params)
+                        for params in point_params(vulnerability)])
     grid = np.linspace(s[0], s[-1], points)
     seg = np.clip(np.searchsorted(s, grid, side="right") - 1, 0, len(s) - 2)
     ds = s[seg + 1] - s[seg]
@@ -263,7 +275,7 @@ def test_risk_curve_monotone_and_linear_in_g():
     curve = risk_curve(losses, hazard, vulnerability)
     for a, b in zip(curve.frequencies, curve.frequencies[1:]):
         assert b <= a
-    doubled = HazardCurve(tuple((s, 2.0 * g) for s, g in hazard.points))
+    doubled = HazardCurve(hazard.s, 2.0 * hazard.g)
     curve2 = risk_curve(losses, doubled, vulnerability)
     for r1, r2 in zip(curve.frequencies, curve2.frequencies):
         assert r2 == pytest.approx(2.0 * r1, rel=1e-12, abs=1e-15)
@@ -281,19 +293,19 @@ def test_segment_weights():
 
 def test_segment_whose_frequency_ratio_underflows_takes_a_difference_of_logs():
     # 1e-308 / 1e308 underflows to 0, where math.log raised a domain error.
-    steep = HazardCurve(((1.0, 1e308), (2.0, 1e-308), (3.0, 5e-324)))
-    vulnerability = tuple(VulnerabilityPoint(s=s, mean_loss=s, cov=0.5) for s in (1.0, 2.0, 3.0))
+    steep = HazardCurve([1.0, 2.0, 3.0], [1e308, 1e-308, 5e-324])
+    vulnerability = VulnerabilityCurve([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [0.5] * 3)
     a, b = build_segments(steep, vulnerability)
     t = math.log(1e-308) - math.log(1e308)
     assert a[0] == 1e308 - 1e-308
     assert b[0] == 1e308 * (math.expm1(t) / t - math.exp(t))
     # A ratio that does not underflow, even a subnormal one, keeps t = log(ratio);
     # for this pair the difference of logs rounds otherwise.
-    tiny = HazardCurve(((1.0, 2.680632529446252e+270), (2.0, 1.0965714741895922e-39),
-                        (3.0, 1e-40)))
+    tiny = HazardCurve([1.0, 2.0, 3.0], [2.680632529446252e+270, 1.0965714741895922e-39, 1e-40])
     for hazard in (steep, tiny):
         _, b = build_segments(hazard, vulnerability)
-        for i, (g_prev, g_cur) in enumerate(zip(hazard.g, hazard.g[1:])):
+        g = hazard.g.tolist()
+        for i, (g_prev, g_cur) in enumerate(zip(g, g[1:])):
             if g_cur / g_prev > 0.0:
                 t = math.log(g_cur / g_prev)
                 assert b[i] == g_prev * (math.expm1(t) / t - math.exp(t))
@@ -306,64 +318,58 @@ def test_segment_whose_frequency_ratio_underflows_takes_a_difference_of_logs():
 
 
 def test_flat_segment_weight_b_is_positive_zero():
-    hazard = HazardCurve(((1, 2), (2, 2), (3, 1)))
-    vulnerability = tuple(VulnerabilityPoint(s=s, mean_loss=s, cov=0.5) for s in (1.0, 2.0, 3.0))
+    hazard = HazardCurve([1, 2, 3], [2, 2, 1])
+    vulnerability = VulnerabilityCurve([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [0.5] * 3)
     _, b = build_segments(hazard, vulnerability)
     assert b[0] == 0.0 and math.copysign(1.0, b[0]) == 1.0
     assert b[1] > 0.0
 
 
 def test_flat_segment_contributes_nothing():
-    hazard = HazardCurve(((1.0, 2.0), (2.0, 2.0), (3.0, 1.0)))
-    vulnerability = tuple(
-        VulnerabilityPoint(s=s, mean_loss=0.5 + 0.1 * s, cov=0.4) for s in (1.0, 2.0, 3.0)
-    )
+    hazard = HazardCurve([1.0, 2.0, 3.0], [2.0, 2.0, 1.0])
+    s = [1.0, 2.0, 3.0]
+    vulnerability = VulnerabilityCurve(s, [0.5 + 0.1 * si for si in s], [0.4] * 3)
     a, _ = build_segments(hazard, vulnerability)
     assert a[0] == 0.0
     (with_flat,) = risk_curve([0.4], hazard, vulnerability).frequencies
-    without = HazardCurve(hazard.points[1:])
-    (after_flat,) = risk_curve([0.4], without, vulnerability[1:]).frequencies
+    without = HazardCurve(hazard.s[1:], hazard.g[1:])
+    (after_flat,) = risk_curve([0.4], without, sub_curve(vulnerability, slice(1, None))).frequencies
     assert with_flat == pytest.approx(after_flat, abs=1e-15)
     # near-flat segment goes through the series branch and stays consistent
-    almost = HazardCurve(((1.0, 2.0), (2.0, 2.0 * (1.0 - 1e-9)), (3.0, 1.0)))
+    almost = HazardCurve([1.0, 2.0, 3.0], [2.0, 2.0 * (1.0 - 1e-9), 1.0])
     oracle = trapezoid_oracle(0.4, almost, vulnerability)
     (closed,) = risk_curve([0.4], almost, vulnerability).frequencies
     assert closed == pytest.approx(oracle, rel=5e-3, abs=1e-9)
 
 
 def test_validation_errors():
-    good = ((1.0, 2.0), (2.0, 1.0))
-    vulnerability = (
-        VulnerabilityPoint(s=1.0, mean_loss=0.5, cov=0.3),
-        VulnerabilityPoint(s=2.0, mean_loss=0.7, cov=0.3),
-    )
+    good = HazardCurve([1.0, 2.0], [2.0, 1.0])
+    vulnerability = VulnerabilityCurve([1.0, 2.0], [0.5, 0.7], [0.3, 0.3])
+    first = sub_curve(vulnerability, slice(1))
     with pytest.raises(UsageError):
-        risk_curve([1.0], HazardCurve(good), vulnerability[:1])  # misaligned count
-    misaligned = (
-        VulnerabilityPoint(s=1.0, mean_loss=0.5, cov=0.3),
-        VulnerabilityPoint(s=2.5, mean_loss=0.7, cov=0.3),
-    )
+        risk_curve([1.0], good, first)  # misaligned count
+    misaligned = VulnerabilityCurve([1.0, 2.5], [0.5, 0.7], [0.3, 0.3])
     with pytest.raises(UsageError):
-        risk_curve([1.0], HazardCurve(good), misaligned)
+        risk_curve([1.0], good, misaligned)
     with pytest.raises(UsageError):
-        risk_curve([1.0], HazardCurve(((1.0, 2.0),)), vulnerability[:1])  # n < 2
+        risk_curve([1.0], HazardCurve([1.0], [2.0]), first)  # n < 2
     with pytest.raises(DataError):
-        HazardCurve(((1.0, 2.0), (2.0, 0.0)))  # non-positive G
+        HazardCurve([1.0, 2.0], [2.0, 0.0])  # non-positive G
     with pytest.raises(DataError):
-        HazardCurve(((1.0, 2.0), (2.0, 3.0)))  # increasing G
+        HazardCurve([1.0, 2.0], [2.0, 3.0])  # increasing G
     with pytest.raises(DataError):
-        HazardCurve(((2.0, 2.0), (1.0, 1.0)))  # s not increasing
+        HazardCurve([2.0, 1.0], [2.0, 1.0])  # s not increasing
     with pytest.raises(UsageError):
-        risk_curve([-1.0], HazardCurve(good), vulnerability)  # negative loss
+        risk_curve([-1.0], good, vulnerability)  # negative loss
     with pytest.raises(UsageError, match=r"got -2\.0$"):
-        risk_curve([0.5, -2.0, -3.0], HazardCurve(good), vulnerability)  # the first one
+        risk_curve([0.5, -2.0, -3.0], good, vulnerability)  # the first one
     with pytest.raises(UsageError, match=r"^loss must be non-negative, got nan$"):
-        risk_curve([math.nan, 0.5], HazardCurve(good), vulnerability)
+        risk_curve([math.nan, 0.5], good, vulnerability)
     for scalar in (conditional_nonexceedance, conditional_exceedance):
         with pytest.raises(UsageError, match=r"got nan$"):
-            scalar(math.nan, vulnerability[0])
+            scalar(math.nan, *lognormal_params(0.5, 0.3))
     with pytest.raises(UsageError, match=r"^coefficient of variation must be >= 0, got nan$"):
-        VulnerabilityPoint(s=1.0, mean_loss=0.5, cov=math.nan)
+        VulnerabilityCurve([1.0], [0.5], [math.nan])
 
 
 # ------------------------------------- blocked kernel vs the scalar cells
@@ -379,25 +385,18 @@ def bench_shaped_instance(seed, points, losses):
     g *= rng.uniform(0.995, 1.0, points).cumprod()
     mean = np.sort(rng.uniform(0.05, 2.0, points))
     cov = rng.uniform(0.1, 1.5, points)
-    hazard = HazardCurve(tuple(zip(s.tolist(), g.tolist())))
-    vulnerability = tuple(
-        VulnerabilityPoint(s=a, mean_loss=b, cov=c)
-        for a, b, c in zip(s.tolist(), mean.tolist(), cov.tolist())
-    )
     grid = np.linspace(0.0, 3.0 * float(mean.max()), losses).tolist()
-    return hazard, vulnerability, grid
+    return HazardCurve(s, g), VulnerabilityCurve(s, mean, cov), grid
 
 
 def steps_instance(rng):
     """Steps (beta = 0 at three points), a flat and two nearly flat segments."""
     s = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]
     g = [3.0, 3.0, 2.0, 2.0 * (1.0 - 1e-9), 1.5, 1.5 * (1.0 - 3e-12), 0.4]
-    hazard = HazardCurve(tuple(zip(s, g)))
+    hazard = HazardCurve(s, g)
     covs = [0.4, 0.0, 0.7, 0.0, 1.1, 0.3, 0.0]  # beta = 0 at three points
-    vulnerability = tuple(
-        VulnerabilityPoint(s=si, mean_loss=0.3 * si, cov=c) for si, c in zip(s, covs)
-    )
-    at_theta = [v.theta for v in vulnerability if v.beta == 0.0]
+    vulnerability = VulnerabilityCurve(s, [0.3 * si for si in s], covs)
+    at_theta = vulnerability.theta[vulnerability.beta == 0.0].tolist()
     nearby = [math.nextafter(t, 0.0) for t in at_theta] + [math.nextafter(t, 9.0) for t in at_theta]
     return hazard, vulnerability, at_theta + nearby + rng.uniform(0.0, 3.0, 60).tolist()
 
@@ -417,8 +416,8 @@ def assert_cells_match_the_scalar(monkeypatch, losses, hazard, vulnerability):
         curve = risk_curve(losses, hazard, vulnerability)
     assert [x for xs, _ in blocks for x in xs] == list(curve.losses)
     for xs, q in blocks:
-        expected = [[conditional_exceedance(x, point).hex() for point in vulnerability]
-                    for x in xs]
+        expected = [[conditional_exceedance(x, *params).hex()
+                     for params in point_params(vulnerability)] for x in xs]
         assert [[cell.hex() for cell in row] for row in q] == expected
 
 
@@ -487,13 +486,10 @@ def test_risk_curve_never_rises_with_the_loss():
         k = int(rng.integers(-900, 901))
         mean = np.ldexp(np.sort(rng.uniform(0.05, 2.0, n)), k)
         cov = np.where(rng.random(n) < 0.2, 0.0, rng.uniform(0.05, 2.0, n))
-        hazard = HazardCurve(tuple(zip(s.tolist(), g.tolist())))
-        vulnerability = tuple(
-            VulnerabilityPoint(s=a, mean_loss=b, cov=c)
-            for a, b, c in zip(s.tolist(), mean.tolist(), cov.tolist())
-        )
+        hazard = HazardCurve(s, g)
+        vulnerability = VulnerabilityCurve(s, mean, cov)
         base = np.ldexp(rng.uniform(0.0, 6.0, 12), k).tolist()
-        base += [v.theta for v in vulnerability] + [0.0]
+        base += vulnerability.theta.tolist() + [0.0]
         losses = sorted(base + [math.nextafter(x, math.inf) for x in base])
         frequencies = risk_curve(losses, hazard, vulnerability).frequencies
         assert all(r >= 0.0 and math.copysign(1.0, r) == 1.0 for r in frequencies), trial
@@ -501,12 +497,9 @@ def test_risk_curve_never_rises_with_the_loss():
 
 
 def test_risk_curve_of_an_overflowing_ratio_raises_no_warning():
-    hazard = HazardCurve(((1.0, 2.0), (2.0, 1.0), (3.0, 0.5)))
-    vulnerability = tuple(
-        VulnerabilityPoint(s=s, mean_loss=m, cov=c)
-        for s, m, c in ((1.0, 0.2, 0.5), (2.0, 0.5, 0.5), (3.0, 0.9, 0.0))
-    )
-    assert 1.7e308 / vulnerability[0].theta == math.inf  # theta < 1
+    hazard = HazardCurve([1.0, 2.0, 3.0], [2.0, 1.0, 0.5])
+    vulnerability = VulnerabilityCurve([1.0, 2.0, 3.0], [0.2, 0.5, 0.9], [0.5, 0.5, 0.0])
+    assert 1.7e308 / vulnerability.theta.tolist()[0] == math.inf  # theta < 1
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         curve = risk_curve(EDGE_LOSSES + [0.5, math.inf], hazard, vulnerability)
@@ -586,12 +579,12 @@ def test_losses_certainly_exceeded_need_no_mask(monkeypatch):
             + [(1e160, cov_max), (1e200, cov_max), (1e300, cov_max)]
             + [(1e-299, 0.0), (1e300, 0.0)])
     s = [float(i + 1) for i in range(len(rows))]
-    vulnerability = tuple(VulnerabilityPoint(s=a, mean_loss=m, cov=c)
-                          for a, (m, c) in zip(s, rows))
-    hazard = HazardCurve(tuple(zip(s, [2.0 ** -i for i in range(len(rows))])))
+    vulnerability = VulnerabilityCurve(s, *zip(*rows))
+    params = point_params(vulnerability)
+    hazard = HazardCurve(s, [2.0 ** -i for i in range(len(rows))])
     losses = [0.0, -0.0, 5e-324, 1e-300]
-    assert any(x > 0.0 and x / v.theta == 0.0 for x in losses for v in vulnerability)
-    assert max(v.theta for v in vulnerability if v.beta > 0.0) > 7.4e145
+    assert any(x > 0.0 and x / theta == 0.0 for x in losses for theta, _ in params)
+    assert max(theta for theta, beta in params if beta > 0.0) > 7.4e145
 
     blocks = []
 
@@ -607,7 +600,7 @@ def test_losses_certainly_exceeded_need_no_mask(monkeypatch):
     assert q.shape == (len(losses), len(vulnerability))
     assert (q == 1.0).all()
     for x, row in zip(losses, q.tolist()):
-        assert row == [conditional_exceedance(x, v) for v in vulnerability]
+        assert row == [conditional_exceedance(x, *p) for p in params]
 
     # The step columns, whose medians are 1e-299 and 1e300, around each median.
     blocks.clear()
@@ -615,8 +608,8 @@ def test_losses_certainly_exceeded_need_no_mask(monkeypatch):
     risk_curve(steps, hazard, vulnerability)
     q = np.concatenate(blocks)
     for x, row in zip(steps, q.tolist()):
-        assert row[-2:] == [float(x < v.theta) for v in vulnerability[-2:]]
-        assert row == [conditional_exceedance(x, v) for v in vulnerability]
+        assert row[-2:] == [float(x < theta) for theta, _ in params[-2:]]
+        assert row == [conditional_exceedance(x, *p) for p in params]
     assert q[:, -2:].tolist() == [[1.0, 1.0], [0.0, 1.0], [0.0, 1.0], [0.0, 0.0], [0.0, 0.0]]
 
 
@@ -659,8 +652,7 @@ def test_curve_columns_are_read_only_float64_copies():
         assert column.dtype == np.float64 and not column.flags.writeable, name
     assert curve.cov.tolist() == [0.3, 0.0]
     assert len(curve) == 2
-    assert [(p.s, p.mean_loss, p.cov) for p in curve] == [(1.0, 0.5, 0.3), (2.0, 0.7, 0.0)]
-    assert VulnerabilityCurve.of(curve) is curve
+    assert [curve.s.tolist(), curve.mean_loss.tolist()] == [[1.0, 2.0], [0.5, 0.7]]
     with pytest.raises(UsageError, match="one length"):
         VulnerabilityCurve([1.0, 2.0], [0.5], [0.3, 0.3])
 
@@ -679,25 +671,75 @@ def test_a_bad_curve_raises_what_its_first_bad_point_raises(bad):
         placed = rows[:position] + [bad] + rows[position:] + [(0.0, -1.0)]
         with pytest.raises(UsageError) as from_point:
             for m, c in placed:
-                VulnerabilityPoint(s=1.0, mean_loss=m, cov=c)
+                lognormal_params(m, c)
         means, covs = zip(*placed)
         with pytest.raises(UsageError) as from_curve:
             VulnerabilityCurve(s=[0.0] * len(placed), mean_loss=means, cov=covs)
         assert str(from_curve.value) == str(from_point.value)
 
 
-def test_risk_curve_takes_a_curve_or_its_points_alike():
-    hazard, points, grid = bench_shaped_instance(9, 50, 40)
-    curve = VulnerabilityCurve.of(points)
-    assert list(curve) == list(points)
-    for a, b in zip(build_segments(hazard, curve), build_segments(hazard, points)):
-        assert a.tolist() == b.tolist()
-    assert risk_curve(EDGE_LOSSES + grid, hazard, curve) == risk_curve(
-        EDGE_LOSSES + grid, hazard, points)
-
-
 def test_hazard_columns_are_taken_once():
-    hazard = HazardCurve(((1, 2), (2.0, 1.5), (3.0, 0.5)))
-    assert hazard.s == (1.0, 2.0, 3.0) and hazard.g == (2.0, 1.5, 0.5)
+    hazard = HazardCurve([1, 2.0, 3.0], (2, 1.5, 0.5))
+    assert hazard.s.tolist() == [1.0, 2.0, 3.0] and hazard.g.tolist() == [2.0, 1.5, 0.5]
     assert hazard.s is hazard.s and hazard.g is hazard.g
-    assert HazardCurve(()).s == HazardCurve(()).g == ()
+    assert len(hazard) == 3
+    empty = HazardCurve([], [])
+    assert empty.s.shape == empty.g.shape == (0,) and len(empty) == 0
+
+
+def test_hazard_columns_are_read_only_float64_copies():
+    s, g = np.array([1.0, 2.0]), [2.0, 1.0]
+    hazard = HazardCurve(s, g)
+    s[0] = 0.0
+    assert hazard.s.tolist() == [1.0, 2.0]
+    for column in (hazard.s, hazard.g):
+        assert column.dtype == np.float64 and not column.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = 9.0
+    for clone in (pickle.loads(pickle.dumps(hazard)), copy.deepcopy(hazard)):
+        for name in ("s", "g"):
+            assert not getattr(clone, name).flags.writeable, name
+            assert getattr(clone, name).tobytes() == getattr(hazard, name).tobytes(), name
+
+
+@pytest.mark.parametrize("s, g", [
+    ([1.0, 2.0], [2.0]),
+    ([1.0], [2.0, 1.0]),
+    ([[1.0, 2.0]], [[2.0, 1.0]]),
+    (1.0, 2.0),
+], ids=["short-g", "short-s", "two-dimensional", "scalars"])
+def test_hazard_columns_must_be_one_dimensional_and_of_one_length(s, g):
+    with pytest.raises(UsageError, match="^hazard columns must be one-dimensional and of one "
+                                         "length, got shapes "):
+        HazardCurve(s, g)
+
+
+# A bad (s, G) point at grid index 2 of GOOD_HAZARD, with the message it raises there.
+GOOD_HAZARD = [(0.5, 8.0), (1.0, 4.0), (1.5, 2.0), (2.0, 2.0), (3.0, 0.25)]
+BAD_HAZARD_POINTS = [
+    ((math.nan, 2.0), "hazard points must be finite"),
+    ((1.7, math.inf), "hazard points must be finite"),
+    ((1.7, -math.inf), "hazard points must be finite"),
+    ((1.7, math.nan), "hazard points must be finite"),
+    ((1.0, 2.0), "hazard intensities must be strictly increasing at s=1.0"),
+    ((0.9, 2.0), "hazard intensities must be strictly increasing at s=0.9"),
+    ((1.7, 0.0), "hazard frequencies must be positive, got 0.0 at s=1.7"),
+    ((1.7, -1.0), "hazard frequencies must be positive, got -1.0 at s=1.7"),
+    ((1.7, 4.5), "hazard frequencies must be non-increasing at s=1.7"),
+]
+
+
+@pytest.mark.parametrize("bad, message", BAD_HAZARD_POINTS,
+                         ids=[f"{s!r},{g!r}" for (s, g), _ in BAD_HAZARD_POINTS])
+def test_a_bad_hazard_raises_what_its_first_bad_point_raises(bad, message):
+    for position in (0, 2, len(GOOD_HAZARD)):
+        # A second bad point after the first must not be the one reported.
+        placed = GOOD_HAZARD[:position] + [bad] + GOOD_HAZARD[position:] + [(9.0, -5.0)]
+        with pytest.raises(DataError) as from_points:
+            for previous, point in zip([(-math.inf, math.inf), *placed], placed):
+                check_hazard_point(previous, point)
+        with pytest.raises(DataError) as from_columns:
+            HazardCurve(*zip(*placed))
+        assert str(from_columns.value) == str(from_points.value)
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        HazardCurve(*zip(*GOOD_HAZARD[:2], bad))

@@ -114,8 +114,8 @@ def _bits(value):
         return value.hex()
     if hasattr(value, "indices"):  # TimeSeries
         return value.indices.tolist(), [v.hex() for v in value.values.tolist()]
-    if hasattr(value, "points"):  # HazardCurve
-        return _bits(value.points)
+    if hasattr(value, "g"):  # HazardCurve: one row of bits per point
+        return _bits(list(zip(value.s.tolist(), value.g.tolist())))
     if hasattr(value, "mean_loss"):  # VulnerabilityCurve: one row of bits per point
         columns = (value.s, value.mean_loss, value.cov, value.theta, value.beta)
         return _bits(list(zip(*(column.tolist() for column in columns))))
@@ -218,7 +218,7 @@ def test_good_files_never_reach_the_per_row_loop(tmp_path, monkeypatch):
     assert len(expected["vulnerability"]) == 1000
 
 
-def test_a_good_vulnerability_file_builds_no_point_record(tmp_path, monkeypatch, capsys):
+def test_a_good_vulnerability_file_checks_each_point_once(tmp_path, monkeypatch, capsys):
     paths = {k: tmp_path / f"{k}.csv" for k in KINDS}
     for kind, path in paths.items():
         path.write_bytes(_good_file(kind, 2000))
@@ -227,11 +227,16 @@ def test_a_good_vulnerability_file_builds_no_point_record(tmp_path, monkeypatch,
     assert cli.main(argv) == 0
     expected = capsys.readouterr()
 
-    def point_record(self):
-        raise AssertionError("a VulnerabilityPoint was built from a good file")
+    checks = []
 
-    monkeypatch.setattr(evt_risk.VulnerabilityPoint, "__post_init__", point_record)
+    def counting(mean_loss, cov):
+        checks.append(None)
+        return rule(mean_loss, cov)
+
+    rule = evt_risk.lognormal_params
+    monkeypatch.setattr(evt_risk, "lognormal_params", counting)
     assert cli.main(argv) == 0
     assert capsys.readouterr() == expected
+    assert len(checks) == 2000  # the curve's, with no per-row pass and no point records
     assert len(_risk_commands.parse_vulnerability_csv(
         paths["vulnerability"], _risk_commands.parse_hazard_csv(paths["hazard"]))) == 2000

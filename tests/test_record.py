@@ -15,7 +15,8 @@ from riskseries.linreg import RegressionReport
 from riskseries.peaks import STRICTLY_ABOVE, EventSeries, Provenance, ThresholdSpec
 from riskseries.series import TimeSeries, summarize
 
-IDENTITY_EQUAL = {"TimeSeries", "EventSeries", "ResidualReport", "VulnerabilityCurve"}
+IDENTITY_EQUAL = {"TimeSeries", "EventSeries", "ResidualReport", "HazardCurve",
+                  "VulnerabilityCurve"}
 
 
 def _record_classes() -> set[type]:
@@ -47,12 +48,10 @@ def _samples(fixture_path) -> dict:
     config = cli.AnalysisConfig(input=fixture_path, threshold=ThresholdSpec(150.0))
     samples: dict = {TimeSeries: series}
     _collect(cli.run_pipeline(series, config), samples)
-    hazard = evt_risk.HazardCurve(points=((1.0, 2.0), (2.0, 1.0)))
-    vulnerability = tuple(evt_risk.VulnerabilityPoint(s=s, mean_loss=m, cov=0.5)
-                          for s, m in ((1.0, 0.2), (2.0, 0.5)))
+    hazard = evt_risk.HazardCurve(s=[1.0, 2.0], g=[2.0, 1.0])
+    vulnerability = evt_risk.VulnerabilityCurve(s=[1.0, 2.0], mean_loss=[0.2, 0.5], cov=[0.5, 0.5])
     risk = evt_risk.risk_curve([0.0, 0.5], hazard, vulnerability)
-    curve = evt_risk.VulnerabilityCurve.of(vulnerability)
-    _collect([hazard, vulnerability, curve, risk, evt_risk.GevParams(mu=0.0, sigma=1.0, xi=0.1)],
+    _collect([hazard, vulnerability, risk, evt_risk.GevParams(mu=0.0, sigma=1.0, xi=0.1)],
              samples)
     return samples
 
@@ -69,7 +68,7 @@ def _kwargs(record) -> dict:
 
 
 def test_every_record_class_is_checked(samples):
-    assert len(samples) == 21
+    assert len(samples) == 20
     assert not any(cls.__name__ == "LaggedDesign" for cls in samples)
 
 
@@ -170,12 +169,13 @@ def test_event_series_fields_follow_the_series_fields():
     assert EventSeries._fields == ("indices", "values", "provenance")
 
 
-def test_vulnerability_point_derives_theta_and_beta():
-    point = evt_risk.VulnerabilityPoint(1.0, 0.5, 0.25)
-    assert point._fields == ("s", "mean_loss", "cov")
-    assert (point.theta, point.beta) == evt_risk.lognormal_params(0.5, 0.25)
+def test_vulnerability_curve_derives_theta_and_beta():
+    curve = evt_risk.VulnerabilityCurve([1.0], [0.5], [0.25])
+    assert curve._fields == ("s", "mean_loss", "cov")
+    assert (curve.theta.tolist(), curve.beta.tolist()) == tuple(
+        [value] for value in evt_risk.lognormal_params(0.5, 0.25))
     with pytest.raises(AttributeError):
-        point.theta = 0.0
+        curve.theta = curve.beta
 
 
 def test_pickle_and_deepcopy_round_trip_a_regression_report(event_series):
@@ -213,8 +213,9 @@ def test_round_trips_keep_columns_read_only_and_bit_equal(samples, clone):
                 assert (got.dtype, got.shape, got.tobytes()) == \
                     (value.dtype, value.shape, value.tobytes()), (cls, name)
                 columns += 1
-    # TimeSeries 2, EventSeries 2, ResidualReport 6, VulnerabilityCurve 3 fields + theta, beta.
-    assert columns == 15
+    # TimeSeries 2, EventSeries 2, ResidualReport 6, HazardCurve 2,
+    # VulnerabilityCurve 3 fields + theta, beta.
+    assert columns == 17
 
 
 @pytest.mark.parametrize("clone", [lambda record: pickle.loads(pickle.dumps(record)),
@@ -259,8 +260,10 @@ def test_record_to_dict_follows_declaration_order(event_series):
 
 
 def test_record_to_dict_leaves_derived_attributes_out():
-    point = evt_risk.VulnerabilityPoint(s=1.0, mean_loss=0.5, cov=0.25)
-    assert cli._record_to_dict(point) == {"s": 1.0, "mean_loss": 0.5, "cov": 0.25}
+    curve = evt_risk.VulnerabilityCurve(s=[1.0], mean_loss=[0.5], cov=[0.25])
+    fields = cli._record_to_dict(curve)
+    assert list(fields) == ["s", "mean_loss", "cov"]
+    assert all(value is getattr(curve, name) for name, value in fields.items())
 
 
 def test_repr_names_every_field():

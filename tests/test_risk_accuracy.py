@@ -24,7 +24,7 @@ import pytest
 import mp_oracle
 import test_evt_risk
 from riskseries._risk_commands import parse_hazard_csv, parse_vulnerability_csv
-from riskseries.evt_risk import VulnerabilityPoint, risk_curve
+from riskseries.evt_risk import VulnerabilityCurve, risk_curve
 from test_evt_risk import bench_shaped_instance
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -54,7 +54,9 @@ def corpus():
 
 
 def oracle_rows(hazard, vulnerability):
-    return hazard.points, [(v.s, v.mean_loss, v.cov) for v in vulnerability]
+    return (list(zip(hazard.s.tolist(), hazard.g.tolist())),
+            list(zip(vulnerability.s.tolist(), vulnerability.mean_loss.tolist(),
+                     vulnerability.cov.tolist())))
 
 
 def test_risk_curve_frequencies_within_the_recorded_bound_of_a_40_digit_oracle():
@@ -72,10 +74,8 @@ SCALES = list(range(-60, 61)) + [-300, 300]
 
 
 def scaled(vulnerability, k):
-    return tuple(
-        VulnerabilityPoint(s=v.s, mean_loss=math.ldexp(v.mean_loss, k), cov=v.cov)
-        for v in vulnerability
-    )
+    mean_loss = [math.ldexp(m, k) for m in vulnerability.mean_loss.tolist()]
+    return VulnerabilityCurve(vulnerability.s, mean_loss, vulnerability.cov)
 
 
 def scaling_instance(name):
