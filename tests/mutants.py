@@ -12,8 +12,11 @@ would read as a run of kills.
 
 Run from the repository root, with the standard library only:
 
-    python tests/mutants.py            # every mutant
-    python tests/mutants.py select_    # those whose note contains "select_"
+    python tests/mutants.py               # every mutant
+    python tests/mutants.py select_       # those whose note contains "select_"
+    python tests/mutants.py evt_risk.py   # those of src/riskseries/evt_risk.py
+
+A word that ends in ``.py`` selects by file name, any other by the note.
 
 pytest does not collect this file. A full run takes several minutes,
 because each surviving mutant runs the whole of Tier-1.
@@ -107,6 +110,15 @@ MUTANTS = [
      "_check_count: 0 passes as a count (a lag order, block size, n or degrees of freedom)"),
     ("src/riskseries/evt_risk.py", "if mean == math.inf:", "if False:",
      "lognormal_params: an infinite mean loss is accepted, by a point and by a curve"),
+    ("src/riskseries/evt_risk.py",
+     "zip([(-math.inf, math.inf), *points], points)", "zip(points, points[1:])",
+     "HazardCurve: the first point is not checked, so a first point that is not finite "
+     "or has a frequency <= 0 is accepted or reported at the second"),
+    ("src/riskseries/evt_risk.py",
+     "def _standard_score(x: float, theta: float, beta: float)",
+     "def _standard_score(x: float, beta: float, theta: float)",
+     "_standard_score: theta and beta are swapped, so the scalar reference reads the "
+     "log-sd as the median"),
     ("src/riskseries/_readers.py", '(line.split(",") if len(names) > 1 else [line])',
      'line.split(",")',
      "_read_table: a one-column row is split on commas, so the loss row 0,1 has two fields"),
@@ -164,7 +176,8 @@ def _verdict(code: int) -> str:
 
 
 def main(argv: list[str]) -> int:
-    chosen = [m for m in MUTANTS if not argv or any(word in m[3] for word in argv)]
+    chosen = [m for m in MUTANTS if not argv or any(
+        Path(m[0]).name == word if word.endswith(".py") else word in m[3] for word in argv)]
     with tempfile.TemporaryDirectory(prefix="riskseries-mutants-") as copy_dir:
         root = Path(copy_dir)
         _copy(root)
