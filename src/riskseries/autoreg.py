@@ -143,12 +143,11 @@ def predictions(model: ARModel, series: TimeSeries) -> tuple[np.ndarray, np.ndar
             total += b * column
     else:
         # fsum of three or more products rounds once and numpy rounds after
-        # every add, so higher orders keep the per-row fsum and its bits.
-        lag_lists = [column.tolist() for column in lag_columns]
-        total = np.array([
-            math.fsum(model.b[i] * lag_lists[i][row] for i in range(model.p))
-            for row in range(len(y))
-        ])
+        # every add, so higher orders keep one fsum per row and its bits.
+        # Python's float product overflows to inf silently; so does this one.
+        with np.errstate(over="ignore"):
+            products = np.column_stack(lag_columns) * np.array(model.b)
+        total = np.fromiter(map(math.fsum, products.tolist()), float, len(y))
     return y, model.b0 + total
 
 
