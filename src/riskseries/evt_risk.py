@@ -155,6 +155,22 @@ def lognormal_params(mean: float, cov: float) -> tuple[float, float]:
     return theta, beta
 
 
+def _set_columns(record: Record, what: str, **columns) -> list[np.ndarray]:
+    """``columns`` as read-only float64 copies, set on ``record`` under their names.
+
+    They must be one-dimensional and of one length, or it is a UsageError.
+    """
+    arrays = [np.array(column, dtype=float) for column in columns.values()]
+    shapes = [str(array.shape) for array in arrays]
+    if not (arrays[0].ndim == 1 and len(set(shapes)) == 1):
+        raise UsageError(f"{what} columns must be one-dimensional and of one length, "
+                         f"got shapes {', '.join(shapes[:-1])} and {shapes[-1]}")
+    for name, array in zip(columns, arrays):
+        array.flags.writeable = False
+        object.__setattr__(record, name, array)
+    return arrays
+
+
 class VulnerabilityCurve(Record, eq=False):
     """Conditional loss distributions over an intensity grid, as columns.
 
@@ -170,18 +186,11 @@ class VulnerabilityCurve(Record, eq=False):
     cov: np.ndarray
 
     def __post_init__(self):
-        s, mean, cov = (np.array(c, dtype=float) for c in (self.s, self.mean_loss, self.cov))
-        if not (s.ndim == 1 and s.shape == mean.shape == cov.shape):
-            raise UsageError(
-                f"vulnerability columns must be one-dimensional and of one length, "
-                f"got shapes {s.shape}, {mean.shape} and {cov.shape}"
-            )
+        s, mean, cov = _set_columns(self, "vulnerability", s=self.s, mean_loss=self.mean_loss,
+                                    cov=self.cov)
         params = np.array(list(map(lognormal_params, mean.tolist(), cov.tolist())), dtype=float)
-        theta, beta = params.reshape(len(s), 2).T.copy()
-        for name, column in zip(("s", "mean_loss", "cov", "theta", "beta"),
-                                (s, mean, cov, theta, beta)):
-            column.flags.writeable = False
-            object.__setattr__(self, name, column)
+        theta, beta = params.reshape(len(s), 2).T
+        _set_columns(self, "vulnerability", theta=theta, beta=beta)
 
     def __len__(self) -> int:
         return len(self.s)
@@ -267,16 +276,10 @@ class HazardCurve(Record, eq=False):
     g: np.ndarray
 
     def __post_init__(self):
-        s, g = np.array(self.s, dtype=float), np.array(self.g, dtype=float)
-        if not (s.ndim == 1 and s.shape == g.shape):
-            raise UsageError(f"hazard columns must be one-dimensional and of one length, "
-                             f"got shapes {s.shape} and {g.shape}")
+        s, g = _set_columns(self, "hazard", s=self.s, g=self.g)
         points = list(zip(s.tolist(), g.tolist()))
         for previous, point in zip([(-math.inf, math.inf), *points], points):
             check_hazard_point(previous, point)
-        for name, column in (("s", s), ("g", g)):
-            column.flags.writeable = False
-            object.__setattr__(self, name, column)
 
     def __len__(self) -> int:
         return len(self.s)
