@@ -12,9 +12,9 @@ class, about a millisecond per class at import. ``Record`` reads the
 annotations once in ``__init_subclass__`` and shares one ``__init__``.
 
 ``pickle`` and ``copy.deepcopy`` rebuild a record's attributes as they
-were, and a numpy column that was read-only comes back read-only. An
-attribute whose name starts with an underscore is a memo of derived
-state: they leave it out, and the copy fills its own on use.
+were, and every numpy column, which its record made read-only, comes
+back read-only. An attribute whose name starts with an underscore is a
+memo of derived state: they leave it out, and the copy fills its own on use.
 """
 from __future__ import annotations
 
@@ -90,17 +90,15 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r} of a frozen record")
 
     def __reduce__(self):
-        # An unpickled or deep-copied array is writeable; the names of the
-        # read-only ones travel with the state, so _rebuild can freeze them.
-        state = {name: value for name, value in vars(self).items() if name[0] != "_"}
-        read_only = tuple(name for name, value in state.items()
-                          if isinstance(value, np.ndarray) and not value.flags.writeable)
-        return _rebuild, (self.__class__, state, read_only)
+        return _rebuild, (self.__class__,
+                          {name: value for name, value in vars(self).items() if name[0] != "_"})
 
 
-def _rebuild(cls: type[Record], state: dict, read_only: tuple[str, ...]) -> Record:
+def _rebuild(cls: type[Record], state: dict) -> Record:
+    # An unpickled or deep-copied array is writeable.
+    for value in state.values():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
     record = object.__new__(cls)
     record.__dict__.update(state)
-    for name in read_only:
-        state[name].flags.writeable = False
     return record

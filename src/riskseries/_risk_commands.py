@@ -29,12 +29,7 @@ def parse_hazard_csv(path: str) -> evt_risk.HazardCurve:
     def check_row(before, point):
         evt_risk.check_hazard_point(before[-1] if before else (-math.inf, math.inf), point)
 
-    def build(s, g):
-        hazard = evt_risk.HazardCurve(s=s, g=g)
-        evt_risk.check_grid(hazard, hazard.s)  # on its own grid, so only its size can fail
-        return hazard
-
-    return _read_table(path, "s,G", "hazard point", check_row, build)
+    return _read_table(path, "s,G", "hazard point", check_row, evt_risk.HazardCurve)
 
 
 def parse_vulnerability_csv(path: str, hazard: evt_risk.HazardCurve) -> evt_risk.VulnerabilityCurve:

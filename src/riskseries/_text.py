@@ -12,14 +12,11 @@ from __future__ import annotations
 from itertools import repeat
 
 
+_CELL_TEXT = {bool: ("no", "yes").__getitem__, float: "{:.9g}".format}
+
+
 def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "yes" if value else "no"
-    if isinstance(value, float):
-        return f"{value:.9g}"
-    if value is None:
-        return "-"
-    return str(value)
+    return _CELL_TEXT.get(type(value), str)(value)
 
 
 def _table(columns: list[list[str]], indent: str = "  ") -> list[str]:

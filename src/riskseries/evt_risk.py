@@ -42,12 +42,12 @@ per loss mantissa and once per median mantissa, not once per cell.
 Scaling the losses and the mean losses by a power of two changes neither
 the mantissas nor k, so the frequencies are exactly scale-equivariant.
 
-Each risk input is one record of read-only float64 columns. A
-HazardCurve holds s and g, each point checked by check_hazard_point in
-grid order. A VulnerabilityCurve holds s, mean_loss and cov; each point
-goes through lognormal_params, the one rule that accepts or rejects a
-point and gives its lognormal's theta and beta, and the curve keeps those
-as two more columns. build_segments and risk_curve read the columns.
+Each risk input is one record of read-only float64 columns that checks
+its own rules. A HazardCurve holds s and g: at least 2 points, each
+checked by check_hazard_point in grid order. A VulnerabilityCurve holds
+s, mean_loss and cov, each point checked by lognormal_params, and keeps
+the theta and beta it returns as two more columns. check_grid pairs the
+two on one grid; build_segments reads the hazard alone.
 
 risk_curve evaluates in blocks of losses, each a (losses x points)
 matrix of at most _BLOCK_CELLS cells, so each q is taken once per
@@ -269,7 +269,8 @@ class HazardCurve(Record, eq=False):
 
     ``s`` and ``g`` are read-only float64 columns of one length, copied on
     construction. Each point (s_i, g_i) goes through check_hazard_point, in
-    grid order, so the first rejected point raises its DataError.
+    grid order, so the first rejected point raises its DataError. Then a
+    curve of fewer than 2 points, which has no segment, raises UsageError.
     """
 
     s: np.ndarray
@@ -280,15 +281,15 @@ class HazardCurve(Record, eq=False):
         points = list(zip(s.tolist(), g.tolist()))
         for previous, point in zip([(-math.inf, math.inf), *points], points):
             check_hazard_point(previous, point)
+        if len(points) < 2:
+            raise UsageError(f"need at least 2 hazard points, got {len(points)}")
 
     def __len__(self) -> int:
         return len(self.s)
 
 
 def check_grid(hazard: HazardCurve, s: Sequence[float]) -> None:
-    """Raise UsageError unless ``s`` is the grid of ``hazard``, which has at least 2 points."""
-    if len(hazard) < 2:
-        raise UsageError(f"need at least 2 hazard points, got {len(hazard)}")
+    """Raise UsageError unless ``s`` is the grid of ``hazard``."""
     if len(s) != len(hazard):
         raise UsageError(f"vulnerability has {len(s)} points, hazard has {len(hazard)}")
     if not np.array_equal(s, hazard.s):
@@ -297,9 +298,7 @@ def check_grid(hazard: HazardCurve, s: Sequence[float]) -> None:
                          f"s={float(s[i])} vs hazard s={float(hazard.s[i])}")
 
 
-def build_segments(
-    hazard: HazardCurve, vulnerability: VulnerabilityCurve
-) -> tuple[np.ndarray, np.ndarray]:
+def build_segments(hazard: HazardCurve) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form quadrature weights ``(a, b)``, one entry per hazard segment.
 
     With t = m * delta_s = ln(G_i / G_{i-1}), exponential hazard and a
@@ -315,11 +314,8 @@ def build_segments(
 
     with segment j running from point j-1 to point j, so the first point
     takes a_1 - b_1 and the last b_{n-1}, and R(x) = sum of d_j * q_j(x).
-
-    ``vulnerability`` must lie on the hazard's grid; only its ``s``
-    column is read here, to check that.
+    Only the hazard's ``g`` column is read.
     """
-    check_grid(hazard, vulnerability.s)
     g = hazard.g.tolist()
     a, b = [], []
     for g_prev, g_cur in zip(g, g[1:]):
@@ -387,7 +383,8 @@ def risk_curve(
     Contributions outside [s_1, s_n] are truncated, so a loss of 0 maps
     to the total in-range frequency G_1 - G_n.
     """
-    a, b = build_segments(hazard, vulnerability)
+    check_grid(hazard, vulnerability.s)
+    a, b = build_segments(hazard)
     loss_grid = tuple(check_loss(float(x)) for x in losses)
     d = np.zeros(len(a) + 1)  # the weights build_segments describes, all >= +0.0
     d[:-1] += a - b

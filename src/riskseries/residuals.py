@@ -25,8 +25,8 @@ DEFAULT_OUTLIER_THRESHOLD = 3.0
 class ResidualReport(Record, eq=False):
     """Residual columns of one fit; entry k is observation k + 1 of the fit.
 
-    Every column is a read-only numpy array: float64 except the bool
-    ``outlier``.
+    Every column is a numpy array, float64 except the bool ``outlier``,
+    and the report makes each one read-only in place, without a copy.
     """
 
     y: np.ndarray
@@ -38,6 +38,11 @@ class ResidualReport(Record, eq=False):
     scale: float                  # sqrt(RSS / (n-1)), standardization divisor
     regression_std_error: float   # sqrt(RSS / (n-k))
     outlier_threshold: float
+
+    def __post_init__(self):
+        for column in (self.y, self.y_predicted, self.residual, self.standardized,
+                       self.percentile, self.outlier):
+            column.flags.writeable = False
 
 
 def _percentiles(n: int) -> np.ndarray:
@@ -58,11 +63,6 @@ def _observed_and_predicted(model, series: TimeSeries):
     if isinstance(model, TrendLine):
         return series.values, _line_values(model, series), 2
     raise UsageError(f"unsupported model type {type(model).__name__}")
-
-
-def _read_only(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
-    return array
 
 
 def residual_analysis(
@@ -93,12 +93,12 @@ def residual_analysis(
         standardized = np.zeros(n)
         outlier = np.zeros(n, dtype=bool)
     return ResidualReport(
-        y=_read_only(observed),
-        y_predicted=_read_only(predicted),
-        residual=_read_only(residual),
-        standardized=_read_only(standardized),
-        percentile=_read_only(_percentiles(n)),
-        outlier=_read_only(outlier),
+        y=observed,
+        y_predicted=predicted,
+        residual=residual,
+        standardized=standardized,
+        percentile=_percentiles(n),
+        outlier=outlier,
         scale=scale,
         regression_std_error=regression_std_error,
         outlier_threshold=outlier_threshold,

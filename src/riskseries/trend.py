@@ -113,10 +113,10 @@ def _mk_s_and_variance(values: np.ndarray) -> tuple[int, float]:
         inversions += width * width * rows * (rows + 1) // 2 - int(not_greater.sum())
         blocks.sort(axis=1)
         width *= 2
-    tie_sizes = ties.tolist()
-    s = n * (n - 1) // 2 - sum(t * (t - 1) // 2 for t in tie_sizes) - 2 * inversions
+    s = n * (n - 1) // 2 - 2 * inversions
     var = n * (n - 1) * (2 * n + 5)
-    for t in tie_sizes:
+    for t in ties.tolist():
+        s -= t * (t - 1) // 2
         var -= t * (t - 1) * (2 * t + 5)
     return s, var / 18.0
 

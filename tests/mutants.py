@@ -149,6 +149,15 @@ MUTANTS = [
     ("src/riskseries/_text.py", "for key, model in models.items()",
      "for key, model in reversed(models.items())",
      "_text._ar_lines: AR orders are printed highest first, not in the report's order"),
+    ("src/riskseries/series.py", "mean = _rounded(total, exponent) / n",
+     "mean = math.nextafter(_rounded(total, exponent) / n, math.inf)",
+     "_Moments.mean: every slice mean is one ulp too high"),
+    ("src/riskseries/evt_risk.py", "if len(points) < 2:", "if len(points) < 1:",
+     "HazardCurve: a one-point hazard is accepted"),
+    ("src/riskseries/residuals.py", "column.flags.writeable = False", "pass",
+     "ResidualReport: the report's columns stay writeable"),
+    ("src/riskseries/_record.py", "value.flags.writeable = False", "pass",
+     "_rebuild: a pickled or deep-copied record's columns come back writeable"),
 ]
 
 

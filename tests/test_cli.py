@@ -756,6 +756,25 @@ def test_trend_alpha_outside_the_unit_interval_is_a_usage_error(fixture_path, ca
     assert captured.err == f"usage error: alpha must be in (0, 1), got {float(alpha)!r}\n"
 
 
+def test_an_unparsable_float_flag_is_a_usage_error(fixture_path, capsys):
+    assert main(["analyze", fixture_path, "--alpha", "abc"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "usage error: argument --alpha: invalid float value: 'abc'\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["summarize", "{dir}"],
+    ["risk-curve", "--hazard", "{dir}", "--vulnerability", "{dir}", "--losses", "1"],
+], ids=["summarize", "risk-curve"])
+def test_a_directory_as_input_is_a_data_error_naming_it(tmp_path, capsys, argv):
+    assert main([arg.format(dir=tmp_path) for arg in argv]) == EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    # The rest of the line is the platform's wording of the error.
+    assert captured.err.startswith(f"data error: cannot read {tmp_path}: ")
+
+
 @pytest.mark.parametrize("detrend", [[], ["--detrend"]], ids=["raw", "detrend"])
 @pytest.mark.parametrize("alpha", ["0", "1", "-0.5", "1.5"])
 def test_ar_alpha_outside_the_unit_interval_fails_before_any_fit(tmp_path, monkeypatch,

@@ -283,8 +283,8 @@ def test_risk_curve_monotone_and_linear_in_g():
 
 def test_segment_weights():
     rng = np.random.default_rng(37)
-    hazard, vulnerability = make_instance(rng, n_points=7)
-    a, b = build_segments(hazard, vulnerability)
+    hazard, _ = make_instance(rng, n_points=7)
+    a, b = build_segments(hazard)
     assert len(a) == len(b) == len(hazard) - 1
     assert all(a >= 0.0)
     total = math.fsum(a.tolist())
@@ -295,7 +295,7 @@ def test_segment_whose_frequency_ratio_underflows_takes_a_difference_of_logs():
     # 1e-308 / 1e308 underflows to 0, where math.log raised a domain error.
     steep = HazardCurve([1.0, 2.0, 3.0], [1e308, 1e-308, 5e-324])
     vulnerability = VulnerabilityCurve([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [0.5] * 3)
-    a, b = build_segments(steep, vulnerability)
+    a, b = build_segments(steep)
     t = math.log(1e-308) - math.log(1e308)
     assert a[0] == 1e308 - 1e-308
     assert b[0] == 1e308 * (math.expm1(t) / t - math.exp(t))
@@ -303,7 +303,7 @@ def test_segment_whose_frequency_ratio_underflows_takes_a_difference_of_logs():
     # for this pair the difference of logs rounds otherwise.
     tiny = HazardCurve([1.0, 2.0, 3.0], [2.680632529446252e+270, 1.0965714741895922e-39, 1e-40])
     for hazard in (steep, tiny):
-        _, b = build_segments(hazard, vulnerability)
+        _, b = build_segments(hazard)
         g = hazard.g.tolist()
         for i, (g_prev, g_cur) in enumerate(zip(g, g[1:])):
             if g_cur / g_prev > 0.0:
@@ -319,8 +319,7 @@ def test_segment_whose_frequency_ratio_underflows_takes_a_difference_of_logs():
 
 def test_flat_segment_weight_b_is_positive_zero():
     hazard = HazardCurve([1, 2, 3], [2, 2, 1])
-    vulnerability = VulnerabilityCurve([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [0.5] * 3)
-    _, b = build_segments(hazard, vulnerability)
+    _, b = build_segments(hazard)
     assert b[0] == 0.0 and math.copysign(1.0, b[0]) == 1.0
     assert b[1] > 0.0
 
@@ -329,7 +328,7 @@ def test_flat_segment_contributes_nothing():
     hazard = HazardCurve([1.0, 2.0, 3.0], [2.0, 2.0, 1.0])
     s = [1.0, 2.0, 3.0]
     vulnerability = VulnerabilityCurve(s, [0.5 + 0.1 * si for si in s], [0.4] * 3)
-    a, _ = build_segments(hazard, vulnerability)
+    a, _ = build_segments(hazard)
     assert a[0] == 0.0
     (with_flat,) = risk_curve([0.4], hazard, vulnerability).frequencies
     without = HazardCurve(hazard.s[1:], hazard.g[1:])
@@ -683,8 +682,11 @@ def test_hazard_columns_are_taken_once():
     assert hazard.s.tolist() == [1.0, 2.0, 3.0] and hazard.g.tolist() == [2.0, 1.5, 0.5]
     assert hazard.s is hazard.s and hazard.g is hazard.g
     assert len(hazard) == 3
-    empty = HazardCurve([], [])
-    assert empty.s.shape == empty.g.shape == (0,) and len(empty) == 0
+    for size in (0, 1):
+        with pytest.raises(UsageError, match=f"^need at least 2 hazard points, got {size}$"):
+            HazardCurve([1.0][:size], [2.0][:size])
+    with pytest.raises(DataError, match="^hazard frequencies must be positive"):
+        HazardCurve([1.0], [0.0])  # a bad point is reported before the size
 
 
 def test_hazard_columns_are_read_only_float64_copies():
