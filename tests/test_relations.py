@@ -82,7 +82,6 @@ def _payload(text: str):
 @pytest.mark.parametrize("name, transform, restore", RELATIONS, ids=[r[0] for r in RELATIONS])
 def test_relation_holds_exactly(tmp_path, name, transform, restore):
     rng = random.Random(f"relations-{name}")
-    path = str(tmp_path / "record.csv")  # both runs read one path, so config.input agrees
     for record in range(RECORDS_PER_RELATION):
         n = rng.randint(*N_RANGE)
         months = _months(rng, n, gapped=True)
@@ -90,7 +89,8 @@ def test_relation_holds_exactly(tmp_path, name, transform, restore):
         threshold = repr(rng.choice(values))
         runs = []
         for record_months, record_values in ((months, values), transform(months, values)):
-            _write_series(tmp_path / "record.csv", record_months, record_values)
+            # Both runs read one path, so the config block's input agrees.
+            path = _write_series(tmp_path / "record.csv", record_months, record_values)
             runs.append([_run(path, form, threshold) for form in FORMS])
         for form, (code, out, err), (related_code, related_out, related_err) in zip(FORMS, *runs):
             case = (record, n, form)
