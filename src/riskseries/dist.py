@@ -4,7 +4,10 @@ Student t and F tails are evaluated through the regularized incomplete
 beta function, computed with the classic continued-fraction expansion
 (modified Lentz iteration) converged to 1e-12. That is enough to
 reproduce spreadsheet regression p-values to every printed digit. The
-normal CDF rides on the C library's erfc, which is good to machine
+tails own their limits: the beta argument, and so the tail, is exactly 0
+at t = +-inf or F = inf and exactly 1 at t = 0 or F = 0. t * t overflows
+from |t| = 2**512, so a t critical value beyond raises NumericalError.
+The normal CDF rides on the C library's erfc, which is good to machine
 precision; quantiles are obtained by bisection, which stops once the
 midpoint of its bracket is one of the bracket's ends.
 """
@@ -123,8 +126,6 @@ def student_t_two_sided_p(t: float, df: int) -> float:
     t = float(t)
     if math.isnan(t):
         raise UsageError("t statistic must not be NaN")
-    if math.isinf(t):
-        return 0.0
     x = df / (df + t * t)
     return regularized_incomplete_beta(df / 2.0, 0.5, x)
 
@@ -136,8 +137,6 @@ def f_upper_tail(f: float, d1: int, d2: int) -> float:
     f = float(f)
     if math.isnan(f) or f < 0.0:
         raise UsageError(f"F statistic must be non-negative, got {f!r}")
-    if math.isinf(f):
-        return 0.0
     x = d2 / (d2 + d1 * f)
     return regularized_incomplete_beta(d2 / 2.0, d1 / 2.0, x)
 
@@ -150,6 +149,6 @@ def student_t_critical(alpha: float, df: int) -> float:
     lo, hi = 0.0, 1.0
     while student_t_two_sided_p(hi, df) > alpha:
         hi *= 2.0
-        if hi > 1e300:
+        if math.isinf(hi * hi):
             raise NumericalError(f"t critical value out of range for alpha={alpha}, df={df}")
     return _bisect(lambda t: student_t_two_sided_p(t, df) > alpha, lo, hi, 200)

@@ -202,11 +202,9 @@ def _report(solve: _Solve) -> RegressionReport:
         std_error = float(std_error)
         if std_error > 0.0:
             t_stat = estimate / std_error
-            p_value = student_t_two_sided_p(t_stat, df_residual)
         else:
-            # Exact fit: the coefficient is determined with no sampling noise.
+            # Exact fit: no sampling noise. The t tail reads p = 0 at +-inf, 1 at 0.
             t_stat = math.copysign(math.inf, estimate) if estimate != 0.0 else 0.0
-            p_value = 0.0 if estimate != 0.0 else 1.0
         half_width = t_critical * std_error
         stats.append(
             CoefficientStat(
@@ -214,7 +212,7 @@ def _report(solve: _Solve) -> RegressionReport:
                 estimate=estimate,
                 std_error=std_error,
                 t_stat=t_stat,
-                p_value=p_value,
+                p_value=student_t_two_sided_p(t_stat, df_residual),
                 ci_lower_95=estimate - half_width,
                 ci_upper_95=estimate + half_width,
             )
@@ -222,16 +220,11 @@ def _report(solve: _Solve) -> RegressionReport:
 
     if total_ss > 0.0:
         r_squared = 1.0 - residual_ss / total_ss
-        if residual_ms > 0.0:
-            f_stat = regression_ms / residual_ms
-        else:
-            f_stat = math.inf
-        significance_f = f_upper_tail(f_stat, df_regression, df_residual)
+        f_stat = regression_ms / residual_ms if residual_ms > 0.0 else math.inf
     else:
-        # Constant response: nothing to explain.
+        # Constant response: nothing to explain, and the F tail reads 1 at F = 0.
         r_squared = 0.0
         f_stat = 0.0
-        significance_f = 1.0
 
     anova = AnovaBlock(
         df_regression=df_regression,
@@ -242,7 +235,7 @@ def _report(solve: _Solve) -> RegressionReport:
         regression_ms=regression_ms,
         residual_ms=residual_ms,
         f_stat=f_stat,
-        significance_f=significance_f,
+        significance_f=f_upper_tail(f_stat, df_regression, df_residual),
     )
     return RegressionReport(
         n=n,

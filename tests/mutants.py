@@ -106,6 +106,15 @@ MUTANTS = [
      "runs[:] = starts.cumsum() - 1",
      "_column_texts: a float64 array's texts are left in sorted order, not scattered "
      "back into row order"),
+    ("src/riskseries/dist.py", "if x <= 0.0:", "if x < 0.0:",
+     "regularized_incomplete_beta: x = 0, the t tail's at t = +-inf (an exact fit) and the "
+     "F tail's at F = inf, reaches log(0) and raises a math domain error"),
+    ("src/riskseries/dist.py", "if x >= 1.0:", "if x > 1.0:",
+     "regularized_incomplete_beta: x = 1, the t tail's at t = 0 and the F tail's at F = 0 "
+     "(a constant response), reaches log1p(-1) and raises a math domain error"),
+    ("src/riskseries/dist.py", "if math.isinf(hi * hi):", "if hi > 1e300:",
+     "student_t_critical: past 2**511 the tail reads 0 and the bracket stops, so alpha "
+     "1e-160 at df 1 gets 2**512 instead of a numerical error"),
     ("src/riskseries/dist.py", "value < 1", "value < 0",
      "_check_count: 0 passes as a count (a lag order, block size, n or degrees of freedom)"),
     ("src/riskseries/evt_risk.py", "if mean == math.inf:", "if False:",

@@ -13,9 +13,8 @@ A seeded 2,000-value daily record guards the writers beyond the case
 study's 29 residual rows. Its ``analyze`` and ``residuals --lag 2``
 outputs run to hundreds of kilobytes, so only their length and sha256
 are kept, in ``data/snapshots/seeded_record.json``. The same generator, at
-1,000 and 8,000 values, bounds the Python calls that ``analyze --format
-text`` makes per added value, and with an all-distinct record beside it,
-those of every series command's JSON form.
+1,000 and 8,000 values, and an all-distinct record beside it, bound the
+Python calls per added value of every series command in both formats.
 
 To regenerate after a deliberate change of output:
 
@@ -32,6 +31,7 @@ from pathlib import Path
 
 import pytest
 
+from riskseries import dist
 from riskseries.cli import EXIT_OK, EXIT_USAGE, main
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -89,17 +89,18 @@ CASES = [
 ]
 
 SEEDED_DIGESTS = SNAPSHOT_DIR / "seeded_record.json"
-# Calls per value that ``analyze --format text`` adds between a 1,000- and
-# an 8,000-value seeded record: 18.92 measured, against 51.0 when text
-# tables were padded cell by cell. Most are ``_fmt`` and its type-table
-# lookup, once per residual-table cell.
+# Calls per value that each form adds between a 1,000- and an 8,000-value
+# record, on the tied rain record and on an all-distinct one, with the
+# continued fraction's calls counted apart.
+# - Text: 19.01 at most measured (``analyze``; ``residuals --lag 3`` reads
+#   19.0), against 51.0 when text tables were padded cell by cell. Most are
+#   ``_fmt`` and its type-table lookup, once per residual-table cell.
+# - JSON: 0.0056 at most measured, against 1.006 for ``trend --mann-kendall``
+#   when the tie sums ran a generator step per distinct value.
 TEXT_CALLS_PER_VALUE = 20
-# Calls per value that each JSON form adds between 1,000 and 8,000 values, on
-# the tied rain record and on an all-distinct one: at most 0.006 measured,
-# against 1.006 for ``trend --mann-kendall`` when the tie sums ran a
-# generator step per distinct value.
 JSON_CALLS_PER_VALUE = 0.1
-JSON_FORMS = [
+CALLS_PER_VALUE = {"json": JSON_CALLS_PER_VALUE, "text": TEXT_CALLS_PER_VALUE}
+FORMS = [
     ["analyze"],
     ["analyze", "--threshold", "20"],
     ["summarize"],
@@ -195,14 +196,21 @@ def test_seeded_record_output_matches_its_digest(seeded_record, name, fmt, args)
     assert _digest(out) == expected
 
 
-def _calls(argv: list[str]) -> int:
-    """Function and builtin calls that one in-process run makes, as cProfile counts them."""
-    count = 0
+def _calls(argv: list[str]) -> tuple[int, int]:
+    """Function and builtin calls that one in-process run makes, as cProfile counts them.
+
+    The second count is the calls made from the incomplete beta's continued
+    fraction, ``dist._betacf``, which the first leaves out: it takes as many
+    steps per p-value as where the p-value falls needs, up to 500, whatever n is.
+    """
+    counts = [0, 0]
+    steps = dist._betacf.__code__
 
     def profile(frame, event, arg):
-        nonlocal count
-        if event in ("call", "c_call"):
-            count += 1
+        if event == "call":
+            counts[0] += 1
+        elif event == "c_call":
+            counts[frame.f_code is steps] += 1
 
     with redirect_stdout(io.StringIO()):
         sys.setprofile(profile)
@@ -210,41 +218,33 @@ def _calls(argv: list[str]) -> int:
             main(argv)
         finally:
             sys.setprofile(None)
-    return count
+    return counts[0], counts[1]
 
 
-def test_text_analyze_calls_per_value_are_bounded(tmp_path):
-    """Counts, not times: the text tables' Python work per value does not creep back."""
-    counts = []
-    for n in (1_000, 8_000):
-        argv = ["analyze", str(_write_seeded_record(tmp_path / f"{n}.csv", n)), "--format", "text"]
-        _calls(argv)  # the first run fills the t-quantile cache
-        counts.append(_calls(argv))
-    assert (counts[1] - counts[0]) / 7_000 <= TEXT_CALLS_PER_VALUE
-
-
-# The incomplete beta's continued fraction takes up to 500 steps per p-value,
-# as many as where the p-value falls needs, whatever n is. Between these
-# two sizes those steps rise here, and stay or fall on every other form.
-CONTINUED_FRACTION_GROWS = pytest.mark.xfail(strict=True, reason=(
-    "the POT fits' p-values take 1,240 more continued-fraction calls at 8,000 values "
-    "than at 1,000 (0.18 per value): steps depend on the p-values, not on n"))
-
-
-@pytest.mark.parametrize("write, form", [
-    pytest.param(write, form, id=f"{name}-{' '.join(form)}",
-                 marks=[CONTINUED_FRACTION_GROWS] * (name == "tied" and form == JSON_FORMS[1]))
+# JSON cases keep ids without the format; text cases end in "-text".
+@pytest.mark.parametrize("fmt, write, form", [
+    pytest.param(fmt, write, form, id=f"{name}-{' '.join(form)}" + "-text" * (fmt == "text"))
+    for fmt in ("json", "text")
     for name, write in (("tied", _write_seeded_record), ("distinct", _write_distinct_record))
-    for form in JSON_FORMS
+    for form in FORMS
 ])
-def test_json_calls_per_value_are_bounded(tmp_path, write, form):
-    """No JSON form does Python work per value: numpy and the writer take the columns."""
-    counts = []
+def test_json_calls_per_value_are_bounded(tmp_path, fmt, write, form):
+    """Counts, not times: no form does Python work per value beyond its bound.
+
+    In JSON, numpy and the writer take the columns; in text, each table cell
+    takes its ``_fmt`` call.
+    """
+    counts, steps = [], []
     for n in (1_000, 8_000):
-        argv = [form[0], str(write(tmp_path / f"{n}.csv", n)), *form[1:], "--format", "json"]
+        argv = [form[0], str(write(tmp_path / f"{n}.csv", n)), *form[1:], "--format", fmt]
         _calls(argv)  # the first run fills the t-quantile cache
-        counts.append(_calls(argv))
-    assert (counts[1] - counts[0]) / 7_000 <= JSON_CALLS_PER_VALUE
+        calls, continued_fraction = _calls(argv)
+        counts.append(calls)
+        steps.append(continued_fraction)
+    per_value = (counts[1] - counts[0]) / 7_000
+    assert per_value <= CALLS_PER_VALUE[fmt], (
+        f"{per_value:.4f} calls per added value; continued-fraction calls, "
+        f"counted apart, at 1,000 and 8,000 values: {steps}")
 
 
 def _regenerate():

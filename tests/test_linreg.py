@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -13,6 +14,7 @@ from riskseries.dist import (
     f_upper_tail,
     normal_cdf,
     normal_quantile,
+    regularized_incomplete_beta,
     student_t_critical,
     student_t_two_sided_p,
 )
@@ -64,6 +66,12 @@ def test_exact_fit():
     assert report.coefficients[1].estimate == pytest.approx(2.0, abs=1e-12)
     assert report.anova.residual_ss == pytest.approx(0.0, abs=1e-18)
     assert report.r_squared == pytest.approx(1.0, abs=1e-12)
+    # On y = x, QR gives the intercept -0.0 and every residual 0, so each standard
+    # error is 0: t is 0 or inf, and the tails read p = 1 and p = 0.
+    report = fit_ols([1.0, 2.0, 3.0, 4.0, 5.0], [[1.0, 2.0, 3.0, 4.0, 5.0]])
+    rows = [(c.estimate, c.std_error, c.t_stat, c.p_value) for c in report.coefficients]
+    assert rows == [(0.0, 0.0, 0.0, 1.0), (1.0, 0.0, math.inf, 0.0)]
+    assert (report.anova.f_stat, report.anova.significance_f) == (math.inf, 0.0)
 
 
 # ------------------------------------------------------------- properties
@@ -176,13 +184,15 @@ def test_usage_and_data_errors():
         fit_ols([1.0, float("nan"), 3.0], [[1.0, 2.0, 3.0]])
     with pytest.raises(DataError, match=r"^design matrix contains non-finite entries$"):
         fit_ols([1.0, 2.0, 3.0], [[1.0, math.inf, 3.0]])
+    with pytest.raises(UsageError, match=r"^y must be a one-dimensional vector$"):
+        fit_ols([[1.0, 2.0], [3.0, 4.0]], [[1.0, 2.0]])
 
 
 def test_constant_response_is_reported_not_crashed():
     report = fit_ols([4.0, 4.0, 4.0, 4.0], [[1.0, 2.0, 3.0, 4.0]])
     assert report.coefficients[1].estimate == pytest.approx(0.0, abs=1e-14)
     assert report.r_squared == 0.0
-    assert report.anova.significance_f == 1.0
+    assert (report.anova.f_stat, report.anova.significance_f) == (0.0, 1.0)
 
 
 # ------------------------------------------------- distribution kernels
@@ -241,6 +251,34 @@ def test_t_critical_value():
     )
 
 
+def test_tails_read_their_limits_exactly():
+    for df in range(1, 1001):
+        for t, p in ((math.inf, 0.0), (-math.inf, 0.0), (0.0, 1.0), (-0.0, 1.0)):
+            assert student_t_two_sided_p(t, df).hex() == p.hex(), (t, df)
+        for d1, d2 in ((df, 3), (3, df), (df, df)):
+            assert f_upper_tail(math.inf, d1, d2).hex() == (0.0).hex(), (d1, d2)
+            assert f_upper_tail(0.0, d1, d2).hex() == (1.0).hex(), (d1, d2)
+
+
+def test_t_critical_is_found_below_2_to_the_512_only():
+    # p ~ 2 / (pi t) at df = 1: alpha 1e-154 needs t = 6.4e153 < 2**511,
+    # alpha 1e-160 needs 6.4e159, where t * t overflows.
+    assert student_t_critical(1e-150, 1) == 6.3661977236758355e+149
+    assert student_t_critical(1e-154, 1) == 6.3661977236755925e+153
+    for alpha in (1e-160, 1e-310):
+        with pytest.raises(NumericalError, match=(
+                rf"^t critical value out of range for alpha={alpha}, df=1$")):
+            student_t_critical(alpha, 1)
+
+
+def test_t_critical_at_the_interval_level_keeps_its_bits():
+    # The sha256 of student_t_critical(CI_ALPHA, df).hex() for df = 1..1000,
+    # joined by spaces: every fit's 95% interval reads one of these.
+    text = " ".join(student_t_critical(CI_ALPHA, df).hex() for df in range(1, 1001))
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "768290f98ad54d6bf482e317d7ca500f8d246cb4c519f59fa3db9d99fd2db1be"
+
+
 def test_normal_helpers():
     assert normal_cdf(0.0) == pytest.approx(0.5, abs=1e-15)
     assert normal_cdf(1.96) == pytest.approx(0.9750021049, abs=1e-9)
@@ -251,6 +289,10 @@ def test_normal_helpers():
         student_t_two_sided_p(1.0, 0)
     with pytest.raises(UsageError):
         f_upper_tail(-0.5, 1, 1)
+    with pytest.raises(UsageError, match=r"^beta parameters must be positive, got a=0.0, b=1.0$"):
+        regularized_incomplete_beta(0.0, 1.0, 0.5)
+    with pytest.raises(UsageError, match=r"^t statistic must not be NaN$"):
+        student_t_two_sided_p(math.nan, 5)
 
 
 @pytest.mark.parametrize("seed", range(40))

@@ -184,6 +184,11 @@ def test_corpus_exercises_both_paths_of_every_reader(tmp_path):
         assert outcomes == {"ok", "DataError"}, kind
 
 
+def test_an_unknown_decimal_mode_is_refused_before_reading(tmp_path):
+    with pytest.raises(UsageError, match=r"^decimal must be 'point' or 'comma', got 'x'$"):
+        _readers.parse_csv(str(tmp_path / "absent.csv"), "x")
+
+
 def _good_file(kind, n):
     if kind == "csv":
         rows = [[str(3 * i + 1), repr(0.1 * i)] for i in range(n)]

@@ -5,7 +5,12 @@ import pytest
 
 from riskseries.autoreg import ARModel, fit_ar, predictions
 from riskseries.errors import NumericalError, UsageError
-from riskseries.residuals import percentile_column, plot_data, residual_analysis
+from riskseries.residuals import (
+    ResidualReport,
+    percentile_column,
+    plot_data,
+    residual_analysis,
+)
 from riskseries.series import TimeSeries
 from riskseries.trend import fit_trend
 
@@ -147,6 +152,16 @@ def test_mismatched_model_and_series(event_series):
         residual_analysis(model, shorter)
     with pytest.raises(UsageError):
         residual_analysis(model, event_series, outlier_threshold=0.0)
+    with pytest.raises(UsageError, match=r"^unsupported model type object$"):
+        residual_analysis(object(), event_series)
+
+
+def test_plot_data_of_an_empty_report_is_refused():
+    empty = np.empty(0)
+    report = ResidualReport(empty, empty, empty, empty, empty, np.empty(0, dtype=bool),
+                            0.0, 0.0, 3.0)
+    with pytest.raises(UsageError, match=r"^cannot build plot data from an empty report$"):
+        plot_data(report)
 
 
 def test_custom_outlier_threshold(event_series):

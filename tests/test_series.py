@@ -49,6 +49,17 @@ def test_reindex_identity_and_singleton():
     assert reindex(single).values[0] == 7.0
 
 
+def test_reindex_and_the_columns_reject_what_no_series_has():
+    with pytest.raises(DataError, match=r"^cannot reindex an empty series$"):
+        reindex(TimeSeries([], []))
+    with pytest.raises(DataError, match=(
+            r"^indices must be a one-dimensional column, got shape \(1, 2\)$")):
+        TimeSeries([[1, 2]], [[1.0, 2.0]])
+    with pytest.raises(DataError, match=(
+            r"^values must be a one-dimensional column, got shape \(1, 2\)$")):
+        TimeSeries([1, 2], [[1.0, 2.0]])
+
+
 def test_summarize_matches_brute_force_variance():
     rng = random.Random(7)
     for _ in range(25):
