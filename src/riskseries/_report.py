@@ -4,9 +4,10 @@ A result record becomes a dict of its fields in declaration order, which
 is the JSON schema; every table in a report is a ``ColumnTable``. The
 JSON writer gives the bytes of ``json.dumps(indent=2, allow_nan=True)``,
 and text comes from ``riskseries._text``, imported only for a text run.
-The writer formats a list, and each table column, in one call: a float64
-array once per distinct bit pattern, a list of one exact scalar type
-through that type's formatter, and any other list item by item.
+A report is dicts with ``str`` keys, scalars of an exact JSON type, and
+lists or table columns whose items all have one exact scalar type; the
+writer formats each list and table column in one call (a float64 array
+once per distinct bit pattern) and raises TypeError on anything else.
 """
 from __future__ import annotations
 
@@ -154,8 +155,7 @@ def _float_text(value: float) -> str:
     return _FLOAT_SPECIAL.get(text, text)
 
 
-# The JSON text of a scalar of exactly this type; _write_json gives a
-# subclass of str, int or float its base type's.
+# The JSON text of a scalar of exactly this type; no other type is written.
 _SCALAR_TEXT = {
     str: encode_basestring_ascii,
     type(None): lambda _: "null",
@@ -194,15 +194,14 @@ def _array_texts(column: np.ndarray) -> list[str]:
     return texts[runs].tolist()
 
 
-def _column_texts(column, newline: str) -> list[str]:
-    """The JSON text of each item of a list or table column, each item at ``newline``.
+def _column_texts(column) -> list[str]:
+    """The JSON text of each item of a list or table column.
 
     A float64 array is formatted once per distinct bit pattern, by
-    ``_array_texts``, and any other array is read as Python scalars. A
-    column of one exact scalar type is mapped through that type's
-    formatter, floats through ``_float_texts``; every way gives a double
-    the text of its own ``float.__repr__``. Any other column is written
-    item by item.
+    ``_array_texts``, and any other array is read as Python scalars. The
+    items must all be scalars of one exact type, whose formatter maps the
+    column, floats through ``_float_texts``; every way gives a double the
+    text of its own ``float.__repr__``. Any other column raises TypeError.
     """
     if isinstance(column, np.ndarray):
         if column.dtype == np.float64:
@@ -210,15 +209,12 @@ def _column_texts(column, newline: str) -> list[str]:
         column = column.tolist()
     kinds = set(map(type, column))
     formatter = _SCALAR_TEXT.get(kinds.pop()) if len(kinds) == 1 else None
+    if formatter is None:
+        names = sorted({type(item).__name__ for item in column})
+        raise TypeError(f"list items must be scalars of one JSON type, not {', '.join(names)}")
     if formatter is _float_text:
         return _float_texts(column)
-    if formatter is not None:
-        return list(map(formatter, column))
-    texts = []
-    for item in column:
-        _write_json(item, parts := [], newline)
-        texts.append("".join(parts))
-    return texts
+    return list(map(formatter, column))
 
 
 def _rows_text(table: ColumnTable, inner: str) -> str:
@@ -236,7 +232,7 @@ def _rows_text(table: ColumnTable, inner: str) -> str:
     fields = []
     separator = opener
     for prefix, column in zip(prefixes, table.columns.values()):
-        fields += (repeat(separator + row_inner + prefix), _column_texts(column, row_inner))
+        fields += (repeat(separator + row_inner + prefix), _column_texts(column))
         separator = ","
     closes = chain(repeat(inner + closer + "," + inner, len(table) - 1), (inner + closer,))
     return "".join(chain.from_iterable(zip(*fields, closes)))
@@ -251,12 +247,10 @@ def _write_json(value, parts: list[str], newline: str):
     plus the current indentation.
 
     A scalar is written by the formatter ``_SCALAR_TEXT`` holds for its
-    exact type or else for the first of ``str``, ``int`` and ``float`` it
-    subclasses, so an ``IntEnum`` reads as its int; no class subclasses
-    one of those and a container, so these tests give ``json.dumps``'s
-    choice. A dict value of an exact scalar type is written in the dict's
-    own loop. A list, or a ``ColumnTable``'s rows, is written from
-    ``_column_texts`` of the list, or of each table column.
+    exact type, and a dict value of such a type in the dict's own loop. A
+    list, or a ``ColumnTable``'s rows, is written from ``_column_texts``
+    of the list, or of each table column. Any other value, a subclass of
+    a scalar type or a numpy scalar included, raises TypeError.
     """
     formatter = _SCALAR_TEXT.get(type(value))
     if formatter is not None:
@@ -268,7 +262,7 @@ def _write_json(value, parts: list[str], newline: str):
         elif isinstance(value, ColumnTable):
             parts += ("[" + inner, _rows_text(value, inner), newline + "]")
         else:
-            parts += ("[" + inner, ("," + inner).join(_column_texts(value, inner)), newline + "]")
+            parts += ("[" + inner, ("," + inner).join(_column_texts(value)), newline + "]")
     elif isinstance(value, dict):
         inner = newline + "  "
         separator = "{" + inner
@@ -286,10 +280,6 @@ def _write_json(value, parts: list[str], newline: str):
             separator = "," + inner
         parts.append(newline + "}" if value else "{}")
     else:
-        for base in (str, int, float):
-            if isinstance(value, base):
-                parts.append(_SCALAR_TEXT[base](value))
-                return
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 

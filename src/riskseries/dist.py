@@ -5,8 +5,12 @@ beta function, computed with the classic continued-fraction expansion
 (modified Lentz iteration) converged to 1e-12. That is enough to
 reproduce spreadsheet regression p-values to every printed digit. The
 tails own their limits: the beta argument, and so the tail, is exactly 0
-at t = +-inf or F = inf and exactly 1 at t = 0 or F = 0. t * t overflows
-from |t| = 2**512, so a t critical value beyond raises NumericalError.
+at t = +-inf or F = inf and exactly 1 at t = 0 or F = 0. Past the edge
+where t * t overflows (|t| >= 2**512), the t tail is its leading term,
+2 / (pi |t|) at df 1 and 1 / t**2 at df 2, and 0.0 from df 3, whose tail
+is below 2**-1536 there; where d1 * f overflows, the F tail takes the
+beta argument d2 / d1 / f. Both are 0 at an infinite statistic. A t
+critical value past 2**512 raises NumericalError.
 The normal CDF rides on the C library's erfc, which is good to machine
 precision; quantiles are obtained by bisection, which stops once the
 midpoint of its bracket is one of the bracket's ends.
@@ -127,6 +131,9 @@ def student_t_two_sided_p(t: float, df: int) -> float:
     if math.isnan(t):
         raise UsageError("t statistic must not be NaN")
     x = df / (df + t * t)
+    if x == 0.0 and df <= 2:
+        # t * t overflowed: the tail's leading term, 2 / (pi |t|) or 1 / t**2.
+        return (2 / math.pi) / abs(t) if df == 1 else (1 / abs(t)) / abs(t)
     return regularized_incomplete_beta(df / 2.0, 0.5, x)
 
 
@@ -138,6 +145,8 @@ def f_upper_tail(f: float, d1: int, d2: int) -> float:
     if math.isnan(f) or f < 0.0:
         raise UsageError(f"F statistic must be non-negative, got {f!r}")
     x = d2 / (d2 + d1 * f)
+    if x == 0.0:  # d1 * f overflowed
+        x = d2 / d1 / f
     return regularized_incomplete_beta(d2 / 2.0, d1 / 2.0, x)
 
 

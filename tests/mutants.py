@@ -68,14 +68,16 @@ MUTANTS = [
     ("src/riskseries/_report.py", "bits = column.view(np.int64)", "bits = column",
      "_column_texts: a float64 array is sorted and split into runs by value, not by bits, "
      "so 0.0 and -0.0 take one text"),
-    ("src/riskseries/_report.py", "_write_json(item, parts := [], newline)",
-     '_write_json(item, parts := [], "\\n")',
-     "_column_texts: a nested item of a list or table column is written at the top "
-     "level's indentation, not its row's"),
-    ("src/riskseries/_report.py", "for base in (str, int, float):",
-     "for base in (str, float):",
-     "_write_json: an int subclass such as an IntEnum, alone, in a dict or in a "
-     "_column_texts column, finds no base type's formatter and raises TypeError"),
+    ("src/riskseries/_report.py", "if len(kinds) == 1 else None", "if kinds else None",
+     "_column_texts: a column of two scalar types takes the formatter of one of them, "
+     "so [True, 1] is written as 1, 1 or true, true instead of raising TypeError"),
+    ("src/riskseries/_report.py", "kinds = set(map(type, column))", "kinds = {type(column[0])}",
+     "_column_texts: a column is typed by its first item, so [True, 1] is written as "
+     "true, true and [1.0, np.float64(2.0)] as floats instead of raising TypeError"),
+    ("src/riskseries/dist.py", "if x == 0.0 and df <= 2:", "if x == 0.0 and df <= 1:",
+     "student_t_two_sided_p: at df 2 past |t| = 2**512 the tail reads 0.0, not 1 / t**2"),
+    ("src/riskseries/dist.py", "x = d2 / d1 / f", "x = 0.0",
+     "f_upper_tail: where d1 * f overflows the tail reads 0.0, not its value from d2 / d1 / f"),
     ("src/riskseries/series.py",
      "self._mean = float(min(max(mean, column.min()), column.max()))", "self._mean = mean",
      "_Moments.mean: the mean is not clamped into the column's range, so five equal "

@@ -2,6 +2,7 @@ import hashlib
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -258,6 +259,22 @@ def test_tails_read_their_limits_exactly():
         for d1, d2 in ((df, 3), (3, df), (df, df)):
             assert f_upper_tail(math.inf, d1, d2).hex() == (0.0).hex(), (d1, d2)
             assert f_upper_tail(0.0, d1, d2).hex() == (1.0).hex(), (d1, d2)
+
+
+def test_tails_past_their_overflow_edge_match_mpmath():
+    # t * t or d1 * f overflows, so the beta argument alone would read 0.
+    with mpmath.workdps(50):
+        for t, df in [(1.4e154, 1), (-1.4e154, 1), (1e300, 1), (1.7976931348623157e308, 1),
+                      (2.0**512, 2), (-1.5e154, 2)]:
+            x = df / (df + mpmath.mpf(t) ** 2)
+            exact = mpmath.betainc(df / 2, 0.5, 0, x, regularized=True)
+            assert abs(student_t_two_sided_p(t, df) - exact) <= 1e-13 * exact, (t, df)
+        for f, d1, d2 in [(1e308, 2, 1), (1e308, 2, 2), (1.7e308, 50, 2)]:
+            x = d2 / (d2 + d1 * mpmath.mpf(f))
+            exact = mpmath.betainc(d2 / 2, d1 / 2, 0, x, regularized=True)
+            assert abs(f_upper_tail(f, d1, d2) - exact) <= 1e-13 * exact, (f, d1, d2)
+    # From df 3 and d2 3 the tail there is below 2**-1536.
+    assert student_t_two_sided_p(2.0**512, 3) == f_upper_tail(1e308, 2, 3) == 0.0
 
 
 def test_t_critical_is_found_below_2_to_the_512_only():
