@@ -2,8 +2,8 @@
 
 Each case writes its input files into one temporary directory and runs one
 command in process, once with ``--format text`` and once with ``--format
-json``. Its exit code, the sha256 of its stdout and its stderr, with the
-directory replaced by ``<DIR>``, are compared to
+json``. Its exit code, the sha256 and length in bytes of its stdout and
+its stderr, with the directory replaced by ``<DIR>``, are compared to
 ``data/snapshots/text_digests.json`` and ``data/snapshots/json_digests.json``.
 The corpus covers all eight commands:
 
@@ -22,7 +22,12 @@ The corpus covers all eight commands:
 - ``risk-curve`` on the contract sweep's generated hazard, vulnerability
   and loss files (``test_contract_sweep._risk_argv``), good or with one or
   two faults, drawn from a generator of their own, so that every hazard,
-  grid and vulnerability message is pinned byte for byte.
+  grid and vulnerability message is pinned byte for byte;
+- last, two 2,000-value daily records from ``test_cli_snapshots``'s
+  generators, the rain record with ties and dry days and an all-distinct
+  one, under every series command above and ``residuals --lag 2``, their
+  flags drawn from a third generator: outputs of hundreds of kilobytes,
+  beyond the case study's 29 residual rows.
 
 Failing runs stay in the corpus, so a rewrite of a renderer or a reader is
 checked against every exit code, not only against successful reports.
@@ -32,6 +37,10 @@ writes the same files.
 To regenerate after a deliberate change of output:
 
     PYTHONPATH=src python tests/test_text_digests.py
+
+Before it writes, it prints per format how many committed cases kept
+every field they share with the new run, each case that changed (by argv
+and field), and how many cases were added or removed.
 """
 import hashlib
 import io
@@ -46,6 +55,7 @@ from pathlib import Path
 import pytest
 
 from riskseries.cli import main
+from test_cli_snapshots import _write_distinct_record, _write_seeded_record
 from test_contract_sweep import _risk_argv as _sweep_risk_argv
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -60,6 +70,8 @@ GEV_CASES = 60
 RISK_CASES = 40
 SWEEP_RISK_SEED = 32
 SWEEP_RISK_CASES = 200
+LONG_SEED = 33
+LONG_RECORD_SIZE = 2_000
 # (name, months, value cells): records every series command refuses.
 BROKEN = [
     ("repeated-month", [1, 2, 2, 3, 4], ["2.0", "3.5", "4.0", "1.0", "2.5"]),
@@ -87,6 +99,10 @@ def _months(rng: random.Random, n: int, gapped: bool) -> list[int]:
         month += 1 if rng.random() < 0.8 else rng.randint(2, 12)
         months.append(month)
     return months
+
+
+def _read_values(path: Path) -> list[float]:
+    return [float(row.split(",")[1]) for row in path.read_text().split()[1:]]
 
 
 def _write_series(path: Path, months: list[int], values: list[float]) -> str:
@@ -142,8 +158,7 @@ def _cases(directory: Path) -> list[list[str]]:
         shutil.copy(DATA_DIR / name, directory / name)
     rng = random.Random(SEED)
     case_study = directory / "extreme_precipitation.csv"
-    rows = case_study.read_text().split()[1:]
-    argvs = _series_argvs(rng, str(case_study), [float(row.split(",")[1]) for row in rows])
+    argvs = _series_argvs(rng, str(case_study), _read_values(case_study))
     edges = {
         "four": [3.0, 1.0, 4.0, 1.5],
         "constant": [5.0] * 10,
@@ -169,6 +184,11 @@ def _cases(directory: Path) -> list[list[str]]:
     argvs += [_risk_argv(rng, directory) for _ in range(RISK_CASES)]
     sweep_rng = random.Random(SWEEP_RISK_SEED)
     argvs += [_sweep_risk_argv(sweep_rng, directory, case) for case in range(SWEEP_RISK_CASES)]
+    long_rng = random.Random(LONG_SEED)
+    for path in (_write_seeded_record(directory / "long_rain.csv", LONG_RECORD_SIZE),
+                 _write_distinct_record(directory / "long_distinct.csv", LONG_RECORD_SIZE)):
+        argvs += _series_argvs(long_rng, str(path), _read_values(path))
+        argvs.append(["residuals", str(path), "--lag", "2"])
     return argvs
 
 
@@ -176,11 +196,12 @@ def _run(argv: list[str], directory: Path, fmt: str) -> dict:
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main([*argv, "--format", fmt])
-    stdout = out.getvalue().replace(str(directory), PLACEHOLDER)
+    stdout = out.getvalue().replace(str(directory), PLACEHOLDER).encode()
     return {
         "argv": [arg.replace(str(directory), PLACEHOLDER) for arg in argv],
         "code": code,
-        "stdout_sha256": hashlib.sha256(stdout.encode()).hexdigest(),
+        "stdout_sha256": hashlib.sha256(stdout).hexdigest(),
+        "stdout_bytes": len(stdout),
         "stderr": err.getvalue().replace(str(directory), PLACEHOLDER),
     }
 
@@ -203,6 +224,9 @@ def test_corpus_reaches_every_command_and_exit_code(committed):
         risk = [case for case in cases if case["argv"][0] == "risk-curve"]
         assert len(risk) == RISK_CASES + SWEEP_RISK_CASES, fmt
         assert {case["code"] for case in risk} == {0, 1, 2}, fmt
+        # The two long records come last, each under 14 series argvs and residuals --lag 2.
+        long = [case for case in cases if case["argv"][1].startswith("<DIR>/long_")]
+        assert len(long) == 2 * 15 and long == cases[-len(long):], fmt
     assert [case["argv"] for case in committed["text"]] == [
         case["argv"] for case in committed["json"]]
 
@@ -223,10 +247,25 @@ def test_json_output_matches_committed_digests(committed, tmp_path):
     assert _changed(_corpus(tmp_path, "json"), committed["json"]) == []
 
 
+def _print_changes(fmt: str, committed: list[dict], cases: list[dict]):
+    """How the new cases differ from the committed ones, case by case in order."""
+    changed = [(" ".join(case["argv"]), [key for key in old if key in case and old[key] != case[key]])
+               for old, case in zip(committed, cases)]
+    changed = [(argv, keys) for argv, keys in changed if keys]
+    kept = min(len(committed), len(cases)) - len(changed)
+    print(f"{fmt}: {kept} kept, {len(changed)} changed, "
+          f"{max(len(cases) - len(committed), 0)} added, "
+          f"{max(len(committed) - len(cases), 0)} removed")
+    for argv, keys in changed:
+        print(f"  changed {', '.join(keys)}: {argv}")
+
+
 if __name__ == "__main__":
     for fmt, path in DIGESTS.items():
         with tempfile.TemporaryDirectory() as scratch:
             cases = _corpus(Path(scratch), fmt)
+        committed = json.loads(path.read_text(encoding="utf-8"))["cases"] if path.exists() else []
+        _print_changes(fmt, committed, cases)
         path.write_text(json.dumps({"seed": SEED, "cases": cases}, indent=1) + "\n",
                         encoding="utf-8")
         codes = [case["code"] for case in cases]
