@@ -9,19 +9,25 @@ absolute case-study path replaced by ``<INPUT>``, is compared to
 its stderr in ``<case>.<format>.stderr``. Every printed float is
 covered, down to the last digit.
 
-A seeded daily rain record (``_write_seeded_record``), at 1,000 and 8,000
-values, and an all-distinct record beside it bound the Python calls per
-added value of every series command in both formats. At 2,000 values,
-both are records of the digest corpus (``test_text_digests.py``), which
-guards the writers beyond the case study's 29 residual rows.
+A seeded 2,000-value daily record guards the writers beyond the case
+study's 29 residual rows. Its ``analyze`` and ``residuals --lag 2``
+outputs run to hundreds of kilobytes, so only their length and sha256
+are kept, in ``data/snapshots/seeded_record.json``; the digest corpus
+(``test_text_digests.py``) also runs this record, with generated flags. The
+same generator, at 1,000 and 8,000 values, and an all-distinct record beside
+it, bound the Python calls per added value of every series command in both
+formats.
 
 To regenerate after a deliberate change of output:
 
     PYTHONPATH=src python tests/test_cli_snapshots.py
 """
+import hashlib
 import io
+import json
 import random
 import sys
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -84,6 +90,7 @@ CASES = [
     (name, fmt, args, code) for name, args, code in COMMANDS for fmt in ("json", "text")
 ]
 
+SEEDED_DIGESTS = SNAPSHOT_DIR / "seeded_record.json"
 # Calls per value that each form adds between a 1,000- and an 8,000-value
 # record, on the tied rain record and on an all-distinct one, with the
 # continued fraction's calls counted apart.
@@ -105,16 +112,24 @@ FORMS = [
     ["peaks", "--threshold", "20"],
     ["peaks", "--block-size", "4"],
 ]
+# (case name, command and the flags after the seeded record's path)
+SEEDED_COMMANDS = [
+    ("seeded_analyze", ["analyze"]),
+    ("seeded_residuals_lag2", ["residuals", "--lag", "2"]),
+]
+SEEDED_CASES = [
+    (name, fmt, args) for name, args in SEEDED_COMMANDS for fmt in ("json", "text")
+]
 
 
-def _run(args, fmt):
+def _run(args, fmt, input_path=INPUT):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main([*map(str, args), "--format", fmt])
     return (
         code,
-        out.getvalue().replace(str(INPUT), PLACEHOLDER),
-        err.getvalue().replace(str(INPUT), PLACEHOLDER),
+        out.getvalue().replace(str(input_path), PLACEHOLDER),
+        err.getvalue().replace(str(input_path), PLACEHOLDER),
     )
 
 
@@ -146,6 +161,10 @@ def _write_distinct_record(path: Path, n: int) -> Path:
     return path
 
 
+def _digest(text: str) -> dict:
+    return {"bytes": len(text.encode()), "sha256": hashlib.sha256(text.encode()).hexdigest()}
+
+
 def _snapshot(name: str, fmt: str, stderr: bool = False) -> Path:
     return SNAPSHOT_DIR / (f"{name}.{fmt}.stderr" if stderr else f"{name}.{fmt}")
 
@@ -161,6 +180,22 @@ def test_cli_output_matches_snapshot(name, fmt, args, code):
         encoding="utf-8"
     )
     assert err == expected_err
+
+
+@pytest.fixture(scope="module")
+def seeded_record(tmp_path_factory) -> Path:
+    return _write_seeded_record(tmp_path_factory.mktemp("seeded") / "seeded_record.csv")
+
+
+@pytest.mark.parametrize(
+    "name, fmt, args", SEEDED_CASES, ids=[f"{name}-{fmt}" for name, fmt, _ in SEEDED_CASES]
+)
+def test_seeded_record_output_matches_its_digest(seeded_record, name, fmt, args):
+    command, *flags = args
+    exit_code, out, err = _run([command, seeded_record, *flags], fmt, seeded_record)
+    assert (exit_code, err) == (EXIT_OK, "")
+    expected = json.loads(SEEDED_DIGESTS.read_text(encoding="utf-8"))[f"{name}.{fmt}"]
+    assert _digest(out) == expected
 
 
 def _calls(argv: list[str]) -> tuple[int, int]:
@@ -224,6 +259,16 @@ def _regenerate():
         if code != EXIT_OK:
             _snapshot(name, fmt, stderr=True).write_text(err, encoding="utf-8")
         print(f"wrote {name}.{fmt}")
+    digests = {}
+    with tempfile.TemporaryDirectory() as directory:
+        record = _write_seeded_record(Path(directory) / "seeded_record.csv")
+        for name, fmt, (command, *flags) in SEEDED_CASES:
+            exit_code, out, err = _run([command, record, *flags], fmt, record)
+            if (exit_code, err) != (EXIT_OK, ""):
+                raise SystemExit(f"{name}-{fmt}: exit {exit_code}: {err}")
+            digests[f"{name}.{fmt}"] = _digest(out)
+    SEEDED_DIGESTS.write_text(json.dumps(digests, indent=2) + "\n", encoding="utf-8")
+    print(f"wrote {SEEDED_DIGESTS.name}")
 
 
 if __name__ == "__main__":
