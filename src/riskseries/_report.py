@@ -5,9 +5,10 @@ is the JSON schema; every table in a report is a ``ColumnTable``. The
 JSON writer gives the bytes of ``json.dumps(indent=2, allow_nan=True)``,
 and text comes from ``riskseries._text``, imported only for a text run.
 A report is dicts with ``str`` keys, scalars of an exact JSON type, and
-lists or table columns whose items all have one exact scalar type; the
-writer formats each list and table column in one call (a float64 array
-once per distinct bit pattern) and raises TypeError on anything else.
+lists or table columns whose items all have one exact scalar type. Both
+formats write each list and table column by one ``_column_texts`` call
+(a float64 array once per distinct bit pattern), each with its own type
+table, and raise TypeError on anything else.
 """
 from __future__ import annotations
 
@@ -62,10 +63,9 @@ class ColumnTable:
     dicts, keys in column order; positional ones (``ColumnTable(xs, ys)``)
     hold rows that are lists. ``columns`` maps each name, or position, to
     its column: a sequence of scalars, or a one-dimensional numpy array.
-    ``column(key)`` and iterating read a column as Python scalars (an
-    array through ``tolist()``); iterating yields the rows, so
-    ``list(table)`` builds the list the table stands for. The JSON writer
-    formats it column by column and builds no row.
+    Iterating yields the rows as Python scalars (an array through
+    ``tolist()``), so ``list(table)`` builds the list the table stands
+    for. Both writers format it column by column and build no row.
     """
 
     __slots__ = ("columns", "keys")
@@ -82,13 +82,9 @@ class ColumnTable:
     def __len__(self) -> int:
         return len(next(iter(self.columns.values()), ()))
 
-    def column(self, key):
-        """Column ``key`` as a sequence of Python scalars."""
-        column = self.columns[key]
-        return column.tolist() if isinstance(column, np.ndarray) else column
-
     def __iter__(self):
-        rows = zip(*map(self.column, self.columns))
+        rows = zip(*(column.tolist() if isinstance(column, np.ndarray) else column
+                     for column in self.columns.values()))
         if self.keys is None:
             return map(list, rows)
         keys = self.keys
@@ -174,13 +170,13 @@ def _float_texts(values: list[float]) -> list[str]:
     return texts
 
 
-def _array_texts(column: np.ndarray) -> list[str]:
-    """The JSON text of each entry of a float64 array, one repr per distinct double.
+def _array_texts(column: np.ndarray, scalar_text: dict) -> list[str]:
+    """The text of each entry of a float64 array, one format per distinct double.
 
     The entries are sorted by their bits read as int64, so each run of
     equal bits is one double: ``0.0`` and ``-0.0`` are two runs, and so
-    are NaNs of two payloads, each of which reads ``NaN``. The first entry
-    of each run is formatted, and each entry takes the text of its run.
+    are NaNs of two payloads. The first entry of each run is formatted,
+    and each entry takes the text of its run.
     """
     bits = column.view(np.int64)
     order = bits.argsort()
@@ -188,27 +184,29 @@ def _array_texts(column: np.ndarray) -> list[str]:
     starts = np.empty(len(ordered), dtype=bool)
     starts[:1] = True
     np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
-    texts = np.array(_float_texts(column[order[starts]].tolist()), dtype=object)
+    texts = np.array(_column_texts(column[order[starts]].tolist(), scalar_text), dtype=object)
     runs = np.empty(len(ordered), dtype=np.intp)
     runs[order] = starts.cumsum() - 1
     return texts[runs].tolist()
 
 
-def _column_texts(column) -> list[str]:
-    """The JSON text of each item of a list or table column.
+def _column_texts(column, scalar_text: dict = _SCALAR_TEXT) -> list[str]:
+    """The text of each item of a list or table column, by the formatter
+    ``scalar_text`` holds for the items' one exact type: JSON's by default,
+    text cells' from ``riskseries._text``. Any other column raises TypeError.
 
     A float64 array is formatted once per distinct bit pattern, by
-    ``_array_texts``, and any other array is read as Python scalars. The
-    items must all be scalars of one exact type, whose formatter maps the
-    column, floats through ``_float_texts``; every way gives a double the
-    text of its own ``float.__repr__``. Any other column raises TypeError.
+    ``_array_texts``, any other array is read as Python scalars, and JSON
+    floats go through ``_float_texts``; an empty column has no texts.
     """
     if isinstance(column, np.ndarray):
         if column.dtype == np.float64:
-            return _array_texts(column)
+            return _array_texts(column, scalar_text)
         column = column.tolist()
     kinds = set(map(type, column))
-    formatter = _SCALAR_TEXT.get(kinds.pop()) if len(kinds) == 1 else None
+    if not kinds:
+        return []
+    formatter = scalar_text.get(kinds.pop()) if len(kinds) == 1 else None
     if formatter is None:
         names = sorted({type(item).__name__ for item in column})
         raise TypeError(f"list items must be scalars of one JSON type, not {', '.join(names)}")

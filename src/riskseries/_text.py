@@ -3,16 +3,20 @@
 Every renderer reads the dictionary the JSON output is written from, so
 the two formats never disagree. ``riskseries._report.render`` imports
 this module only for ``--format text``. Every table is built from its
-columns, a report table's read from its ``ColumnTable``: each column is
-padded to its widest cell in one ``map`` and the rows are the padded
-columns zipped, with no Python loop per cell.
+columns, a report table's as its ``ColumnTable`` stores them: each column
+takes its cell texts from ``_report._column_texts`` by ``_CELL_TEXT`` in
+one call and is padded to its widest cell in one ``map``, and the rows
+are the padded columns zipped, with no Python loop per cell.
 """
 from __future__ import annotations
 
 from itertools import repeat
 
+from ._report import _column_texts
 
-_CELL_TEXT = {bool: ("no", "yes").__getitem__, float: "{:.9g}".format}
+# A cell's text by its value's exact type. A table column holds one of these
+# types (``_column_texts`` refuses any other); ``_fmt`` gives other values ``str``.
+_CELL_TEXT = {bool: ("no", "yes").__getitem__, float: "{:.9g}".format, int: str, str: str}
 
 
 def _fmt(value) -> str:
@@ -31,14 +35,9 @@ def _table(columns: list[list[str]], indent: str = "  ") -> list[str]:
 
 
 def _grid(headers, columns, indent: str = "  ") -> list[str]:
-    """Lines of a table whose columns of values are formatted under their headers."""
-    return _table([[header, *map(_fmt, column)] for header, column in zip(headers, columns)],
-                  indent)
-
-
-def _columns(table):
-    """A ``ColumnTable``'s columns, in schema order, as Python scalars."""
-    return map(table.column, table.columns)
+    """Lines of a table whose columns of one-type values are formatted under their headers."""
+    return _table([[header, *_column_texts(column, _CELL_TEXT)]
+                   for header, column in zip(headers, columns)], indent)
 
 
 def _fields(d: dict, labels: dict[str, str]) -> list[str]:
@@ -70,13 +69,13 @@ def _regression_lines(d: dict, title: str) -> list[str]:
             [anova["df_regression"], anova["df_residual"],
              anova["df_regression"] + anova["df_residual"]],
             [anova["regression_ss"], anova["residual_ss"], anova["total_ss"]],
-            [anova["regression_ms"], anova["residual_ms"], ""],
-            [anova["f_stat"], "", ""],
-            [anova["significance_f"], "", ""],
+            [_fmt(anova["regression_ms"]), _fmt(anova["residual_ms"]), ""],
+            [_fmt(anova["f_stat"]), "", ""],
+            [_fmt(anova["significance_f"]), "", ""],
         ], indent="    "),
         "  coefficients",
         *_grid(["term", "estimate", "std error", "t stat", "p value", "lower 95%", "upper 95%"],
-               _columns(d["coefficients"]), indent="    "),
+               d["coefficients"].columns.values(), indent="    "),
     ]
 
 
@@ -99,7 +98,7 @@ def _trace_lines(d: dict, title: str) -> list[str]:
     return [
         f"{title} (alpha {_fmt(d['alpha'])})",
         *_grid(["p", "coefficient", "std error", "z", "z_alpha", "decision"],
-               _columns(d["steps"])),
+               d["steps"].columns.values()),
         f"  selected order: {d['selected_order']}",
     ]
 
@@ -112,7 +111,7 @@ def _residual_lines(d: dict, title: str) -> list[str]:
             "scale": "scale (rss/(n-1))", "regression_std_error": "regression std error",
             "outlier_threshold": "outlier threshold", "outliers": "outliers"}),
         *_grid(["obs", "y", "predicted", "residual", "standardized", "percentile", "outlier"],
-               _columns(d["rows"])),
+               d["rows"].columns.values()),
     ]
 
 
@@ -126,7 +125,7 @@ def _event_lines(d: dict, title: str) -> list[str]:
             f"{', zero-filled' if provenance['zero_filled'] else ''})"
         )
     return [f"{title} ({detail}, {d['n']} events)",
-            *_grid(["index", "value"], _columns(d["observations"]))]
+            *_grid(["index", "value"], d["observations"].columns.values())]
 
 
 def _ar_lines(models: dict, label: str) -> list[str]:
@@ -164,7 +163,7 @@ def residuals(d: dict) -> str:
 
 
 def gev_pdf(d: dict) -> str:
-    return _join(_grid(["x", "density"], _columns(d["points"]), indent=""))
+    return _join(_grid(["x", "density"], d["points"].columns.values(), indent=""))
 
 
 def risk_curve(d: dict) -> str:

@@ -169,6 +169,19 @@ MUTANTS = [
      "ResidualReport: the report's columns stay writeable"),
     ("src/riskseries/_record.py", "value.flags.writeable = False", "pass",
      "_rebuild: a pickled or deep-copied record's columns come back writeable"),
+    ("src/riskseries/autoreg.py", "if not sys.float_info.min <= product < math.inf:",
+     "if not 0.0 < product < math.inf:",
+     "lag_correlation: a subnormal product of the lag variances takes one square root, "
+     "so the lag-1 correlation of a record scaled by 2**-262 is thousands of ulp off"),
+    ("src/riskseries/residuals.py", "float(np.abs(observed).max())", "float(observed.max())",
+     "residual_analysis: the degeneracy scale is the largest value, not magnitude, so an "
+     "exact fit of an all-negative record is standardized against float noise"),
+    ("src/riskseries/_report.py", "return _array_texts(column, scalar_text)",
+     "return _array_texts(column, _SCALAR_TEXT)",
+     "_column_texts: a float64 array in a text table takes JSON reprs, not {:.9g}"),
+    ("src/riskseries/_report.py", "if not kinds:", "if kinds is None:",
+     "_column_texts: an empty list column raises TypeError, so text peaks with no "
+     "events fails"),
 ]
 
 

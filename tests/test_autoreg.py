@@ -1,4 +1,6 @@
 import math
+import random
+import sys
 
 import numpy as np
 import pytest
@@ -359,3 +361,17 @@ def test_lag_correlation_survives_a_variance_product_out_of_range(scale):
     values = np.random.default_rng(5).normal(0.0, 1.0, 50) * scale
     expected = np.corrcoef(values[1:], values[:-1])[0, 1]
     assert lag_correlation(TimeSeries.from_values(values), 1) == pytest.approx(expected, rel=1e-12)
+
+
+def test_lag_correlation_of_a_subnormal_variance_product_keeps_its_bits():
+    # Scaling by 2**-262 is exact and leaves the correlation as it is, but the
+    # lag variances' product falls to a subnormal 4.0e-313, which has lost
+    # precision: the two square roots keep it within a few ulp.
+    rng = random.Random(7)
+    values = [rng.gauss(0.0, 1.0) for _ in range(50)]
+    scaled = TimeSeries.from_values([value * 2.0 ** -262 for value in values])
+    a, b = scaled._moments(1, 50), scaled._moments(0, 49)
+    product = a.sum_of_squares(a.deviations()) * b.sum_of_squares(b.deviations())
+    assert 0.0 < product < sys.float_info.min
+    expected = lag_correlation(TimeSeries.from_values(values), 1)
+    assert abs(lag_correlation(scaled, 1) - expected) <= 4 * math.ulp(expected)

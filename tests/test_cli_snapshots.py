@@ -93,15 +93,13 @@ CASES = [
 SEEDED_DIGESTS = SNAPSHOT_DIR / "seeded_record.json"
 # Calls per value that each form adds between a 1,000- and an 8,000-value
 # record, on the tied rain record and on an all-distinct one, with the
-# continued fraction's calls counted apart.
-# - Text: 19.01 at most measured (``analyze``; ``residuals --lag 3`` reads
-#   19.0), against 51.0 when text tables were padded cell by cell. Most are
-#   ``_fmt`` and its type-table lookup, once per residual-table cell.
+# continued fraction's calls counted apart. Both formats take a table column's
+# cell texts from ``_report._column_texts`` in one call.
 # - JSON: 0.0056 at most measured, against 1.006 for ``trend --mann-kendall``
 #   when the tie sums ran a generator step per distinct value.
-TEXT_CALLS_PER_VALUE = 20
-JSON_CALLS_PER_VALUE = 0.1
-CALLS_PER_VALUE = {"json": JSON_CALLS_PER_VALUE, "text": TEXT_CALLS_PER_VALUE}
+# - Text: 0.0056 at most measured, against 19.01 (``analyze``) when each
+#   table cell took its own ``_fmt`` call and type-table lookup.
+CALLS_PER_VALUE = 0.1
 FORMS = [
     ["analyze"],
     ["analyze", "--threshold", "20"],
@@ -233,8 +231,8 @@ def _calls(argv: list[str]) -> tuple[int, int]:
 def test_json_calls_per_value_are_bounded(tmp_path, fmt, write, form):
     """Counts, not times: no form does Python work per value beyond its bound.
 
-    In JSON, numpy and the writer take the columns; in text, each table cell
-    takes its ``_fmt`` call.
+    In both formats numpy and ``_report._column_texts`` take the columns,
+    one call per table column, with no call per cell.
     """
     counts, steps = [], []
     for n in (1_000, 8_000):
@@ -244,7 +242,7 @@ def test_json_calls_per_value_are_bounded(tmp_path, fmt, write, form):
         counts.append(calls)
         steps.append(continued_fraction)
     per_value = (counts[1] - counts[0]) / 7_000
-    assert per_value <= CALLS_PER_VALUE[fmt], (
+    assert per_value <= CALLS_PER_VALUE, (
         f"{per_value:.4f} calls per added value; continued-fraction calls, "
         f"counted apart, at 1,000 and 8,000 values: {steps}")
 

@@ -10,7 +10,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import numpy as np
 import pytest
 
-from riskseries import _report, _risk_commands, cli, evt_risk, peaks
+from riskseries import _report, _risk_commands, _text, cli, evt_risk, peaks
 from riskseries.cli import (
     EXIT_OK,
     AnalysisConfig,
@@ -833,3 +833,39 @@ def test_long_record_residual_floats_are_formatted_once_per_distinct_double(tmp_
     _assert_same_text(render({"rows": table}, "json", None), _expected({"rows": list(table)}))
     # 14,777 reprs for the 49,995 float entries of the table.
     assert formatted == distinct
+
+
+# Text tables take their cells from the same one-call column path, through
+# the text cell table; the per-cell ``_text._fmt`` is the reference.
+
+def _text_columns(values: list, rng: np.random.Generator, n: int) -> list:
+    """values as a list and a tuple, and float64 arrays of every float kind."""
+    columns = [values, tuple(values)]
+    if values and type(values[0]) is float:
+        columns.append(np.array(values))
+        for kind in FLOAT64_KINDS:
+            columns += _layouts(_float64_column(rng, kind, n)).values()
+    return columns
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 400])
+@pytest.mark.parametrize("kind", COLUMN_KINDS)
+def test_text_cells_of_a_column_match_fmt_cell_by_cell(kind, n):
+    rng = random.Random(f"text-{kind}-{n}")
+    values = _scalar_column(rng, kind, n)
+    if kind == "none" and n:  # no text table holds None
+        with pytest.raises(TypeError, match="^list items must be scalars of one JSON type"):
+            _report._column_texts(values, _text._CELL_TEXT)
+        return
+    for column in _text_columns(values, np.random.default_rng([len(kind), n]), n):
+        cells = column.tolist() if isinstance(column, np.ndarray) else list(column)
+        assert _report._column_texts(column, _text._CELL_TEXT) == list(map(_text._fmt, cells))
+
+
+def test_text_cells_of_signed_zeros_nan_payloads_infinities_and_subnormals():
+    column = np.concatenate(([-0.0, 0.0, np.inf, -np.inf, 5e-324, -5e-324, 1e-310],
+                             NAN_PAYLOADS, NAN_PAYLOADS[::-1], [0.0, -0.0]))
+    texts = _report._column_texts(column, _text._CELL_TEXT)
+    assert texts == list(map(_text._fmt, column.tolist()))
+    assert texts == ["-0", "0", "inf", "-inf", "4.94065646e-324", "-4.94065646e-324", "1e-310",
+                     *["nan"] * 2 * len(NAN_PAYLOADS), "0", "-0"]

@@ -239,3 +239,14 @@ def test_percentile_column_matches_the_scalar_rule():
     for n in (1, 2, 3, 30, 9_999, 100_000):
         expected = [100.0 * (2 * k - 1) / (2 * n) for k in range(1, n + 1)]
         assert list(percentile_column(n)) == expected
+
+
+def test_exact_fit_of_an_all_negative_record_degenerates():
+    # The largest magnitude, 1005, is not the largest value, -1000.125: the
+    # degeneracy test must scale by the magnitude, or float noise of 1e-13
+    # in the residuals would be standardized against.
+    series = TimeSeries.from_values([-1000.0 - 0.125 * t for t in range(1, 41)])
+    report = residual_analysis(fit_trend(series), series)
+    assert (report.scale, report.regression_std_error) == (0.0, 0.0)
+    assert report.standardized.tolist() == [0.0] * 40
+    assert not report.outlier.any()
