@@ -6,9 +6,12 @@ Mann-Kendall test, autoregression by least squares with top-down order
 selection, residual diagnostics, and the extreme-value / risk-curve
 mathematics. ``riskseries.cli`` adds the command-line front end.
 
-The extreme-value names are served from ``riskseries.evt_risk``, which is
-imported on first use: the time-series pipeline never runs it.
+The public names (``__all__``) are those the imports below bind, plus the
+extreme-value names, which are served from ``riskseries.evt_risk``: it is
+imported on first use, and the time-series pipeline never runs it.
 """
+
+from types import ModuleType as _ModuleType
 
 from .autoreg import (
     ARModel,
@@ -61,49 +64,13 @@ _EVT_RISK = frozenset({
     "risk_curve",
 })
 
+# Importing a submodule binds it here too; it is not a public name.
 __all__ = [
-    "ARModel",
-    "AnovaBlock",
-    "CoefficientStat",
-    "DataError",
-    "EventSeries",
-    "MKResult",
-    "NumericalError",
-    "OrderSelectionStep",
-    "OrderSelectionTrace",
-    "Provenance",
-    "RegressionReport",
-    "ResidualReport",
-    "RiskSeriesError",
-    "SummaryStats",
-    "ThresholdSpec",
-    "TimeSeries",
-    "TrendLine",
-    "UsageError",
-    "block_maxima",
-    "build_lagged_design",
-    "detrend",
-    "f_upper_tail",
-    "fit_ar",
-    "fit_ols",
-    "fit_trend",
-    "lag_correlation",
-    "mann_kendall",
-    "normal_cdf",
-    "normal_quantile",
-    "percentile_column",
-    "plot_data",
-    "pot_compact",
-    "pot_zerofill",
-    "regularized_incomplete_beta",
-    "reindex",
-    "residual_analysis",
-    "select_order",
-    "student_t_critical",
-    "student_t_two_sided_p",
-    "summarize",
+    *sorted(name for name, value in globals().items()
+            if not (name.startswith("_") or isinstance(value, _ModuleType))),
     *sorted(_EVT_RISK),
 ]
+del _ModuleType
 
 
 def __getattr__(name: str):

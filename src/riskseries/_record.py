@@ -4,17 +4,19 @@ A record class lists its fields as annotations; a class attribute of the
 same name is that field's default. A subclass's fields follow its base's.
 Instances are built by keyword or by position, checked by the class's
 ``__post_init__``, and cannot be changed afterwards. They compare and
-hash by their fields, unless the class is declared with ``eq=False``:
-then they compare by identity, as records holding numpy columns do.
+hash by their fields, unless the class is declared with ``eq=False``,
+which declares a column record: one that holds numpy columns, compares
+by identity, and whose every array attribute ``Record`` makes read-only
+once ``__post_init__`` has set it, and again after unpickling.
 
 ``dataclasses`` writes out and ``exec``s each generated method of every
 class, about a millisecond per class at import. ``Record`` reads the
 annotations once in ``__init_subclass__`` and shares one ``__init__``.
 
 ``pickle`` and ``copy.deepcopy`` rebuild a record's attributes as they
-were, and every numpy column, which its record made read-only, comes
-back read-only. An attribute whose name starts with an underscore is a
-memo of derived state: they leave it out, and the copy fills its own on use.
+were, and every numpy column comes back read-only. An attribute whose
+name starts with an underscore is a memo of derived state: they leave it
+out, and the copy fills its own on use.
 """
 from __future__ import annotations
 
@@ -25,6 +27,7 @@ class Record:
     _fields: tuple[str, ...] = ()  # declaration order, the JSON schema's order
     _field_set: frozenset[str] = frozenset()
     _defaults: dict[str, object] = {}
+    _columns = False  # a column record's arrays are made read-only
 
     def __init_subclass__(cls, eq: bool = True, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -35,6 +38,7 @@ class Record:
         if not eq:
             cls.__eq__ = object.__eq__
             cls.__hash__ = object.__hash__
+            cls._columns = True
 
     def __init__(self, *args, **kwargs):
         # Every field by keyword is the common call and needs no binding.
@@ -42,6 +46,8 @@ class Record:
             kwargs = self._bind(args, kwargs)
         self.__dict__.update(kwargs)
         self.__post_init__()
+        if self._columns:
+            _freeze(self.__dict__)
 
     @classmethod
     def _bind(cls, args: tuple, kwargs: dict) -> dict:
@@ -94,11 +100,14 @@ class Record:
                           {name: value for name, value in vars(self).items() if name[0] != "_"})
 
 
-def _rebuild(cls: type[Record], state: dict) -> Record:
-    # An unpickled or deep-copied array is writeable.
-    for value in state.values():
+def _freeze(attributes: dict) -> None:
+    for value in attributes.values():
         if isinstance(value, np.ndarray):
             value.flags.writeable = False
+
+
+def _rebuild(cls: type[Record], state: dict) -> Record:
+    _freeze(state)  # an unpickled or deep-copied array is writeable
     record = object.__new__(cls)
     record.__dict__.update(state)
     return record

@@ -116,7 +116,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("peaks", help="extract extreme events")
     p.add_argument("input")
     p.add_argument("--threshold", type=_finite_float, help="POT threshold")
-    p.add_argument("--comparison", choices=(peaks.STRICTLY_ABOVE, peaks.AT_OR_ABOVE),
+    p.add_argument("--comparison", choices=peaks._COMPARISONS,
                    default=peaks.STRICTLY_ABOVE)
     p.add_argument("--zero-fill", action="store_true",
                    help="keep every slot, zeroing sub-threshold values")
@@ -161,7 +161,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("analyze", help="full pipeline")
     p.add_argument("input")
     p.add_argument("--threshold", type=_finite_float, help="apply POT extraction first")
-    p.add_argument("--comparison", choices=(peaks.STRICTLY_ABOVE, peaks.AT_OR_ABOVE),
+    p.add_argument("--comparison", choices=peaks._COMPARISONS,
                    default=peaks.STRICTLY_ABOVE)
     p.add_argument("--max-lag", type=int, default=3)
     p.add_argument("--alpha", type=_finite_float, default=0.05)

@@ -156,7 +156,7 @@ def lognormal_params(mean: float, cov: float) -> tuple[float, float]:
 
 
 def _set_columns(record: Record, what: str, **columns) -> list[np.ndarray]:
-    """``columns`` as read-only float64 copies, set on ``record`` under their names.
+    """``columns`` as float64 copies, set on ``record`` under their names.
 
     They must be one-dimensional and of one length, or it is a UsageError.
     """
@@ -166,7 +166,6 @@ def _set_columns(record: Record, what: str, **columns) -> list[np.ndarray]:
         raise UsageError(f"{what} columns must be one-dimensional and of one length, "
                          f"got shapes {', '.join(shapes[:-1])} and {shapes[-1]}")
     for name, array in zip(columns, arrays):
-        array.flags.writeable = False
         object.__setattr__(record, name, array)
     return arrays
 

@@ -26,7 +26,7 @@ class ResidualReport(Record, eq=False):
     """Residual columns of one fit; entry k is observation k + 1 of the fit.
 
     Every column is a numpy array, float64 except the bool ``outlier``,
-    and the report makes each one read-only in place, without a copy.
+    which ``Record`` makes read-only in place, without a copy.
     """
 
     y: np.ndarray
@@ -38,11 +38,6 @@ class ResidualReport(Record, eq=False):
     scale: float                  # sqrt(RSS / (n-1)), standardization divisor
     regression_std_error: float   # sqrt(RSS / (n-k))
     outlier_threshold: float
-
-    def __post_init__(self):
-        for column in (self.y, self.y_predicted, self.residual, self.standardized,
-                       self.percentile, self.outlier):
-            column.flags.writeable = False
 
 
 def _percentiles(n: int) -> np.ndarray:

@@ -3,8 +3,8 @@
 A series is two aligned columns: integer event times (``indices``) and
 finite magnitudes such as precipitation in mm (``values``). Indices may
 jump (an event record keeps the time slot it occurred in). Both columns
-are read-only numpy arrays owned by the series and validated once, so a
-series is immutable and safe to share between threads.
+are numpy arrays, copied and validated once and made read-only by
+``Record``, so a series is immutable and safe to share between threads.
 
 A series also keeps the mean and sum of squared deviations of each slice
 ``values[start:stop]`` that a statistic has asked for (the summary reads
@@ -50,9 +50,7 @@ def _column(data, dtype, name: str) -> np.ndarray:
             bad = int(np.argmax(column != np.trunc(column)))
         raise DataError(f"observation index must be an integer, got {column.tolist()[bad]!r}")
     # A copy, so no caller can reach the series' own (read-only) arrays.
-    column = np.array(column, dtype=dtype)
-    column.flags.writeable = False
-    return column
+    return np.array(column, dtype=dtype)
 
 
 class TimeSeries(Record, eq=False):

@@ -165,10 +165,13 @@ MUTANTS = [
      "_Moments.mean: every slice mean is one ulp too high"),
     ("src/riskseries/evt_risk.py", "if len(points) < 2:", "if len(points) < 1:",
      "HazardCurve: a one-point hazard is accepted"),
-    ("src/riskseries/residuals.py", "column.flags.writeable = False", "pass",
-     "ResidualReport: the report's columns stay writeable"),
-    ("src/riskseries/_record.py", "value.flags.writeable = False", "pass",
+    ("src/riskseries/_record.py", "if self._columns:", "if False:",
+     "Record.__init__: a column record's arrays stay writeable on construction"),
+    ("src/riskseries/_record.py", "_freeze(state)", "pass",
      "_rebuild: a pickled or deep-copied record's columns come back writeable"),
+    ("src/riskseries/__init__.py",
+     'name.startswith("_") or isinstance(value, _ModuleType)', 'name.startswith("_")',
+     "__all__: the imported submodules, such as autoreg and dist, are exported"),
     ("src/riskseries/autoreg.py", "if not sys.float_info.min <= product < math.inf:",
      "if not 0.0 < product < math.inf:",
      "lag_correlation: a subnormal product of the lag variances takes one square root, "

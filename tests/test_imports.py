@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -111,6 +112,18 @@ def test_every_exported_name_resolves_and_is_listed():
     for name in riskseries.__all__:
         assert getattr(riskseries, name) is not None, name
     assert set(riskseries.__all__) <= set(dir(riskseries))
+
+
+def test_all_is_the_imported_names_then_the_lazy_ones():
+    lazy = sorted(riskseries._EVT_RISK)
+    eager = riskseries.__all__[:-len(lazy)]
+    assert riskseries.__all__ == [*sorted(eager), *lazy]
+    assert set(eager) == {name for name, value in vars(riskseries).items()
+                          if name[0] != "_" and not isinstance(value, types.ModuleType)}
+    for name in riskseries.__all__:
+        value = getattr(riskseries, name)
+        assert name[0] != "_" and not isinstance(value, types.ModuleType), name
+        assert value.__module__.startswith("riskseries."), name
 
 
 def test_star_import_gives_every_exported_name():

@@ -116,6 +116,25 @@ def test_series_and_residual_records_compare_by_identity(samples):
         assert hash(record) == object.__hash__(record), cls
 
 
+def test_every_array_of_a_column_record_is_read_only_on_every_path(samples):
+    def writeable_copies(record) -> dict:
+        return {field: value.copy() if isinstance(value, np.ndarray) else value
+                for field, value in _kwargs(record).items()}
+
+    assert {cls.__name__ for cls in samples if cls._columns} == IDENTITY_EQUAL
+    arrays = 0
+    for cls, record in samples.items():
+        if not cls._columns:
+            continue
+        # As sampled, by keyword, and by position through the binding path.
+        for built in (record, cls(**writeable_copies(record)),
+                      cls(*writeable_copies(record).values())):
+            assert [name for name, value in vars(built).items()
+                    if isinstance(value, np.ndarray) and value.flags.writeable] == [], cls
+        arrays += sum(isinstance(value, np.ndarray) for value in vars(record).values())
+    assert arrays == 17  # the derived theta and beta too
+
+
 def _same_fields(a, b) -> bool:
     return all(
         np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
