@@ -1,14 +1,15 @@
 """Command reports as dicts, and those dicts as JSON or text.
 
 A result record becomes a dict of its fields in declaration order, which
-is the JSON schema; every table in a report is a ``ColumnTable``. The
-JSON writer gives the bytes of ``json.dumps(indent=2, allow_nan=True)``,
-and text comes from ``riskseries._text``, imported only for a text run.
-A report is dicts with ``str`` keys, scalars of an exact JSON type, and
-lists or table columns whose items all have one exact scalar type. Both
-formats write each list and table column by one ``_column_texts`` call
-(a float64 array once per distinct bit pattern), each with its own type
-table, and raise TypeError on anything else.
+is the JSON schema; every table in a report is a ``ColumnTable``, each
+array column as its record holds it. The JSON writer gives the bytes of
+``json.dumps(indent=2, allow_nan=True)``, and text comes from
+``riskseries._text``, imported only for a text run. A report is dicts
+with ``str`` keys, scalars of an exact JSON type, and lists or table
+columns whose items all have one exact scalar type. Each value takes one
+path: a scalar its type's formatter, and each list and table column one
+``_column_texts`` call (a float64 array once per distinct bit pattern),
+each format by its own type table. Anything else raises TypeError.
 """
 from __future__ import annotations
 
@@ -62,7 +63,7 @@ class ColumnTable:
     Named columns (``ColumnTable(y=..., z=...)``) hold rows that are
     dicts, keys in column order; positional ones (``ColumnTable(xs, ys)``)
     hold rows that are lists. ``columns`` maps each name, or position, to
-    its column: a sequence of scalars, or a one-dimensional numpy array.
+    its column as given: a sequence of scalars or a 1-d numpy array, any dtype.
     Iterating yields the rows as Python scalars (an array through
     ``tolist()``), so ``list(table)`` builds the list the table stands
     for. Both writers format it column by column and build no row.
@@ -105,7 +106,7 @@ def residuals_to_dict(report: residuals.ResidualReport) -> dict:
             residual=report.residual,
             standardized=report.standardized,
             percentile=report.percentile,
-            outlier=report.outlier.tolist(),
+            outlier=report.outlier,
         ),
     }
 
@@ -114,7 +115,7 @@ def event_series_to_dict(events: peaks.EventSeries) -> dict:
     return {
         "provenance": _record_to_dict(events.provenance),
         "n": len(events),
-        "observations": ColumnTable(events.indices.tolist(), events.values),
+        "observations": ColumnTable(events.indices, events.values),
     }
 
 
@@ -244,11 +245,11 @@ def _write_json(value, parts: list[str], newline: str):
     skips that encoder's generator chain. ``newline`` is the line break
     plus the current indentation.
 
-    A scalar is written by the formatter ``_SCALAR_TEXT`` holds for its
-    exact type, and a dict value of such a type in the dict's own loop. A
-    list, or a ``ColumnTable``'s rows, is written from ``_column_texts``
-    of the list, or of each table column. Any other value, a subclass of
-    a scalar type or a numpy scalar included, raises TypeError.
+    A scalar, a dict value included, is written here alone, by the
+    formatter ``_SCALAR_TEXT`` holds for its exact type. A list, or a
+    ``ColumnTable``'s rows, is written from ``_column_texts`` of the list,
+    or of each table column. Any other value, a subclass of a scalar type
+    or a numpy scalar included, raises TypeError.
     """
     formatter = _SCALAR_TEXT.get(type(value))
     if formatter is not None:
@@ -264,17 +265,11 @@ def _write_json(value, parts: list[str], newline: str):
     elif isinstance(value, dict):
         inner = newline + "  "
         separator = "{" + inner
-        scalar_text = _SCALAR_TEXT.get
         for key, item in value.items():
             if not isinstance(key, str):
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
-            prefix = separator + encode_basestring_ascii(key) + ": "
-            formatter = scalar_text(type(item))
-            if formatter is None:
-                parts.append(prefix)
-                _write_json(item, parts, inner)
-            else:
-                parts.append(prefix + formatter(item))
+            parts.append(separator + encode_basestring_ascii(key) + ": ")
+            _write_json(item, parts, inner)
             separator = "," + inner
         parts.append(newline + "}" if value else "{}")
     else:

@@ -6,7 +6,8 @@ this module only for ``--format text``. Every table is built from its
 columns, a report table's as its ``ColumnTable`` stores them: each column
 takes its cell texts from ``_report._column_texts`` by ``_CELL_TEXT`` in
 one call and is padded to its widest cell in one ``map``, and the rows
-are the padded columns zipped, with no Python loop per cell.
+are the padded columns zipped, with no Python loop per cell. A lone cell
+takes ``_fmt``, by the same table, and a value of a type outside it raises.
 """
 from __future__ import annotations
 
@@ -14,13 +15,13 @@ from itertools import repeat
 
 from ._report import _column_texts
 
-# A cell's text by its value's exact type. A table column holds one of these
-# types (``_column_texts`` refuses any other); ``_fmt`` gives other values ``str``.
+# A cell's text by its value's exact type, and no other type has one: a table
+# column refuses it in ``_column_texts``, and ``_fmt`` raises KeyError.
 _CELL_TEXT = {bool: ("no", "yes").__getitem__, float: "{:.9g}".format, int: str, str: str}
 
 
 def _fmt(value) -> str:
-    return _CELL_TEXT.get(type(value), str)(value)
+    return _CELL_TEXT[type(value)](value)
 
 
 def _table(columns: list[list[str]], indent: str = "  ") -> list[str]:

@@ -185,6 +185,15 @@ MUTANTS = [
     ("src/riskseries/_report.py", "if not kinds:", "if kinds is None:",
      "_column_texts: an empty list column raises TypeError, so text peaks with no "
      "events fails"),
+    ("src/riskseries/_report.py", "_write_json(item, parts, inner)",
+     "_write_json(item, parts, newline)",
+     "_write_json: a dict's values are indented at the dict's own level, not one deeper"),
+    ("src/riskseries/_report.py", "ColumnTable(events.indices, events.values)",
+     "ColumnTable(events.values, events.values)",
+     "event_series_to_dict: each POT observation gives its value in place of its index"),
+    ("src/riskseries/_text.py", "_CELL_TEXT[type(value)](value)",
+     "_CELL_TEXT.get(type(value), str)(value)",
+     "_text._fmt: a cell of a type outside the cell table is written by str, not refused"),
 ]
 
 

@@ -617,6 +617,22 @@ def test_every_report_table_is_declared_and_written_in_one_call(tmp_path, monkey
     assert tables_seen > 0
 
 
+def test_report_table_columns_a_record_holds_as_arrays_are_those_arrays(tmp_path):
+    path, threshold = _station_csv(tmp_path)
+    config = AnalysisConfig(input=str(path),
+                            threshold=peaks.ThresholdSpec(threshold=threshold))
+    report = run_pipeline(parse_csv(str(path)), config)
+    events = report.pot_events
+    observations = event_series_to_dict(events)["observations"].columns
+    assert observations[0] is events.indices and observations[1] is events.values
+    residual = report.residuals_raw_ar1
+    rows = _report.residuals_to_dict(residual)["rows"].columns
+    names = ["y", "y_predicted", "residual", "standardized", "percentile", "outlier"]
+    assert list(rows) == ["observation_id", *names]
+    for name in names:
+        assert rows[name] is getattr(residual, name), name
+
+
 def _typed(rows) -> list:
     """Each row's type, and its items' keys, types and values: True == 1 would hide a bool."""
     return [
@@ -860,6 +876,12 @@ def test_text_cells_of_a_column_match_fmt_cell_by_cell(kind, n):
     for column in _text_columns(values, np.random.default_rng([len(kind), n]), n):
         cells = column.tolist() if isinstance(column, np.ndarray) else list(column)
         assert _report._column_texts(column, _text._CELL_TEXT) == list(map(_text._fmt, cells))
+
+
+@pytest.mark.parametrize("value", [np.float64(1.0), None, Level.LOW], ids=repr)
+def test_a_cell_of_a_type_outside_the_cell_table_raises(value):
+    with pytest.raises(KeyError):
+        _text._fmt(value)
 
 
 def test_text_cells_of_signed_zeros_nan_payloads_infinities_and_subnormals():
